@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass, replace
 
 from mpmath import mp
@@ -207,11 +207,31 @@ PRESETS = {
 
 
 def run_suite(manifest: SuiteManifest, parallel: bool = False) -> list[EvalReport]:
-    """Run every entry; report order always equals manifest order."""
+    """Run every entry; report order always equals manifest order.
+
+    ``parallel`` runs the entries in spawned worker processes, one per
+    core at most.  mpmath's working precision is process-global, so
+    threads would change each other's precision mid-computation; separate
+    processes give the same reports as the serial run.
+    """
+    entries = manifest.entries
     if parallel:
-        with ThreadPoolExecutor(max_workers=min(8, len(manifest.entries))) as pool:
-            return list(pool.map(lambda e: verify(e.spec, e.cfg, e.tol), manifest.entries))
-    return [verify(e.spec, e.cfg, e.tol) for e in manifest.entries]
+        # imported here, so the serial path does not load multiprocessing
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        workers = min(os.cpu_count() or 1, len(entries))
+        ctx = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+            return list(
+                pool.map(
+                    verify,
+                    [e.spec for e in entries],
+                    [e.cfg for e in entries],
+                    [e.tol for e in entries],
+                )
+            )
+    return [verify(e.spec, e.cfg, e.tol) for e in entries]
 
 
 # ---------------------------------------------------------------------------

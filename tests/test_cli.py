@@ -1,6 +1,9 @@
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -134,6 +137,20 @@ class TestBernoulli:
 
     def test_negative_fails(self, capsys):
         assert main(["bernoulli", "-3"]) == 2
+
+
+def test_module_entry_point_end_to_end():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tornzeta", "eval", "S111"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "2*z3" in proc.stdout
 
 
 def test_console_script_end_to_end():

@@ -124,6 +124,13 @@ class TestLogAndOddSeries:
         assert on_series_via_b_path() == eval_on_series()
 
 
+_HALFINT_LITERAL = {
+    "a": ZExpr.zeta(2, 16) - ZExpr.zeta(3, 14),
+    "b": ZExpr.zeta(3, 14) - ZExpr.zeta(2, 8),
+    "c": ZExpr.zeta(2, 24) - ZExpr.zeta(3, 28),
+}
+
+
 class TestBaseTAndHalfInt:
     def test_base_t(self):
         assert eval_base_T(1) == ZExpr.zeta(2)
@@ -141,6 +148,11 @@ class TestBaseTAndHalfInt:
 
     def test_difference_identity(self):
         assert eval_halfint("c") == eval_halfint("a") - eval_halfint("b")
+
+    @pytest.mark.parametrize("v", ["a", "b", "c"])
+    def test_derived_matches_known_literal(self, v):
+        # the published combinations, kept apart from the T-sum derivation
+        assert eval_halfint(v) == _HALFINT_LITERAL[v]
 
     def test_numeric_spots(self):
         with workdps(40):

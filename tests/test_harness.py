@@ -140,6 +140,21 @@ class TestRunSuite:
         assert [r.spec for r in parallel] == [r.spec for r in serial]
         assert [str(r.oracle.value) for r in parallel] == [str(r.oracle.value) for r in serial]
 
+    def test_parallel_mixed_precision_quadrature_is_deterministic(self):
+        # concurrent entries at different precisions must not share mpmath's
+        # working precision: with threads, some 200-digit entries stalled
+        entries = tuple(
+            SuiteEntry(parse_spec("A3:s=0"), NumericCfg(digits=d, method="quadrature"), 1e-25)
+            for d in (30, 200) * 3
+        )
+        man = SuiteManifest("mixed-precision", entries)
+        serial = run_suite(man)
+        assert all(r.passed for r in serial)
+        for _ in range(3):
+            parallel = run_suite(man, parallel=True)
+            assert all(r.passed for r in parallel), [r.reason for r in parallel]
+            assert [r.oracle.value for r in parallel] == [r.oracle.value for r in serial]
+
 
 def _tiny_reports():
     man = SuiteManifest(

@@ -2,7 +2,13 @@ import pytest
 from mpmath import mp, workdps
 
 from tornzeta.closedform import closed_form_of
-from tornzeta.oracle import NumericCfg, OracleError, oracle_quadrature, zx_numeric
+from tornzeta.oracle import (
+    NumericCfg,
+    OracleError,
+    _tanh_sinh_node,
+    oracle_quadrature,
+    zx_numeric,
+)
 from tornzeta.series import parse_spec
 
 
@@ -67,3 +73,35 @@ class TestConvergenceReporting:
     def test_runs_fast(self):
         res = oracle_quadrature(parse_spec("An:n=3,s=2"), NumericCfg(digits=50))
         assert res.elapsed < 1.0
+
+
+HIPREC_SPECS = ["A3:s=0", "An:n=2,s=0", "An:n=3,s=5", "An:n=4,s=0", "An:n=5,s=3"]
+
+
+class TestHighPrecision:
+    @pytest.mark.parametrize("text", HIPREC_SPECS)
+    @pytest.mark.parametrize("digits,levels", [(100, 6), (200, 7), (300, 8)])
+    def test_levels_and_accuracy(self, text, digits, levels):
+        spec = parse_spec(text)
+        res = oracle_quadrature(spec, NumericCfg(digits=digits, quad_levels=16))
+        assert res.levels_used == levels
+        with workdps(digits + 20):
+            want = zx_numeric(closed_form_of(spec), digits + 10)
+            assert abs(res.value - want) <= mp.mpf(10) ** (-digits) * abs(want)
+
+
+class TestNodeQuantities:
+    # u = 2^-8 is the first node at level 8, u = 2 sits mid-range, and at
+    # u = 5 the node t = (1 + tanh w)/2 rounds to 1 at the working precision
+    @pytest.mark.parametrize("u,t_is_one", [(2.0**-8, False), (2.0, False), (5.0, True)])
+    def test_against_direct_logs(self, u, t_is_one):
+        with workdps(65):
+            w = mp.pi / 2 * mp.sinh(u)
+            got = _tanh_sinh_node(w)
+            assert (got[0] == 1) == t_is_one
+        with workdps(400):
+            t = (1 + mp.tanh(w)) / 2
+            omt = 1 - t
+            want = (t, omt, -mp.log(t), -mp.log(omt))
+            for g, r in zip(got, want):
+                assert abs(g - r) <= mp.mpf(10) ** -62 * abs(r)
