@@ -8,7 +8,6 @@ against independent summation and quadrature oracles.
 from .closedform import (
     closed_form_of,
     alt_binomial_sides,
-    eval_A3,
     eval_An,
     eval_aXL,
     eval_aux,
@@ -29,7 +28,6 @@ from .harness import (
     verify,
 )
 from .oracle import (
-    NoTailBound,
     NumericCfg,
     OracleError,
     OracleResult,
@@ -43,6 +41,6 @@ from .oracle import (
     zx_numeric,
 )
 from .series import SeriesSpec, parse_spec
-from .zexpr import ConstSym, ZExpr, zeta_even_to_pi, zx_add, zx_normalize, zx_scale
+from .zexpr import ConstSym, ZExpr, zeta_even_to_pi, zx_normalize
 
 __version__ = "0.1.0"

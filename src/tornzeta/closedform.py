@@ -11,10 +11,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+from typing import TYPE_CHECKING
 
 from .exact import Rat, binomial, harmonic, harmonic_gen
-from .series import SeriesSpec
 from .zexpr import LN2, UNIT, ZExpr
+
+if TYPE_CHECKING:
+    from .series import SeriesSpec
 
 
 def eval_An(n: int, s: int) -> ZExpr:
@@ -33,11 +36,6 @@ def eval_An(n: int, s: int) -> ZExpr:
     for j in range(s):
         acc += (-1) ** j * binomial(s - 1, j) / Fraction((j + 1) ** (n + 1))
     return ZExpr.rational(factorial(n) * acc)
-
-
-def eval_A3(s: int) -> ZExpr:
-    """The cubic-harmonic double sum: 6 zeta(4) at s = 0, rational for s >= 1."""
-    return eval_An(3, s)
 
 
 def eval_aXL(k: int) -> ZExpr:
@@ -148,23 +146,7 @@ def on_series_via_b_path() -> ZExpr:
 
 def closed_form_of(spec: SeriesSpec) -> ZExpr:
     """Closed form for any catalog spec; TornheimRaw is oracle-only and rejected."""
-    kind = spec.kind
-    if kind == "A3":
-        return eval_A3(spec.s)
-    if kind == "An":
-        return eval_An(spec.n, spec.s)
-    if kind == "aXL":
-        return eval_aXL(spec.k)
-    if kind == "S111":
-        return ZExpr.zeta(3, 2)
-    if kind == "LnSeries":
-        return eval_ln_series()
-    if kind == "OnSeries":
-        return eval_on_series()
-    if kind == "BaseT":
-        return eval_base_T(spec.j)
-    if kind == "HalfInt":
-        return eval_halfint(spec.variant)
-    if kind in ("EvenOddAux", "OddSquares", "BInter"):
-        return eval_aux(kind)
-    raise ValueError(f"{spec} has no closed form (oracle-only family)")
+    closed = spec.family.closed
+    if closed is None:
+        raise ValueError(f"{spec} has no closed form (oracle-only family)")
+    return closed(*spec.args)

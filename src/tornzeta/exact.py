@@ -57,69 +57,52 @@ def bernoulli(n: int) -> Rat:
     return _bernoulli_cache[n]
 
 
-class HarmonicTable:
-    """Incrementally grown cache of harmonic numbers.
-
-    Holds H_n = sum_{i<=n} 1/i, the generalized H_n^(m) = sum_{i<=n} 1/i^m,
-    and the odd-denominator partial sums O_m = sum_{k<=m} 1/(2k-1).  Rows
-    extend on demand and existing entries are never recomputed, so two
-    lookups of the same value always return the identical Fraction.
-    """
-
-    def __init__(self) -> None:
-        self._h: list[Fraction] = [_ZERO]
-        self._odd: list[Fraction] = [_ZERO]
-        self._gen: dict[int, list[Fraction]] = {}
-        self._lock = threading.Lock()
-
-    def harmonic(self, n: int) -> Rat:
-        """H_n; H_0 = 0."""
-        if n < 0:
-            raise ValueError(f"harmonic needs n >= 0, got {n}")
-        if n >= len(self._h):
-            with self._lock:
-                while len(self._h) <= n:
-                    i = len(self._h)
-                    self._h.append(self._h[-1] + Fraction(1, i))
-        return self._h[n]
-
-    def harmonic_gen(self, n: int, m: int) -> Rat:
-        """H_n^(m) = sum_{i=1}^{n} 1/i^m; order m >= 1."""
-        if n < 0:
-            raise ValueError(f"harmonic_gen needs n >= 0, got {n}")
-        if m < 1:
-            raise ValueError(f"harmonic_gen needs order m >= 1, got {m}")
-        if m == 1:
-            return self.harmonic(n)
-        with self._lock:
-            row = self._gen.setdefault(m, [_ZERO])
-            while len(row) <= n:
-                i = len(row)
-                row.append(row[-1] + Fraction(1, i**m))
-        return self._gen[m][n]
-
-    def odd_harmonic(self, m: int) -> Rat:
-        """O_m = 1 + 1/3 + ... + 1/(2m-1); O_0 = 0."""
-        if m < 0:
-            raise ValueError(f"odd_harmonic needs m >= 0, got {m}")
-        if m >= len(self._odd):
-            with self._lock:
-                while len(self._odd) <= m:
-                    i = len(self._odd)
-                    self._odd.append(self._odd[-1] + Fraction(1, 2 * i - 1))
-        return self._odd[m]
-
-
-_table = HarmonicTable()
+# Incrementally grown caches of harmonic numbers: H_n = sum_{i<=n} 1/i,
+# the generalized H_n^(m) = sum_{i<=n} 1/i^m by order m, and the odd-
+# denominator partial sums O_m = sum_{k<=m} 1/(2k-1).  Rows extend on
+# demand and existing entries are never recomputed, so two lookups of the
+# same value always return the identical Fraction.
+_harmonic_cache: list[Fraction] = [_ZERO]
+_odd_cache: list[Fraction] = [_ZERO]
+_gen_cache: dict[int, list[Fraction]] = {}
+_harmonic_lock = threading.Lock()
 
 
 def harmonic(n: int) -> Rat:
-    return _table.harmonic(n)
+    """H_n; H_0 = 0."""
+    if n < 0:
+        raise ValueError(f"harmonic needs n >= 0, got {n}")
+    if n >= len(_harmonic_cache):
+        with _harmonic_lock:
+            while len(_harmonic_cache) <= n:
+                i = len(_harmonic_cache)
+                _harmonic_cache.append(_harmonic_cache[-1] + Fraction(1, i))
+    return _harmonic_cache[n]
 
 
 def harmonic_gen(n: int, m: int) -> Rat:
-    return _table.harmonic_gen(n, m)
+    """H_n^(m) = sum_{i=1}^{n} 1/i^m; order m >= 1."""
+    if n < 0:
+        raise ValueError(f"harmonic_gen needs n >= 0, got {n}")
+    if m < 1:
+        raise ValueError(f"harmonic_gen needs order m >= 1, got {m}")
+    if m == 1:
+        return harmonic(n)
+    with _harmonic_lock:
+        row = _gen_cache.setdefault(m, [_ZERO])
+        while len(row) <= n:
+            i = len(row)
+            row.append(row[-1] + Fraction(1, i**m))
+    return _gen_cache[m][n]
 
 
 def odd_harmonic(m: int) -> Rat:
-    return _table.odd_harmonic(m)
+    """O_m = 1 + 1/3 + ... + 1/(2m-1); O_0 = 0."""
+    if m < 0:
+        raise ValueError(f"odd_harmonic needs m >= 0, got {m}")
+    if m >= len(_odd_cache):
+        with _harmonic_lock:
+            while len(_odd_cache) <= m:
+                i = len(_odd_cache)
+                _odd_cache.append(_odd_cache[-1] + Fraction(1, 2 * i - 1))
+    return _odd_cache[m]

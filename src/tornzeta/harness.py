@@ -13,19 +13,17 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from mpmath import mp
 
 from .closedform import closed_form_of
 from .oracle import (
-    NoTailBound,
     NumericCfg,
     OracleError,
     OracleResult,
     default_digits,
     oracle_for,
-    oracle_quadrature,
     zx_numeric,
 )
 from .series import SeriesSpec, parse_spec
@@ -57,28 +55,12 @@ def verify(spec: SeriesSpec, cfg: NumericCfg, tol: float) -> EvalReport:
         raise ValueError(f"tolerance must be positive, got {tol}")
     closed = closed_form_of(spec)
     closed_num = zx_numeric(closed, cfg.digits)
+    # a note here means the oracle broke down; it fails the report
     note = ""
-    broken = False
-    result: OracleResult | None = None
     try:
         result = oracle_for(spec, cfg)
-    except NoTailBound as exc:
-        # without a certified tail the truncation error is unquantified;
-        # fall back to quadrature agreement where an integral form exists
-        if spec.kind in ("A3", "An") and cfg.method != "quadrature":
-            note = f"{exc}; quadrature agreement used instead"
-            try:
-                result = oracle_quadrature(spec, replace(cfg, method="quadrature"))
-            except OracleError as qexc:
-                note = str(qexc)
-                broken = True
-                result = qexc.partial
-        else:
-            note = str(exc)
-            broken = True
     except OracleError as exc:
         note = str(exc)
-        broken = True
         result = exc.partial
     with mp.workdps(cfg.digits + 10):
         if result is None:
@@ -94,7 +76,7 @@ def verify(spec: SeriesSpec, cfg: NumericCfg, tol: float) -> EvalReport:
         abs_err = abs(closed_num - result.value)
         rel_err = abs_err / abs(closed_num) if closed_num != 0 else +abs_err
         threshold = max(mp.mpf(tol), result.tail_bound + result.error_estimate)
-        passed = (not broken) and bool(abs_err <= threshold)
+        passed = not note and bool(abs_err <= threshold)
         if not passed and not note:
             note = (
                 f"abs_err {mp.nstr(abs_err, 6)} exceeds tolerance {tol:g} "
@@ -132,7 +114,7 @@ class SuiteManifest:
         for e in self.entries:
             if e.tol <= 0:
                 raise ValueError(f"entry {e.spec}: tolerance must be positive, got {e.tol}")
-            if e.spec.kind == "TornheimRaw":
+            if e.spec.family.closed is None:
                 raise ValueError(
                     f"entry {e.spec}: oracle-only family has no closed form to verify"
                 )

@@ -25,17 +25,21 @@ import threading
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from itertools import product, starmap
+from typing import TYPE_CHECKING
 
 from mpmath import mp
 
-from .exact import bernoulli, harmonic, harmonic_gen, odd_harmonic
-from .series import SeriesSpec
+from .exact import bernoulli
 from .zexpr import ZExpr
 
+if TYPE_CHECKING:
+    from .series import SeriesSpec
+
 _GUARD_BITS = 64
-# raw boxes are quadratic/cubic in the cutoff; refuse runaway requests
-_RAW_CAP_2D = 5000
-_RAW_CAP_3D = 400
+# a raw box of cutoff N over d indices sums N^d terms; refuse runaway requests
+_RAW_TERM_CAP = 5000**2
 
 
 def default_digits() -> int:
@@ -84,10 +88,6 @@ class OracleResult:
     error_estimate: object  # mpf, 0 for summation methods
     elapsed: float
     level_estimates: tuple = ()
-
-
-class NoTailBound(Exception):
-    """Marker: no certified tail bound is available for this spec."""
 
 
 class OracleError(Exception):
@@ -216,14 +216,15 @@ def zx_numeric(a: ZExpr, digits: int):
     with mp.workdps(digits + 10):
         acc = mp.mpf(0)
         for sym, coeff in a.terms():
-            if sym.kind == "unit":
-                v = mp.mpf(1)
-            elif sym.kind == "ln2":
-                v = const_ln2(digits)
-            elif sym.kind == "zeta":
-                v = const_zeta(sym.k, digits)
-            else:
-                v = const_pi(digits) ** sym.k
+            match sym.kind:
+                case "unit":
+                    v = mp.mpf(1)
+                case "ln2":
+                    v = const_ln2(digits)
+                case "zeta":
+                    v = const_zeta(sym.k, digits)
+                case _:
+                    v = const_pi(digits) ** sym.k
             acc += mp.mpf(coeff.numerator) / coeff.denominator * v
         return +acc
 
@@ -240,11 +241,6 @@ def _prec_bits(digits: int) -> int:
     return int(digits * 3.3219281) + _GUARD_BITS
 
 
-def _fx_value(s_int: int, prec: int, digits: int):
-    with mp.workdps(digits + 10):
-        return mp.mpf(s_int) / mp.mpf(1 << prec)
-
-
 def _fx_harmonic_prefix(upto: int, one: int) -> list[int]:
     h = [0] * (upto + 1)
     acc = 0
@@ -254,7 +250,7 @@ def _fx_harmonic_prefix(upto: int, one: int) -> list[int]:
     return h
 
 
-def _diag_an(n: int, s: int, n_max: int, one: int, prec: int) -> int:
+def _diag_an(n: int, s: int, n_max: int, one: int) -> int:
     """Regrouped A-family: sum_G c_{n-1}(G) H_{G+s}/(G+s), G = total index.
 
     c_j(G) counts compositions of G into j parts weighted by 1/(product):
@@ -264,6 +260,9 @@ def _diag_an(n: int, s: int, n_max: int, one: int, prec: int) -> int:
     m_4 = p1^4 - 6 p1^2 p2 + 3 p2^2 + 8 p1 p3 - 6 p4).  The power sums grow
     incrementally, so each term costs O(1) big-int operations.
     """
+    if n > 6:
+        raise ValueError(f"regrouped summation supports n <= 6, got n={n}")
+    prec = one.bit_length() - 1
     j = n - 1
     acc = 0
     if j == 1:
@@ -394,35 +393,13 @@ def _sum_oddsq(n_max: int, one: int) -> int:
     return acc
 
 
-def _raw_a3(s: int, box: int, one: int) -> int:
-    htab = _fx_harmonic_prefix(2 * box + s, one)
-    acc = 0
-    for m in range(1, box + 1):
-        for n in range(1, box + 1):
-            t = m + n + s
-            acc += htab[t] // (m * n * t)
-    return acc
-
-
 def _raw_an(n: int, s: int, box: int, one: int) -> int:
-    dims = n - 1
-    htab = _fx_harmonic_prefix(dims * box + s, one)
+    htab = _fx_harmonic_prefix((n - 1) * box + s, one)
     acc = 0
-    for prod, tot in _box_tuples(dims, box):
-        t = tot + s
-        acc += htab[t] // (prod * t)
+    for ms in product(range(1, box + 1), repeat=n - 1):
+        t = sum(ms) + s
+        acc += htab[t] // (math.prod(ms) * t)
     return acc
-
-
-def _box_tuples(dims: int, box: int):
-    # (product, total) over [1..box]^dims, lexicographic
-    if dims == 1:
-        for m in range(1, box + 1):
-            yield m, m
-    else:
-        for m in range(1, box + 1):
-            for prod, tot in _box_tuples(dims - 1, box):
-                yield m * prod, m + tot
 
 
 def _raw_s111(box: int, one: int) -> int:
@@ -477,22 +454,6 @@ def _raw_binter(box: int, one: int) -> int:
     return acc
 
 
-_SINGLE_SUM_KINDS = ("aXL", "LnSeries", "OnSeries", "EvenOddAux", "OddSquares")
-
-
-def _single_sum_fixed(spec: SeriesSpec, n_max: int, one: int, prec: int) -> int:
-    kind = spec.kind
-    if kind == "aXL":
-        return _diag_an(2, spec.k, n_max, one, prec)
-    if kind == "LnSeries":
-        return _sum_ln_series(n_max, one)
-    if kind == "OnSeries":
-        return _sum_on_series(n_max, one)
-    if kind == "EvenOddAux":
-        return _sum_evenodd(n_max, one)
-    return _sum_oddsq(n_max, one)
-
-
 # ---------------------------------------------------------------------------
 # exact (rational) partial sums
 #
@@ -501,84 +462,12 @@ def _single_sum_fixed(spec: SeriesSpec, n_max: int, one: int, prec: int) -> int:
 # index sets agree exactly as Fractions, not merely numerically.
 
 
-def _conv_weight_exact(j: int, g: int) -> Fraction:
-    """c_j(g): composition-weighted 1/product, via power sums of 1/k."""
-    if g < j:
-        return Fraction(0)
-    if j == 1:
-        return Fraction(1, g)
-    p1 = harmonic(g - 1)
-    if j == 2:
-        return 2 * p1 / g
-    p2 = harmonic_gen(g - 1, 2)
-    if j == 3:
-        return 3 * (p1 * p1 - p2) / g
-    p3 = harmonic_gen(g - 1, 3)
-    if j == 4:
-        return 4 * (p1**3 - 3 * p1 * p2 + 2 * p3) / g
-    p4 = harmonic_gen(g - 1, 4)
-    if j == 5:
-        return (
-            5 * (p1**4 - 6 * p1 * p1 * p2 + 3 * p2 * p2 + 8 * p1 * p3 - 6 * p4) / g
-        )
-    raise ValueError(f"convolution weights supported for j <= 5, got j={j}")
-
-
 def diagonal_partial_exact(spec: SeriesSpec, cutoff: int) -> Fraction:
     """Exact partial sum of the single-index regrouped form, totals <= cutoff."""
-    kind = spec.kind
-    acc = Fraction(0)
-    if kind in ("A3", "An"):
-        n = 3 if kind == "A3" else spec.n
-        s = spec.s
-        j = n - 1
-        for g in range(j, cutoff + 1):
-            acc += _conv_weight_exact(j, g) * harmonic(g + s) / (g + s)
-        return acc
-    if kind == "S111":
-        for g in range(2, cutoff + 1):
-            acc += 2 * harmonic(g - 1) / Fraction(g * g)
-        return acc
-    if kind == "BaseT":
-        for g in range(0, cutoff + 1):
-            acc += odd_harmonic(g + 1) / ((g + 1) * (2 * g + spec.j))
-        return acc
-    if kind == "HalfInt":
-        for g in range(0, cutoff + 1):
-            o = odd_harmonic(g + 1)
-            if spec.variant == "a":
-                acc += 16 * o / ((g + 1) * (2 * g + 1) * (2 * g + 2))
-            elif spec.variant == "b":
-                acc += 16 * o / ((g + 1) * (2 * g + 2) * (2 * g + 3))
-            else:
-                acc += 32 * o / ((g + 1) * (2 * g + 1) * (2 * g + 2) * (2 * g + 3))
-        return acc
-    if kind == "BInter":
-        for g in range(2, cutoff + 1):
-            acc += (odd_harmonic(g) - 1) / Fraction((g + 1) * (2 * g + 1))
-        return acc
-    if kind == "aXL":
-        k = spec.k
-        for m in range(1, cutoff + 1):
-            acc += harmonic(m + k) / (m * (m + k))
-        return acc
-    if kind == "LnSeries":
-        for m in range(1, cutoff + 1):
-            acc += (2 * harmonic(2 * m + 1) - harmonic(m)) / (2 * m * (2 * m + 1))
-        return acc
-    if kind == "OnSeries":
-        for m in range(1, cutoff + 1):
-            acc += odd_harmonic(m) / (2 * m * (2 * m + 1))
-        return acc
-    if kind == "EvenOddAux":
-        for m in range(1, cutoff + 1):
-            acc += Fraction(1, 2 * m * (2 * m + 1))
-        return acc
-    if kind == "OddSquares":
-        for k in range(cutoff):
-            acc += Fraction(1, (2 * k + 1) ** 2)
-        return acc
-    raise ValueError(f"no diagonal form for {spec}")
+    fam, args = spec.family, spec.args
+    if fam.diag_term is None:
+        raise ValueError(f"no diagonal form for {spec}")
+    return sum(map(partial(fam.diag_term, *args), range(fam.origin, cutoff + 1)), Fraction(0))
 
 
 def triangle_partial_exact(spec: SeriesSpec, cutoff: int) -> Fraction:
@@ -587,153 +476,37 @@ def triangle_partial_exact(spec: SeriesSpec, cutoff: int) -> Fraction:
     For double sums that is the triangle (or simplex) of index totals
     <= cutoff; for single sums it coincides with the diagonal partial.
     """
-    kind = spec.kind
-    acc = Fraction(0)
-    if kind in ("A3", "An"):
-        n = 3 if kind == "A3" else spec.n
-        s = spec.s
-        for prod, tot in _simplex_tuples(n - 1, cutoff):
-            t = tot + s
-            acc += harmonic(t) / (prod * t)
-        return acc
-    if kind == "S111":
-        for prod, tot in _simplex_tuples(2, cutoff):
-            acc += Fraction(1, prod * tot)
-        return acc
-    if kind == "BaseT":
-        for m in range(0, cutoff + 1):
-            for n in range(0, cutoff - m + 1):
-                acc += Fraction(1, (2 * m + 1) * (2 * n + 1) * (2 * m + 2 * n + spec.j))
-        return acc
-    if kind == "HalfInt":
-        for m in range(0, cutoff + 1):
-            dm = 2 * m + 1
-            for n in range(0, cutoff - m + 1):
-                dn = 2 * n + 1
-                g2 = 2 * (m + n)
-                if spec.variant == "a":
-                    acc += Fraction(16, dm * dn * (g2 + 1) * (g2 + 2))
-                elif spec.variant == "b":
-                    acc += Fraction(16, dm * dn * (g2 + 2) * (g2 + 3))
-                else:
-                    acc += Fraction(32, dm * dn * (g2 + 1) * (g2 + 2) * (g2 + 3))
-        return acc
-    if kind == "BInter":
-        for m in range(1, cutoff):
-            for n in range(1, cutoff - m + 1):
-                g = m + n
-                acc += Fraction(1, (2 * m + 1) * (g + 1) * (2 * g + 1))
-        return acc
-    if kind in _SINGLE_SUM_KINDS:
-        return diagonal_partial_exact(spec, cutoff)
-    raise ValueError(f"no reduced form to match for {spec}")
+    fam, args = spec.family, spec.args
+    tuples = _simplex_tuples(fam.dims(*args), fam.origin, cutoff)
+    return sum(starmap(partial(fam.term, *args), tuples), Fraction(0))
 
 
-def _simplex_tuples(dims: int, budget: int):
-    # (product, total) over tuples of positive ints with total <= budget
+def _simplex_tuples(dims: int, lo: int, budget: int):
+    # index tuples with every entry >= lo and total <= budget, lexicographic
     if dims == 1:
-        for m in range(1, budget + 1):
-            yield m, m
+        for m in range(lo, budget + 1):
+            yield (m,)
     else:
-        for m in range(1, budget - dims + 2):
-            for prod, tot in _simplex_tuples(dims - 1, budget - m):
-                yield m * prod, tot + m
+        for m in range(lo, budget - (dims - 1) * lo + 1):
+            for rest in _simplex_tuples(dims - 1, lo, budget - m):
+                yield (m, *rest)
 
 
 def box_partial_exact(spec: SeriesSpec, box: int) -> Fraction:
     """Exact defining-form sum over the raw box cutoff (what oracle_raw sums)."""
-    kind = spec.kind
-    acc = Fraction(0)
-    if kind in ("A3", "An"):
-        n = 3 if kind == "A3" else spec.n
-        s = spec.s
-        for prod, tot in _box_tuples(n - 1, box):
-            t = tot + s
-            acc += harmonic(t) / (prod * t)
-        return acc
-    if kind == "S111":
-        for m in range(1, box + 1):
-            for n in range(1, box + 1):
-                acc += Fraction(1, m * n * (m + n))
-        return acc
-    if kind == "TornheimRaw":
-        a, b, c = spec.a, spec.b, spec.c
-        for m in range(1, box + 1):
-            for n in range(1, box + 1):
-                acc += Fraction(1, m**a * n**b * (m + n) ** c)
-        return acc
-    if kind == "BaseT":
-        for m in range(0, box + 1):
-            for n in range(0, box + 1):
-                acc += Fraction(1, (2 * m + 1) * (2 * n + 1) * (2 * m + 2 * n + spec.j))
-        return acc
-    if kind == "HalfInt":
-        for m in range(0, box + 1):
-            dm = 2 * m + 1
-            for n in range(0, box + 1):
-                dn = 2 * n + 1
-                g2 = 2 * (m + n)
-                if spec.variant == "a":
-                    acc += Fraction(16, dm * dn * (g2 + 1) * (g2 + 2))
-                elif spec.variant == "b":
-                    acc += Fraction(16, dm * dn * (g2 + 2) * (g2 + 3))
-                else:
-                    acc += Fraction(32, dm * dn * (g2 + 1) * (g2 + 2) * (g2 + 3))
-        return acc
-    if kind == "BInter":
-        for m in range(1, box + 1):
-            for n in range(1, box + 1):
-                g = m + n
-                acc += Fraction(1, (2 * m + 1) * (g + 1) * (2 * g + 1))
-        return acc
-    if kind in _SINGLE_SUM_KINDS:
-        return diagonal_partial_exact(spec, box)
-    raise ValueError(f"no raw form for {spec}")
+    fam, args = spec.family, spec.args
+    tuples = product(range(fam.origin, box + 1), repeat=fam.dims(*args))
+    return sum(starmap(partial(fam.term, *args), tuples), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
 # tail bounds
 #
-# Each family has a certified majorant A (ln x + c)^k / x^p for its reduced
-# terms past the cutoff; the discarded tail is then at most the closed-form
-# integral from N to infinity, by monotone integral comparison.  Constants
-# are over-estimates chosen for provability, not tightness; the tail-honesty
-# tests pin them against true remainders.
-
-
-def _tail_params(spec: SeriesSpec) -> tuple[Fraction, float, int, int]:
-    kind = spec.kind
-    if kind in ("A3", "An"):
-        n = 3 if kind == "A3" else spec.n
-        # c_j(G) <= 2^(j-1) H_G^(j-1)/G and H_{G+s} <= ln G + 2 for s <= G
-        return Fraction(2 ** (n - 2)), 2.0, n - 1, 2
-    if kind == "aXL":
-        return Fraction(1), 2.0, 1, 2
-    if kind == "S111":
-        return Fraction(2), 2.0, 1, 2
-    if kind == "TornheimRaw":
-        # diagonal group sum <= 2 H_{G-1}/G^(1+c) for a, b >= 1
-        return Fraction(2), 2.0, 1, 1 + spec.c
-    if kind == "LnSeries":
-        # 2 H_{2m+1} - H_m <= ln m + 3.2
-        return Fraction(1, 4), 3.2, 1, 2
-    if kind == "OnSeries":
-        # O_m <= (ln m + 3.4)/2
-        return Fraction(1, 8), 3.4, 1, 2
-    if kind == "EvenOddAux":
-        return Fraction(1, 4), 0.0, 0, 2
-    if kind == "OddSquares":
-        return Fraction(1, 4), 0.0, 0, 2
-    if kind == "BInter":
-        # O_G - 1 <= (ln G + 1.4)/2
-        return Fraction(1, 4), 2.0, 1, 2
-    if kind == "BaseT":
-        return Fraction(1, 4), 3.5, 1, 2
-    if kind == "HalfInt":
-        if spec.variant in ("a", "b"):
-            return Fraction(2), 3.5, 1, 3
-        return Fraction(2), 3.5, 1, 4
-    raise NoTailBound(f"no tail bound for {spec}")
+# Each family row's ``tail`` is a certified majorant A (ln x + c)^k / x^p
+# of its reduced terms past the cutoff; the discarded tail is then at most
+# the closed-form integral from N to infinity, by monotone integral
+# comparison.  Constants are over-estimates chosen for provability, not
+# tightness; the tail-honesty tests pin them against true remainders.
 
 
 def tail_estimate(spec: SeriesSpec, n_cut: int):
@@ -742,15 +515,15 @@ def tail_estimate(spec: SeriesSpec, n_cut: int):
     Integral comparison: sum_{G>N} A (ln G + c)^k / G^p <= A I_k(N) with
     I_0 = N^(1-p)/(p-1) and I_k = (ln N + c)^k N^(1-p)/(p-1) + k I_{k-1}/(p-1).
     Raw boxes contain the triangle of the same cutoff, so the bound covers
-    both summation methods.  Raises NoTailBound for specs without a
-    certified majorant.
+    both summation methods.
     """
     if n_cut < 10:
         raise ValueError(f"tail bounds need cutoff >= 10, got {n_cut}")
-    offset = getattr(spec, "s", None) or getattr(spec, "k", None) or 0
+    fam, args = spec.family, spec.args
+    offset = fam.shift(*args)
     if offset > n_cut:
         raise ValueError(f"tail bound needs cutoff >= shift {offset}, got {n_cut}")
-    a_const, c_log, k_pow, p_pow = _tail_params(spec)
+    a_const, c_log, k_pow, p_pow = fam.tail(*args)
     with mp.workdps(30):
         base = mp.mpf(n_cut) ** (1 - p_pow) / (p_pow - 1)
         ln_c = mp.log(n_cut) + c_log
@@ -767,89 +540,36 @@ def tail_estimate(spec: SeriesSpec, n_cut: int):
 def oracle_raw(spec: SeriesSpec, cfg: NumericCfg) -> OracleResult:
     """Truncated defining-form sum over the box [1..N]^d (or [0..N]^d for
     the half-odd-denominator families), N = cfg.n_max."""
-    t0 = time.perf_counter()
-    kind = spec.kind
-    box = cfg.n_max
-    dims = (spec.n - 1) if kind == "An" else (2 if kind in (
-        "A3", "S111", "TornheimRaw", "BaseT", "HalfInt", "BInter") else 1)
-    if dims >= 3 and box > _RAW_CAP_3D:
+    fam = spec.family
+    dims = fam.dims(*spec.args)
+    if cfg.n_max**dims > _RAW_TERM_CAP:
         raise ValueError(
-            f"raw box {box}^{dims} is out of reach; cap {_RAW_CAP_3D} (use diagonal)"
+            f"raw box {cfg.n_max}^{dims} is out of reach; cap {_RAW_TERM_CAP} terms (use diagonal)"
         )
-    if dims == 2 and box > _RAW_CAP_2D:
-        raise ValueError(
-            f"raw box {box}^2 is out of reach; cap {_RAW_CAP_2D} (use diagonal)"
-        )
-    prec = _prec_bits(cfg.digits)
-    one = 1 << prec
-    if kind == "A3":
-        acc = _raw_a3(spec.s, box, one)
-    elif kind == "An":
-        acc = _raw_an(spec.n, spec.s, box, one)
-    elif kind == "S111":
-        acc = _raw_s111(box, one)
-    elif kind == "TornheimRaw":
-        acc = _raw_tornheim(spec.a, spec.b, spec.c, box, one)
-    elif kind == "BaseT":
-        acc = _raw_base_t(spec.j, box, one)
-    elif kind == "HalfInt":
-        acc = _raw_halfint(spec.variant, box, one)
-    elif kind == "BInter":
-        acc = _raw_binter(box, one)
-    elif kind in _SINGLE_SUM_KINDS:
-        acc = _single_sum_fixed(spec, box, one, prec)
-    else:
-        raise ValueError(f"no raw summation for {spec}")
-    tail = tail_estimate(spec, box)
-    value = _fx_value(acc, prec, cfg.digits)
-    with mp.workdps(cfg.digits + 10):
-        zero = mp.mpf(0)
-    return OracleResult(
-        value=value,
-        method="raw",
-        n_used=box,
-        levels_used=None,
-        tail_bound=tail,
-        error_estimate=zero,
-        elapsed=time.perf_counter() - t0,
-    )
+    return _summed(spec, cfg, "raw", fam.raw)
 
 
 def oracle_diagonal(spec: SeriesSpec, cfg: NumericCfg) -> OracleResult:
     """Single-index regrouped sum to cfg.n_max with incremental harmonic state."""
+    fam = spec.family
+    if fam.diag is None:
+        raise ValueError(f"{spec} has no regrouped single sum here")
+    return _summed(spec, cfg, "diagonal", fam.diag)
+
+
+def _summed(spec: SeriesSpec, cfg: NumericCfg, method: str, engine) -> OracleResult:
+    # one fixed-point engine run to cfg.n_max, with the certified tail past it
     t0 = time.perf_counter()
-    kind = spec.kind
-    if kind == "TornheimRaw":
-        raise ValueError("general Tornheim weights have no regrouped single sum here")
-    if kind == "An" and spec.n > 6:
-        raise ValueError(f"regrouped summation supports n <= 6, got n={spec.n}")
     prec = _prec_bits(cfg.digits)
-    one = 1 << prec
-    n_max = cfg.n_max
-    if kind == "A3":
-        acc = _diag_an(3, spec.s, n_max, one, prec)
-    elif kind == "An":
-        acc = _diag_an(spec.n, spec.s, n_max, one, prec)
-    elif kind == "S111":
-        acc = _diag_s111(n_max, one)
-    elif kind == "BaseT":
-        acc = _diag_base_t(spec.j, n_max, one)
-    elif kind == "HalfInt":
-        acc = _diag_halfint(spec.variant, n_max, one)
-    elif kind == "BInter":
-        acc = _diag_binter(n_max, one)
-    elif kind in _SINGLE_SUM_KINDS:
-        acc = _single_sum_fixed(spec, n_max, one, prec)
-    else:
-        raise ValueError(f"no diagonal summation for {spec}")
-    tail = tail_estimate(spec, n_max)
-    value = _fx_value(acc, prec, cfg.digits)
+    acc = engine(*spec.args, cfg.n_max, 1 << prec)
+    tail = tail_estimate(spec, cfg.n_max)
     with mp.workdps(cfg.digits + 10):
+        value = mp.mpf(acc) / mp.mpf(1 << prec)
         zero = mp.mpf(0)
     return OracleResult(
         value=value,
-        method="diagonal",
-        n_used=n_max,
+        method=method,
+        n_used=cfg.n_max,
         levels_used=None,
         tail_bound=tail,
         error_estimate=zero,
@@ -891,10 +611,9 @@ def oracle_quadrature(spec: SeriesSpec, cfg: NumericCfg) -> OracleResult:
     level 16, against the 15 guard digits (about 50 bits) of the working
     precision.
     """
-    if spec.kind not in ("A3", "An"):
+    if not spec.family.quadrature:
         raise ValueError(f"quadrature covers the A-family only, not {spec}")
-    n = 3 if spec.kind == "A3" else spec.n
-    s = spec.s
+    n, s = spec.args
     t0 = time.perf_counter()
     with mp.workdps(cfg.digits + 15):
         pi_ = +mp.pi

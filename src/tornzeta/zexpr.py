@@ -174,14 +174,6 @@ class ZExpr:
 ZERO_EXPR = ZExpr()
 
 
-def zx_add(a: ZExpr, b: ZExpr) -> ZExpr:
-    return a + b
-
-
-def zx_scale(q: Rat | int, a: ZExpr) -> ZExpr:
-    return a * q
-
-
 def zeta_even_to_pi(n: int) -> ZExpr:
     """zeta(2n) rewritten as a rational multiple of pi^(2n).
 

@@ -11,7 +11,7 @@ from fractions import Fraction as F
 
 from mpmath import mp, workdps
 
-from tornzeta.closedform import closed_form_of, alt_binomial_sides, eval_A3, eval_halfint
+from tornzeta.closedform import closed_form_of, alt_binomial_sides, eval_An, eval_halfint
 from tornzeta.harness import paper_full_manifest, render_reports, run_suite, smoke_manifest, verify
 from tornzeta.oracle import (
     NumericCfg,
@@ -49,8 +49,8 @@ def test_criterion_01_a3_shift_zero_is_6_zeta4_by_quadrature_and_diagonal():
 
 
 def test_criterion_02_a3_rational_shifts_match_diagonal_oracle():
-    assert eval_A3(1) == ZExpr.rational(F(6))
-    assert eval_A3(2) == ZExpr.rational(F(45, 8))
+    assert eval_An(3, 1) == ZExpr.rational(F(6))
+    assert eval_An(3, 2) == ZExpr.rational(F(45, 8))
     cfg = NumericCfg(digits=50, n_max=2 * 10**5, method="diagonal")
     for s in range(1, 21):
         report = verify(parse_spec(f"A3:s={s}"), cfg, 1e-6)

@@ -8,7 +8,6 @@ from mpmath import mp, workdps
 from tornzeta.closedform import (
     closed_form_of,
     alt_binomial_sides,
-    eval_A3,
     eval_An,
     eval_aXL,
     eval_aux,
@@ -27,19 +26,19 @@ from tornzeta.zexpr import LN2, UNIT, ZExpr, zeta_sym
 
 class TestA3:
     def test_s_zero(self):
-        assert eval_A3(0) == ZExpr.zeta(4, F(6))
+        assert eval_An(3, 0) == ZExpr.zeta(4, F(6))
 
     def test_small_s(self):
-        assert eval_A3(1) == ZExpr.rational(F(6))
-        assert eval_A3(2) == ZExpr.rational(F(45, 8))
+        assert eval_An(3, 1) == ZExpr.rational(F(6))
+        assert eval_An(3, 2) == ZExpr.rational(F(45, 8))
 
     def test_matches_general_family(self):
         for s in range(0, 21):
-            assert eval_A3(s) == eval_An(3, s)
+            assert closed_form_of(SeriesSpec("A3", s=s)) == eval_An(3, s)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            eval_A3(-1)
+            eval_An(3, -1)
 
 
 class TestAn:

@@ -4,8 +4,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from tornzeta import exact
 from tornzeta.exact import (
-    HarmonicTable,
     bernoulli,
     binomial,
     harmonic,
@@ -133,15 +133,16 @@ def test_table_cache_is_shared():
 
 
 def test_fresh_table_concurrent_growth():
-    table = HarmonicTable()
+    # start past every row cached so far, so the threads grow the caches
+    base = max(len(exact._harmonic_cache), len(exact._odd_cache), len(exact._gen_cache.get(2, ())))
     errs = []
 
     def _work():
         try:
-            for n in range(1, 400):
-                assert table.harmonic(n) - table.harmonic(n - 1) == F(1, n)
-                table.odd_harmonic(n % 97)
-                table.harmonic_gen(n % 53, 2)
+            for n in range(base, base + 400):
+                assert harmonic(n) - harmonic(n - 1) == F(1, n)
+                odd_harmonic(base + n % 97)
+                harmonic_gen(base + n % 53, 2)
         except Exception as exc:  # pragma: no cover - only on race
             errs.append(exc)
 
@@ -149,6 +150,7 @@ def test_fresh_table_concurrent_growth():
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
+        t.join(timeout=60)
+        assert not t.is_alive()
     assert not errs
-    assert table.harmonic(399) == harmonic(399)
+    assert harmonic(base + 399) == sum(F(1, i) for i in range(1, base + 400))

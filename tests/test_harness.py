@@ -17,7 +17,7 @@ from tornzeta.harness import (
     smoke_manifest,
     verify,
 )
-from tornzeta.oracle import NoTailBound, NumericCfg
+from tornzeta.oracle import NumericCfg
 from tornzeta.series import KINDS, SeriesSpec, parse_spec
 
 
@@ -71,27 +71,6 @@ class TestVerify:
         assert report.oracle.levels_used == 3
         with workdps(60):
             assert report.abs_err < mp.mpf("1e-4")
-
-    def test_missing_tail_bound_falls_back_to_quadrature(self, monkeypatch):
-        def _no_bound(spec, n):
-            raise NoTailBound(f"no tail bound for {spec}")
-
-        monkeypatch.setattr(oracle_mod, "tail_estimate", _no_bound)
-        cfg = NumericCfg(digits=40, n_max=1000, method="diagonal")
-        report = verify(parse_spec("A3:s=1"), cfg, 1e-8)
-        assert report.oracle.method == "quadrature"
-        assert report.passed
-
-    def test_missing_tail_bound_without_integral_form_fails(self, monkeypatch):
-        def _no_bound(spec, n):
-            raise NoTailBound(f"no tail bound for {spec}")
-
-        monkeypatch.setattr(oracle_mod, "tail_estimate", _no_bound)
-        cfg = NumericCfg(digits=40, n_max=1000, method="diagonal")
-        report = verify(parse_spec("baseT:1"), cfg, 1e-8)
-        assert not report.passed
-        assert "no tail bound" in report.reason
-        assert mp.isnan(report.oracle.value)
 
 
 class TestManifests:

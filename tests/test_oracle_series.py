@@ -71,7 +71,22 @@ class TestReductionSoundness:
         spec = parse_spec(text)
         assert triangle_partial_exact(spec, 30) == diagonal_partial_exact(spec, 30)
 
-    @pytest.mark.parametrize("text", ["S111", "binter", "halfint:c", "baseT:2"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "A3:s=0",
+            "An:n=3,s=2",
+            "S111",
+            "binter",
+            "halfint:a",
+            "halfint:b",
+            "halfint:c",
+            "baseT:1",
+            "baseT:2",
+            "baseT:3",
+            "tornheim:a=2,b=1,c=1",
+        ],
+    )
     def test_triangle_box_sandwich(self, text):
         # triangle(N) sits inside box(N) sits inside triangle(2N): index-set
         # containment with positive terms, checked exactly
@@ -121,15 +136,25 @@ class TestFixedPointEngines:
         "text,box",
         [
             ("A3:s=1", 40),
+            ("An:n=2,s=3", 40),
+            ("An:n=3,s=2", 40),
             ("An:n=4,s=0", 12),
+            ("An:n=5,s=1", 10),
             ("S111", 40),
             ("tornheim:a=2,b=1,c=1", 40),
             ("tornheim:a=1,b=1,c=1", 40),
+            ("baseT:1", 40),
+            ("baseT:2", 40),
             ("baseT:3", 40),
+            ("halfint:a", 40),
             ("halfint:b", 40),
+            ("halfint:c", 40),
             ("binter", 40),
             ("aXL:k=2", 40),
+            ("ln", 40),
+            ("on", 40),
             ("evenodd", 40),
+            ("oddsq", 40),
         ],
     )
     def test_raw_engine_matches_exact(self, text, box):
@@ -237,6 +262,11 @@ class TestConfigAndGuards:
             oracle_raw(parse_spec("S111"), NumericCfg(n_max=5001, method="raw"))
         with pytest.raises(ValueError, match="out of reach"):
             oracle_raw(parse_spec("An:n=4,s=0"), NumericCfg(n_max=401, method="raw"))
+        # the cap counts terms, so more indices lower the largest box
+        with pytest.raises(ValueError, match="out of reach"):
+            oracle_raw(parse_spec("An:n=6,s=0"), NumericCfg(n_max=400, method="raw"))
+        with pytest.raises(ValueError, match="out of reach"):
+            oracle_raw(parse_spec("An:n=12,s=0"), NumericCfg(n_max=10, method="raw"))
         # the 1-dim families have no box blowup and take large cutoffs
         res = oracle_raw(parse_spec("aXL:k=0"), NumericCfg(n_max=20000, method="raw"))
         assert res.n_used == 20000
