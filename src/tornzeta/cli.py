@@ -37,42 +37,34 @@ def _fmt(x, digits: int) -> str:
         return mp.nstr(mp.mpf(x), digits, strip_zeros=False)
 
 
-def _fmt30(x) -> str:
-    return _fmt(x, 30)
-
-
-def _add_numeric_opts(p: argparse.ArgumentParser, with_method: bool = True) -> None:
+def _add_numeric_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--digits", type=int, default=None, help="working precision (default 50)")
     p.add_argument("--nmax", type=int, default=None, help="series cutoff (default 10^6)")
     p.add_argument("--quad-levels", type=int, default=None, help="max quadrature levels")
-    if with_method:
-        p.add_argument(
-            "--method",
-            choices=("raw", "diagonal", "quadrature"),
-            default="diagonal",
-            help="oracle route (default diagonal)",
-        )
+    p.add_argument(
+        "--method",
+        choices=("raw", "diagonal", "quadrature"),
+        default="diagonal",
+        help="oracle route (default diagonal)",
+    )
 
 
-def _cfg_from(args, method: str | None = None) -> NumericCfg:
-    kwargs = {}
-    kwargs["digits"] = args.digits if args.digits is not None else default_digits()
+def _cfg_from(args) -> NumericCfg:
+    kwargs = {"digits": args.digits, "method": args.method}
     if args.nmax is not None:
         kwargs["n_max"] = args.nmax
     if args.quad_levels is not None:
         kwargs["quad_levels"] = args.quad_levels
-    kwargs["method"] = method if method is not None else args.method
     return NumericCfg(**kwargs)
 
 
 def _cmd_eval(args) -> int:
     spec = parse_spec(args.spec)
     closed = closed_form_of(spec)
-    digits = args.digits if args.digits is not None else default_digits()
     shown = zx_normalize(closed, "prefer-pi") if args.prefer_pi else closed
     print(spec.label())
     print(f"  closed form: {shown.render()}")
-    print(f"  numeric:     {_fmt30(zx_numeric(closed, digits))}")
+    print(f"  numeric:     {_fmt(zx_numeric(closed, args.digits), 30)}")
     return 0
 
 
@@ -82,7 +74,7 @@ def _cmd_oracle(args) -> int:
     res = oracle_for(spec, cfg)
     print(spec.label())
     print(f"  method:   {res.method}")
-    print(f"  value:    {_fmt30(res.value)}")
+    print(f"  value:    {_fmt(res.value, 30)}")
     if res.n_used is not None:
         print(f"  n_used:   {res.n_used}")
     if res.levels_used is not None:
@@ -102,8 +94,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    digits = args.digits if args.digits is not None else default_digits()
-    manifest = PRESETS[args.preset](digits)
+    manifest = PRESETS[args.preset](args.digits)
     reports = _run_suite(manifest, parallel=args.parallel)
     if args.out == "-":
         emit(reports, args.format, sys.stdout)
@@ -116,19 +107,15 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_constants(args) -> int:
-    digits = args.digits if args.digits is not None else default_digits()
-    printed = False
+    if args.zeta is None and not (args.ln2 or args.pi):
+        raise ValueError("nothing requested; use --zeta K, --ln2 and/or --pi")
+    digits = args.digits
     if args.zeta is not None:
         print(f"zeta({args.zeta}) = {_fmt(const_zeta(args.zeta, digits), digits)}")
-        printed = True
     if args.ln2:
         print(f"ln2 = {_fmt(const_ln2(digits), digits)}")
-        printed = True
     if args.pi:
         print(f"pi = {_fmt(const_pi(digits), digits)}")
-        printed = True
-    if not printed:
-        raise ValueError("nothing requested; use --zeta K, --ln2 and/or --pi")
     return 0
 
 
@@ -187,6 +174,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if "digits" in vars(args) and args.digits is None:
+            # read as the command runs, so a bad TORNZETA_DIGITS exits with 2
+            args.digits = default_digits()
         return args.func(args)
     except OracleError as exc:
         print(f"oracle failure: {exc}", file=sys.stderr)

@@ -63,16 +63,6 @@ def verify(spec: SeriesSpec, cfg: NumericCfg, tol: float) -> EvalReport:
         note = str(exc)
         result = exc.partial
     with mp.workdps(cfg.digits + 10):
-        if result is None:
-            result = OracleResult(
-                value=mp.nan,
-                method=cfg.method,
-                n_used=None,
-                levels_used=None,
-                tail_bound=mp.mpf(0),
-                error_estimate=mp.mpf(0),
-                elapsed=0.0,
-            )
         abs_err = abs(closed_num - result.value)
         rel_err = abs_err / abs(closed_num) if closed_num != 0 else +abs_err
         threshold = max(mp.mpf(tol), result.tail_bound + result.error_estimate)
@@ -219,6 +209,7 @@ def run_suite(manifest: SuiteManifest, parallel: bool = False) -> list[EvalRepor
 # ---------------------------------------------------------------------------
 # emission
 
+# the CSV header: ``_row``'s columns, in order
 _CSV_COLUMNS = (
     "spec",
     "params",
@@ -238,9 +229,13 @@ def _fmt30(x) -> str:
         return mp.nstr(mp.mpf(x), 30, strip_zeros=False)
 
 
+def _n_used(o: OracleResult):
+    # summation cutoff, or quadrature levels
+    return o.n_used if o.n_used is not None else o.levels_used
+
+
 def _row(report: EvalReport) -> dict:
     o = report.oracle
-    n_used = o.n_used if o.n_used is not None else o.levels_used
     return {
         "spec": report.spec.token(),
         "params": report.spec.params_text(),
@@ -248,7 +243,7 @@ def _row(report: EvalReport) -> dict:
         "closed_numeric": _fmt30(report.closed_numeric),
         "oracle_value": _fmt30(o.value),
         "oracle_method": o.method,
-        "n_used": n_used,
+        "n_used": _n_used(o),
         "abs_err": _fmt30(report.abs_err),
         "tail_bound": _fmt30(o.tail_bound),
         "pass": report.passed,
@@ -264,20 +259,8 @@ def render_reports(reports: list[EvalReport], format: str) -> str:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(_CSV_COLUMNS)
         for r in reports:
-            row = _row(r)
             writer.writerow(
-                [
-                    row["spec"],
-                    row["params"],
-                    row["closed_form_text"],
-                    row["closed_numeric"],
-                    row["oracle_value"],
-                    row["oracle_method"],
-                    row["n_used"],
-                    row["abs_err"],
-                    row["tail_bound"],
-                    "true" if row["pass"] else "false",
-                ]
+                str(v).lower() if isinstance(v, bool) else v for v in _row(r).values()
             )
         return buf.getvalue()
     if format == "text":
@@ -290,12 +273,11 @@ def render_reports(reports: list[EvalReport], format: str) -> str:
         npass = 0
         for r in reports:
             o = r.oracle
-            n_used = o.n_used if o.n_used is not None else o.levels_used
             status = "ok" if r.passed else f"FAIL ({r.reason})"
             npass += r.passed
             with mp.workdps(40):
                 lines.append(
-                    f"{r.spec.label():<18} {o.method:<10} {n_used!s:>8} "
+                    f"{r.spec.label():<18} {o.method:<10} {_n_used(o)!s:>8} "
                     f"{mp.nstr(mp.mpf(r.closed_numeric), 15):>22} "
                     f"{mp.nstr(mp.mpf(r.abs_err), 4):>12} "
                     f"{mp.nstr(mp.mpf(o.tail_bound), 4):>12}  {status}"

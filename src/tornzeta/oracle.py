@@ -26,12 +26,11 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from itertools import product, starmap
 from typing import TYPE_CHECKING
 
 from mpmath import mp
 
-from .exact import bernoulli
+from .exact import bernoulli, harmonic
 from .zexpr import ZExpr
 
 if TYPE_CHECKING:
@@ -93,10 +92,10 @@ class OracleResult:
 class OracleError(Exception):
     """Oracle could not produce a trustworthy value (e.g. quadrature stall).
 
-    ``partial`` carries the best available OracleResult, if any.
+    ``partial`` carries the best available OracleResult.
     """
 
-    def __init__(self, message: str, partial: OracleResult | None = None) -> None:
+    def __init__(self, message: str, partial: OracleResult) -> None:
         super().__init__(message)
         self.partial = partial
 
@@ -233,8 +232,8 @@ def zx_numeric(a: ZExpr, digits: int):
 # fixed-point series engines
 #
 # Every engine takes ONE = 1 << prec and returns the scaled integer partial
-# sum.  Loops are deliberately hand-specialized: these run up to 10^6
-# iterations and a branch or attribute lookup per term is visible.
+# sum.  The regrouped loops are deliberately hand-specialized: these run up
+# to 10^6 iterations and a branch or attribute lookup per term is visible.
 
 
 def _prec_bits(digits: int) -> int:
@@ -254,11 +253,11 @@ def _diag_an(n: int, s: int, n_max: int, one: int) -> int:
     """Regrouped A-family: sum_G c_{n-1}(G) H_{G+s}/(G+s), G = total index.
 
     c_j(G) counts compositions of G into j parts weighted by 1/(product):
-    c_1(G) = 1/G, c_2(G) = 2 H_{G-1}/G, and generally c_j(G) = j m_{j-1}/G
-    where m_i is the degree-i monomial symmetric in the power sums
-    p_i = H_{G-1}^(i) (m_1 = p1, m_2 = p1^2 - p2, m_3 = p1^3 - 3 p1 p2 + 2 p3,
-    m_4 = p1^4 - 6 p1^2 p2 + 3 p2^2 + 8 p1 p3 - 6 p4).  The power sums grow
-    incrementally, so each term costs O(1) big-int operations.
+    c_1(G) = 1/G, c_2(G) = 2 H_{G-1}/G, and generally c_j(G) = j! e_{j-1}/G
+    with e_i the elementary symmetric polynomial of 1, 1/2, ..., 1/(G-1).
+    Appending 1/(G-1) updates e_i += e_{i-1}/(G-1) from the top down, so
+    each term costs O(j) big-int operations, and every step floors a
+    positive quantity, so the sum stays below the exact partial.
     """
     if n > 6:
         raise ValueError(f"regrouped summation supports n <= 6, got n={n}")
@@ -279,37 +278,16 @@ def _diag_an(n: int, s: int, n_max: int, one: int) -> int:
             hm += one // (g - 1)
             acc += (2 * ((hs * hm) >> prec)) // (g * (g + s))
         return acc
-    p1 = p2 = p3 = p4 = 0
-    for kk in range(1, j - 1):
-        p1 += one // kk
-        p2 += one // (kk * kk)
-        p3 += one // (kk**3)
-        p4 += one // (kk**4)
-    hs = sum(one // i for i in range(1, j + s))
-    for g in range(j, n_max + 1):
-        kk = g - 1
-        p1 += one // kk
-        p2 += one // (kk * kk)
-        if j >= 4:
-            p3 += one // (kk**3)
-            if j >= 5:
-                p4 += one // (kk**4)
+    # e_{j-1} and so the term stay exactly 0 until g = j
+    top_down = range(j - 1, 0, -1)
+    e = [one] + [0] * (j - 1)
+    fact = math.factorial(j)
+    hs = sum(one // i for i in range(1, s + 2))
+    for g in range(2, n_max + 1):
+        for i in top_down:
+            e[i] += e[i - 1] // (g - 1)
         hs += one // (g + s)
-        if j == 3:
-            mono = ((p1 * p1) >> prec) - p2
-        elif j == 4:
-            p1sq = (p1 * p1) >> prec
-            mono = ((p1sq * p1) >> prec) - 3 * ((p1 * p2) >> prec) + 2 * p3
-        else:
-            p1sq = (p1 * p1) >> prec
-            mono = (
-                ((p1sq * p1sq) >> prec)
-                - 6 * ((p1sq * p2) >> prec)
-                + 3 * ((p2 * p2) >> prec)
-                + 8 * ((p1 * p3) >> prec)
-                - 6 * p4
-            )
-        c = (j * mono) // g
+        c = (fact * e[j - 1]) // g
         acc += ((c * hs) >> prec) // (g + s)
     return acc
 
@@ -393,64 +371,48 @@ def _sum_oddsq(n_max: int, one: int) -> int:
     return acc
 
 
-def _raw_an(n: int, s: int, box: int, one: int) -> int:
-    htab = _fx_harmonic_prefix((n - 1) * box + s, one)
+# ---------------------------------------------------------------------------
+# the defining multi-index form
+#
+# A row's ``summand`` is num / (lead(m_1) ... lead(m_{d-1}) last(m_d) total(g))
+# with g = m_1 + ... + m_d.  The fixed-point raw box and the exact triangle
+# and box partials all walk the same tables, built once per call: the
+# factors of each index value and of each total, and the (product, total)
+# of every prefix m_1..m_{d-1}; the last index is one pass along the tables.
+
+
+def _defining_walk(spec: SeriesSpec, hi: int, top: int):
+    """(num, last, tot, rows) over the indices origin..hi with total <= top:
+    the last-index and total factors, and for each prefix m_1..m_{d-1} its
+    lead product and the slice of totals that its last index reaches."""
+    fam, args = spec.family, spec.args
+    origin = fam.origin
+    num, lead_f, last_f, total_f = fam.summand(*args)
+    lead = [lead_f(m) for m in range(origin, hi + 1)]
+    last = [last_f(m) for m in range(origin, hi + 1)]
+    tot = [total_f(g) for g in range(top + 1)]
+    level = [(1, 0)]
+    for left in range(fam.dims(*args) - 1, 0, -1):
+        cap = top - left * origin
+        level = [
+            (p * a, t + m) for p, t in level for m, a in zip(range(origin, cap - t + 1), lead)
+        ]
+    span = len(last)
+    return num, last, tot, [(p, slice(t + origin, t + origin + span)) for p, t in level]
+
+
+def _raw_box(spec: SeriesSpec, box: int, one: int) -> int:
+    # every term floor(num * one / den), as a hand-written double loop would
+    top = spec.family.dims(*spec.args) * box
+    num, last, tot, rows = _defining_walk(spec, box, top)
+    if num is None:
+        s = spec.family.shift(*spec.args)
+        nums = _fx_harmonic_prefix(top + s, one)[s:]
+    else:
+        nums = [num * one] * (top + 1)
     acc = 0
-    for ms in product(range(1, box + 1), repeat=n - 1):
-        t = sum(ms) + s
-        acc += htab[t] // (math.prod(ms) * t)
-    return acc
-
-
-def _raw_s111(box: int, one: int) -> int:
-    acc = 0
-    for m in range(1, box + 1):
-        for n in range(1, box + 1):
-            acc += one // (m * n * (m + n))
-    return acc
-
-
-def _raw_tornheim(a: int, b: int, c: int, box: int, one: int) -> int:
-    acc = 0
-    for m in range(1, box + 1):
-        ma = m**a
-        for n in range(1, box + 1):
-            acc += one // (ma * n**b * (m + n) ** c)
-    return acc
-
-
-def _raw_base_t(j: int, box: int, one: int) -> int:
-    acc = 0
-    for m in range(0, box + 1):
-        dm = 2 * m + 1
-        for n in range(0, box + 1):
-            acc += one // (dm * (2 * n + 1) * (2 * m + 2 * n + j))
-    return acc
-
-
-def _raw_halfint(variant: str, box: int, one: int) -> int:
-    acc = 0
-    for m in range(0, box + 1):
-        dm = 2 * m + 1
-        for n in range(0, box + 1):
-            dn = 2 * n + 1
-            g2 = 2 * (m + n)
-            if variant == "a":
-                acc += (16 * one) // (dm * dn * (g2 + 1) * (g2 + 2))
-            elif variant == "b":
-                acc += (16 * one) // (dm * dn * (g2 + 2) * (g2 + 3))
-            else:
-                acc += (32 * one) // (dm * dn * (g2 + 1) * (g2 + 2) * (g2 + 3))
-    return acc
-
-
-def _raw_binter(box: int, one: int) -> int:
-    acc = 0
-    for m in range(1, box + 1):
-        dm = 2 * m + 1
-        for n in range(1, box + 1):
-            g = m + n
-            acc += one // (dm * (g + 1) * (2 * g + 1))
+    for p, sl in rows:
+        acc += sum([h // (p * b * c) for h, b, c in zip(nums[sl], last, tot[sl])])
     return acc
 
 
@@ -476,27 +438,29 @@ def triangle_partial_exact(spec: SeriesSpec, cutoff: int) -> Fraction:
     For double sums that is the triangle (or simplex) of index totals
     <= cutoff; for single sums it coincides with the diagonal partial.
     """
-    fam, args = spec.family, spec.args
-    tuples = _simplex_tuples(fam.dims(*args), fam.origin, cutoff)
-    return sum(starmap(partial(fam.term, *args), tuples), Fraction(0))
-
-
-def _simplex_tuples(dims: int, lo: int, budget: int):
-    # index tuples with every entry >= lo and total <= budget, lexicographic
-    if dims == 1:
-        for m in range(lo, budget + 1):
-            yield (m,)
-    else:
-        for m in range(lo, budget - (dims - 1) * lo + 1):
-            for rest in _simplex_tuples(dims - 1, lo, budget - m):
-                yield (m, *rest)
+    return _defining_partial(spec, cutoff, cutoff)
 
 
 def box_partial_exact(spec: SeriesSpec, box: int) -> Fraction:
     """Exact defining-form sum over the raw box cutoff (what oracle_raw sums)."""
-    fam, args = spec.family, spec.args
-    tuples = product(range(fam.origin, box + 1), repeat=fam.dims(*args))
-    return sum(starmap(partial(fam.term, *args), tuples), Fraction(0))
+    return _defining_partial(spec, box, spec.family.dims(*spec.args) * box)
+
+
+def _defining_partial(spec: SeriesSpec, hi: int, top: int) -> Fraction:
+    if spec.family.summand is None:
+        # a one-index series is its own regrouping
+        return diagonal_partial_exact(spec, hi)
+    num, last, tot, rows = _defining_walk(spec, hi, top)
+    acc = Fraction(0)
+    if num is None:
+        s = spec.family.shift(*spec.args)
+        nums = [harmonic(g + s) for g in range(top + 1)]
+        for p, sl in rows:
+            acc += sum([h / (p * b * c) for h, b, c in zip(nums[sl], last, tot[sl])])
+    else:
+        for p, sl in rows:
+            acc += sum([Fraction(num, p * b * c) for b, c in zip(last, tot[sl])])
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +510,10 @@ def oracle_raw(spec: SeriesSpec, cfg: NumericCfg) -> OracleResult:
         raise ValueError(
             f"raw box {cfg.n_max}^{dims} is out of reach; cap {_RAW_TERM_CAP} terms (use diagonal)"
         )
-    return _summed(spec, cfg, "raw", fam.raw)
+    if dims == 1:
+        # a one-index series is its own regrouping, summed by its diagonal loop
+        return _summed(spec, cfg, "raw", partial(fam.diag, *spec.args))
+    return _summed(spec, cfg, "raw", partial(_raw_box, spec))
 
 
 def oracle_diagonal(spec: SeriesSpec, cfg: NumericCfg) -> OracleResult:
@@ -554,14 +521,14 @@ def oracle_diagonal(spec: SeriesSpec, cfg: NumericCfg) -> OracleResult:
     fam = spec.family
     if fam.diag is None:
         raise ValueError(f"{spec} has no regrouped single sum here")
-    return _summed(spec, cfg, "diagonal", fam.diag)
+    return _summed(spec, cfg, "diagonal", partial(fam.diag, *spec.args))
 
 
 def _summed(spec: SeriesSpec, cfg: NumericCfg, method: str, engine) -> OracleResult:
-    # one fixed-point engine run to cfg.n_max, with the certified tail past it
+    # one fixed-point engine(n_max, one) run, with the certified tail past n_max
     t0 = time.perf_counter()
     prec = _prec_bits(cfg.digits)
-    acc = engine(*spec.args, cfg.n_max, 1 << prec)
+    acc = engine(cfg.n_max, 1 << prec)
     tail = tail_estimate(spec, cfg.n_max)
     with mp.workdps(cfg.digits + 10):
         value = mp.mpf(acc) / mp.mpf(1 << prec)

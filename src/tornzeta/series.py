@@ -6,10 +6,10 @@ command line and echoed in reports, e.g. ``A3:s=2``, ``An:n=4,s=0``,
 ``halfint:c``, ``baseT:2``, ``ln``, ``tornheim:a=2,b=1,c=1``.
 
 Everything the package knows about a family lives in its row of
-``FAMILIES``: the parameter schema, the closed form, the exact terms, the
-fixed-point engines and the tail majorant.  The closed-form evaluators and
-the oracles look the row up through ``SeriesSpec.family``; adding a family
-means adding one row.
+``FAMILIES``: the parameter schema, the closed form, the defining summand,
+the regrouped term and its fixed-point engine, and the tail majorant.  The
+closed-form evaluators and the oracles look the row up through
+``SeriesSpec.family``; adding a family means adding one row.
 """
 
 from __future__ import annotations
@@ -29,27 +29,38 @@ def _const(value):
     return lambda *args: value
 
 
+def _index(m: int) -> int:
+    return m
+
+
+def _odd(m: int) -> int:
+    return 2 * m + 1
+
+
 @dataclass(frozen=True)
 class Family:
     """One series family: everything the package knows about it.
 
     Every callable takes the spec's engine arguments (``SeriesSpec.args``:
-    the ``fixed`` values, then the shown parameters) first.  ``term`` is
-    the summand of the defining multi-index form, indices from ``origin``;
-    ``diag_term`` is the summand of the single-index form regrouped by the
-    index total g, from g = ``origin``.  The two are written independently,
-    so their exact partial sums agreeing is a check of the regrouping.
-    ``diag`` and ``raw`` are the hand-written fixed-point loops for the two
-    forms; ``tail`` gives (A, c, k, p) of the majorant A (ln G + c)^k / G^p
-    of the terms past a cutoff of at least ``shift``.
+    the ``fixed`` values, then the shown parameters) first.  ``summand``
+    gives (num, lead, last, total) of the defining multi-index summand
+    num / (lead(m_1) ... lead(m_{d-1}) last(m_d) total(g)), indices from
+    ``origin`` and g = m_1 + ... + m_d; num is a constant, or None for
+    H_{g + shift}.  The raw box and the exact triangle and box partials all
+    come from it; a one-index row without it is its own regrouping.
+    ``diag_term`` is the summand regrouped by the index total g, from
+    g = ``origin``, and ``diag`` its hand-written fixed-point loop.  The
+    two forms are written independently, so their exact partial sums
+    agreeing is a check of the regrouping.  ``tail`` gives (A, c, k, p) of
+    the majorant A (ln G + c)^k / G^p of the terms past a cutoff of at
+    least ``shift``.
     """
 
     kind: str
     token: str
     closed: Callable[..., ZExpr] | None  # None: oracle-only, no closed form
-    term: Callable[..., Fraction]  # (*args, *indices)
-    raw: Callable[..., int]  # (*args, box, one)
     tail: Callable[..., tuple[Fraction, float, int, int]]
+    summand: Callable[..., tuple] | None = None  # (*args); None: a one-index sum
     diag_term: Callable[..., Fraction] | None = None  # (*args, g); None: no regrouping
     diag: Callable[..., int] | None = None  # (*args, n_max, one)
     dims: Callable[..., int] = _const(2)  # number of summation indices
@@ -66,19 +77,15 @@ class Family:
 def _single_sum(kind, token, closed, term, engine, tail) -> Family:
     # a one-index series is its own regrouping: one term, one engine
     return Family(
-        kind=kind, token=token, closed=closed, term=term, raw=engine, tail=_const(tail),
+        kind=kind, token=token, closed=closed, tail=_const(tail),
         diag_term=term, diag=engine, dims=_const(1),
     )
 
 
-def _an_term(n: int, s: int, *ms: int) -> Fraction:
-    t = sum(ms) + s
-    return harmonic(t) / (prod(ms) * t)
-
-
 def _composition_weight(j: int, g: int) -> Fraction:
-    """c_j(g): 1/product summed over compositions of g into j parts, via
-    the power sums p_i = H_{g-1}^(i) (see ``oracle._diag_an``)."""
+    """c_j(g): 1/product summed over compositions of g into j parts,
+    j m_{j-1}/g with m_i the monomial in the power sums p_i = H_{g-1}^(i)
+    (``oracle._diag_an`` sums the same weight as j! e_{j-1}/g)."""
     if g < j:
         return Fraction(0)
     if j == 1:
@@ -105,10 +112,9 @@ def _composition_weight(j: int, g: int) -> Fraction:
 _HALF_FACTORS = {"a": (1, 2), "b": (2, 3), "c": (1, 2, 3)}
 
 
-def _halfint_term(v: str, m: int, n: int) -> Fraction:
+def _halfint_summand(v: str) -> tuple:
     ks = _HALF_FACTORS[v]
-    g2 = 2 * (m + n)
-    return Fraction(2 ** (2 + len(ks)), (2 * m + 1) * (2 * n + 1) * prod(g2 + k for k in ks))
+    return 2 ** (2 + len(ks)), _odd, _odd, lambda g: prod(2 * g + k for k in ks)
 
 
 def _halfint_diag_term(v: str, g: int) -> Fraction:
@@ -124,10 +130,10 @@ _AN = Family(
     rule="n >= 2 and s >= 0",
     closed=closedform.eval_An,
     dims=lambda n, s: n - 1,
-    term=_an_term,
+    # H_{g+s} / (m_1 ... m_{n-1} (g+s))
+    summand=lambda n, s: (None, _index, _index, lambda g: g + s),
     diag_term=lambda n, s, g: _composition_weight(n - 1, g) * harmonic(g + s) / (g + s),
     diag=oracle._diag_an,
-    raw=oracle._raw_an,
     # c_j(G) <= 2^(j-1) H_G^(j-1)/G and H_{G+s} <= ln G + 2 for s <= G
     tail=lambda n, s: (Fraction(2 ** (n - 2)), 2.0, n - 1, 2),
     shift=lambda n, s: s,
@@ -154,10 +160,9 @@ FAMILIES: dict[str, Family] = {
             kind="S111",
             token="S111",
             closed=lambda: ZExpr.zeta(3, 2),
-            term=lambda m, n: Fraction(1, m * n * (m + n)),
+            summand=_const((1, _index, _index, _index)),
             diag_term=lambda g: 2 * harmonic(g - 1) / Fraction(g * g),
             diag=oracle._diag_s111,
-            raw=oracle._raw_s111,
             tail=_const((Fraction(2), 2.0, 1, 2)),
         ),
         _single_sum(
@@ -187,10 +192,9 @@ FAMILIES: dict[str, Family] = {
             rule="j in 1..3",
             closed=closedform.eval_base_T,
             origin=0,
-            term=lambda j, m, n: Fraction(1, (2 * m + 1) * (2 * n + 1) * (2 * m + 2 * n + j)),
+            summand=lambda j: (1, _odd, _odd, lambda g: 2 * g + j),
             diag_term=lambda j, g: odd_harmonic(g + 1) / ((g + 1) * (2 * g + j)),
             diag=oracle._diag_base_t,
-            raw=oracle._raw_base_t,
             tail=_const((Fraction(1, 4), 3.5, 1, 2)),
         ),
         Family(
@@ -202,10 +206,9 @@ FAMILIES: dict[str, Family] = {
             rule="variant a, b or c",
             closed=closedform.eval_halfint,
             origin=0,
-            term=_halfint_term,
+            summand=_halfint_summand,
             diag_term=_halfint_diag_term,
             diag=oracle._diag_halfint,
-            raw=oracle._raw_halfint,
             tail=lambda v: (Fraction(2), 3.5, 1, 1 + len(_HALF_FACTORS[v])),
         ),
         _single_sum(
@@ -228,10 +231,9 @@ FAMILIES: dict[str, Family] = {
             kind="BInter",
             token="binter",
             closed=partial(closedform.eval_aux, "BInter"),
-            term=lambda m, n: Fraction(1, (2 * m + 1) * (m + n + 1) * (2 * (m + n) + 1)),
+            summand=_const((1, _odd, _const(1), lambda g: (g + 1) * (2 * g + 1))),
             diag_term=lambda g: (odd_harmonic(g) - 1) / Fraction((g + 1) * (2 * g + 1)),
             diag=oracle._diag_binter,
-            raw=oracle._raw_binter,
             # O_G - 1 <= (ln G + 1.4)/2
             tail=_const((Fraction(1, 4), 2.0, 1, 2)),
         ),
@@ -243,8 +245,7 @@ FAMILIES: dict[str, Family] = {
             and ((a + c >= 2 and b + c >= 2 and a + b + c >= 4) or (a, b, c) == (1, 1, 1)),
             rule="a, b, c >= 1 and a convergent weight: a+c, b+c >= 2 and a+b+c >= 4, or 1,1,1",
             closed=None,
-            term=lambda a, b, c, m, n: Fraction(1, m**a * n**b * (m + n) ** c),
-            raw=oracle._raw_tornheim,
+            summand=lambda a, b, c: (1, lambda m: m**a, lambda n: n**b, lambda g: g**c),
             # diagonal group sum <= 2 H_{G-1}/G^(1+c) for a, b >= 1
             tail=lambda a, b, c: (Fraction(2), 2.0, 1, 1 + c),
         ),

@@ -120,6 +120,30 @@ DIAG_FAMILIES = [
 ]
 
 
+# oracle_raw(...).value at 50 digits, from hand-written fixed-point loops,
+# one per family; repr digits, so mp.mpf(value) at 60 digits is exact
+RAW_PINNED = [
+    ("A3:s=0", 40, "5.21833573564003756172910465285375781095448390918256722692291436"),
+    ("A3:s=1", 40, "4.73303096855713830341852531978186050993250064414438313294823611"),
+    ("An:n=3,s=2", 40, "4.36647201342060454931978304104226832170210586666665564328116274"),
+    ("An:n=4,s=0", 12, "9.04941434329719368362045684894040442139322560177909903396135776"),
+    ("An:n=4,s=2", 12, "7.79209201997087368524309239242749771928190304908464780272717054"),
+    ("S111", 40, "2.17738017642607823585229708026869963429764556593349624129112055"),
+    ("baseT:1", 40, "1.60826140343550150142439577903813578525270115805571409544842861"),
+    ("baseT:2", 40, "1.01531376259731703102039163631136737349568498453134812753011358"),
+    ("baseT:3", 40, "0.786164956339565482961359426354272617461456775986940426265455139"),
+    ("halfint:a", 40, "9.4871622534109515264640662836282945881122587763898554866930392"),
+    ("halfint:b", 40, "3.66638090012402476894451535931351609654765133671052322023453664"),
+    ("halfint:c", 40, "5.82078135328692675751955092431477849156460743967933226645850225"),
+    ("An:n=5,s=1", 10, "17.9225938365043833374350021607588590256805985410327341112137366"),
+    ("An:n=2,s=3", 40, "1.44692784349546557691325643638056184280289074235449771271266846"),
+    ("aXL:k=2", 40, "1.62177129705231936059937617742787867961046857430795768373360969"),
+    ("binter", 40, "0.153054820683288472216114375899994390046992436392345730284974593"),
+    ("tornheim:a=2,b=1,c=1", 40, "1.31259524983020973795304802566435754533461299679567855711690691"),
+    ("tornheim:a=1,b=1,c=1", 40, "2.17738017642607823585229708026869963429764556593349624129112055"),
+]
+
+
 class TestFixedPointEngines:
     @pytest.mark.parametrize("text", DIAG_FAMILIES)
     def test_diagonal_engine_matches_exact(self, text):
@@ -165,6 +189,15 @@ class TestFixedPointEngines:
         with workdps(70):
             assert abs(got.value - f2m(want)) < mp.mpf("1e-55")
         assert got.method == "raw"
+
+    @pytest.mark.parametrize("text,box,value", RAW_PINNED)
+    def test_raw_engine_pinned(self, text, box, value):
+        # the raw box and box_partial_exact derive from one factored summand,
+        # so the comparison above checks the arithmetic only; these values,
+        # summed by hand-written per-family loops, check the transcription
+        res = oracle_raw(parse_spec(text), NumericCfg(digits=50, n_max=box, method="raw"))
+        with workdps(60):
+            assert res.value == mp.mpf(value)
 
     def test_rounding_is_downward(self):
         # fixed-point truncation may only under-shoot the exact partial
