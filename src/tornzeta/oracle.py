@@ -401,7 +401,7 @@ def _defining_walk(spec: SeriesSpec, hi: int, top: int):
     return num, last, tot, [(p, slice(t + origin, t + origin + span)) for p, t in level]
 
 
-def _raw_box(spec: SeriesSpec, box: int, one: int) -> int:
+def _factored_box(spec: SeriesSpec, box: int, one: int) -> int:
     # every term floor(num * one / den), as a hand-written double loop would
     top = spec.family.dims(*spec.args) * box
     num, last, tot, rows = _defining_walk(spec, box, top)
@@ -513,7 +513,7 @@ def oracle_raw(spec: SeriesSpec, cfg: NumericCfg) -> OracleResult:
     if dims == 1:
         # a one-index series is its own regrouping, summed by its diagonal loop
         return _summed(spec, cfg, "raw", partial(fam.diag, *spec.args))
-    return _summed(spec, cfg, "raw", partial(_raw_box, spec))
+    return _summed(spec, cfg, "raw", partial(_factored_box, spec))
 
 
 def oracle_diagonal(spec: SeriesSpec, cfg: NumericCfg) -> OracleResult:
