@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
 """Print true-remainder / tail-bound margins per family and cutoff.
 
-The tail bounds are integral-comparison majorants; this table shows how
-much headroom each one has (ratio err/bound, ideally close to but below
-1).  Used to sanity-check the bound constants after any change.
+The tail bounds are integral-comparison majorants (``tail_estimate``);
+this table shows how much headroom each one has (ratio err/bound, ideally
+close to but below 1).  Used to sanity-check the bound constants after any
+change.  S_N comes from each row's fixed-point diag engine, at every
+cutoff: ``oracle_diagonal`` expands the tail instead once the cutoff
+reaches 2^11 at 50 digits.
 """
 
 import sys
@@ -11,7 +14,7 @@ import sys
 from mpmath import mp, workdps
 
 from tornzeta.closedform import closed_form_of
-from tornzeta.oracle import NumericCfg, oracle_diagonal, zx_numeric
+from tornzeta.oracle import _prec_bits, tail_estimate, zx_numeric
 from tornzeta.series import parse_spec
 
 FAMILIES = [
@@ -41,14 +44,15 @@ CUTOFFS = (10**3, 10**4, 10**5)
 def main() -> int:
     print(f"{'spec':<14}" + "".join(f"{f'N=10^{len(str(n)) - 1}':>14}" for n in CUTOFFS))
     worst = 0.0
+    one = 1 << _prec_bits(50)
     for text in FAMILIES:
         spec = parse_spec(text)
         cells = []
         with workdps(60):
             closed = zx_numeric(closed_form_of(spec), 50)
             for n in CUTOFFS:
-                res = oracle_diagonal(spec, NumericCfg(digits=50, n_max=n))
-                ratio = float((closed - res.value) / res.tail_bound)
+                value = mp.mpf(spec.family.diag(*spec.args, n, one)) / one
+                ratio = float((closed - value) / tail_estimate(spec, n))
                 worst = max(worst, ratio)
                 cells.append(f"{ratio:>14.3f}")
         print(f"{text:<14}" + "".join(cells))

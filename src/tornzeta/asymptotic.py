@@ -1,0 +1,405 @@
+"""Certified asymptotic tails of the regrouped series.
+
+Past a cutoff N a family's regrouped term f(G) is expanded in w = N/G,
+which lies in (0, 1] for G >= N, with coefficients polynomial in L = ln G:
+
+    f(G) = sum_{i <= K, j} t_ij w^i L^j + R(G),
+    |R(G)| <= w^(K+1) sum_j r_j L^j        for every G >= N.
+
+The tail past N is then sum t_ij Y_ij, within sum r_j Y_{K+1,j}, where
+Y_ij = sum_{G > N} w^i L^j = (-1)^j N^i zeta^(j)(i, N+1) comes from one
+Euler-Maclaurin pass per row i (``_log_power_row``), shared by every
+series of a precision.
+
+The term is built from its row's ``Family.atoms`` description:
+
+* H_{aG+b} = ln a + L + gamma + 1/(2aG) - sum_k B_2k / (2k (aG)^2k), plus
+  or minus the reciprocals 1/(aG + t) that shift aG to aG + b.  The
+  remainder is at most twice the first omitted term (DLMF 5.11.2 and
+  2.10.1), each reciprocal's is geometric;
+* O_{G+b} = H_{2G+2b} - H_{G+b}/2;
+* the power sums H^(k)_{G-1} = zeta(k) - zeta(k, G), with zeta(k, G)
+  expanded by Euler-Maclaurin (DLMF 2.10.1: the remainder is at most
+  twice the first omitted term, as the derivatives of x^-k keep one
+  sign), give e_j(1, 1/2, ..., 1/(G-1)) by Newton's identities;
+* each linear factor aG + b of the denominator is a geometric series.
+
+Products drop the terms above order K into the remainder, and every
+coefficient carries a bound on its rounding error.  All arithmetic is
+on integers scaled by 2^P; an "ulp" below is 2^-P.  gamma, logarithms
+and zeta(k) come from mpmath, never from the evaluator's ``const_*``,
+so the oracle shares no code with the closed forms.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from functools import lru_cache
+from typing import TYPE_CHECKING, NamedTuple
+
+from mpmath import mp
+
+from .exact import bernoulli
+
+if TYPE_CHECKING:
+    from .series import SeriesSpec
+
+class _Grid(NamedTuple):
+    n: int  # cutoff N: w = N/G
+    order: int  # K: powers w^0..w^K are kept
+    prec: int  # P: coefficients are integers scaled by 2^P
+
+
+class _Series:
+    """sum c[i][j] w^i L^j / 2^P for i <= K, j <= deg, with its error.
+
+    The function it stands for is sum t_ij w^i L^j + R(G) for G >= N,
+    where t_ij = 0 for i < ``val``, |t_ij - c[i][j]| <= ``err`` ulps for
+    i >= val, and |R(G)| <= w^(K+1) sum_j rem[j] L^j ulps.  Instances are
+    cached and shared, so nothing mutates one after it is built.
+    """
+
+    __slots__ = ("c", "val", "err", "rem")
+
+    def __init__(self, c: list[list[int]], val: int, err: int, rem: list[int]) -> None:
+        self.c, self.val, self.err, self.rem = c, val, err, rem
+
+    def majorant(self, order: int) -> list[int]:
+        """Coefficients in ulps of an L-polynomial bounding |sum t_ij w^i L^j|."""
+        out = [0] * len(self.c[0])
+        for row in self.c[self.val :]:
+            for j, v in enumerate(row):
+                out[j] += abs(v)
+        return [v + (order + 1 - self.val) * self.err for v in out]
+
+
+def _rnd(num: int, den: int) -> int:
+    """num/den rounded to the nearest integer, den > 0."""
+    return (2 * num + den) // (2 * den)
+
+
+def _up(num: int, den: int) -> int:
+    """num/den rounded up, den > 0."""
+    return -(-num // den)
+
+
+def _poly_mul(x: list[int], y: list[int]) -> list[int]:
+    out = [0] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y):
+                out[i + j] += a * b
+    return out
+
+
+def _poly_add(x: list[int], y: list[int]) -> list[int]:
+    if len(x) < len(y):
+        x, y = y, x
+    return [a + (y[j] if j < len(y) else 0) for j, a in enumerate(x)]
+
+
+def _fixed(x, prec: int) -> int:
+    """An mpf expression (a callable, evaluated with 64 guard bits) within an ulp."""
+    with mp.workprec(prec + 64):
+        return int(mp.nint(mp.ldexp(x(), prec)))
+
+
+def _blank(grid: _Grid, deg: int = 0) -> list[list[int]]:
+    return [[0] * (deg + 1) for _ in range(grid.order + 1)]
+
+
+def _one(grid: _Grid) -> _Series:
+    c = _blank(grid)
+    c[0][0] = 1 << grid.prec
+    return _Series(c, 0, 0, [0])
+
+
+def _mul(x: _Series, y: _Series, grid: _Grid) -> _Series:
+    order, prec = grid.order, grid.prec
+    deg = len(x.c[0]) + len(y.c[0]) - 2
+    acc = _blank(grid, deg)
+    for i in range(x.val, order + 1 - y.val):
+        for i2 in range(y.val, order + 1 - i):
+            row = acc[i + i2]
+            for j, a in enumerate(x.c[i]):
+                if a:
+                    for j2, b in enumerate(y.c[i2]):
+                        row[j + j2] += a * b
+    half = 1 << (prec - 1)
+    c = [[(v + half) >> prec for v in row] for row in acc]
+    # the products with i + i2 > K go to the remainder (w <= 1), through the
+    # suffix sums over i2 of |t_{i2 j2}| of y
+    suffix = [[0] * len(y.c[0]) for _ in range(order + 2)]
+    for i2 in range(order, -1, -1):
+        lift = y.err if i2 >= y.val else 0
+        suffix[i2] = [s + abs(v) + lift for s, v in zip(suffix[i2 + 1], y.c[i2])]
+    dropped = [0] * (deg + 1)
+    for i in range(max(x.val, 1), order + 1):
+        tail = suffix[order + 1 - i]
+        for j, a in enumerate(x.c[i]):
+            for j2, b in enumerate(tail):
+                dropped[j + j2] += (abs(a) + x.err) * b
+    mx, my = x.majorant(order), y.majorant(order)
+    rem = _poly_add(dropped, _poly_mul(x.rem, _poly_add(my, y.rem)))
+    rem = [_up(v, 1 << prec) for v in _poly_add(rem, _poly_mul(mx, y.rem))]
+    # each kept coefficient sums at most (K + 1)(min degree + 1) products
+    pairs = (order + 1) * min(len(x.c[0]), len(y.c[0]))
+    err_num = sum(mx) * y.err + sum(my) * x.err + pairs * x.err * y.err
+    return _Series(c, x.val + y.val, _up(err_num, 1 << prec) + 1, rem)
+
+
+def _combine(parts: list[tuple[Fraction, _Series]], grid: _Grid) -> _Series:
+    """sum q * x over (q, x), each product rounded once."""
+    c = _blank(grid, max(len(x.c[0]) for _, x in parts) - 1)
+    err, rem = 0, [0]
+    for q, x in parts:
+        p, d = q.numerator, q.denominator
+        for i in range(x.val, grid.order + 1):
+            row = c[i]
+            for j, v in enumerate(x.c[i]):
+                row[j] += _rnd(v * p, d)
+        err += _up(x.err * abs(p), d) + (d > 1)
+        rem = _poly_add(rem, [_up(v * abs(p), d) for v in x.rem])
+    return _Series(c, min(x.val for _, x in parts), err, rem)
+
+
+@lru_cache(maxsize=256)
+def _reciprocals(alpha: int, shifts: tuple[int, ...], grid: _Grid) -> _Series:
+    """sum over t in shifts of 1/(alpha G + t) = sum_r (-t)^r w^(r+1) / x^(r+1),
+    x = alpha N, with the geometric remainder |t|^K / (x^K (x - |t|))."""
+    n, order, prec = grid
+    x = alpha * n
+    if any(abs(t) >= x for t in shifts):
+        raise ValueError(f"shift {max(map(abs, shifts))} is out of reach of cutoff {n}")
+    c = _blank(grid)
+    for r in range(order):
+        c[r + 1][0] = _rnd(sum((-t) ** r for t in shifts) << prec, x ** (r + 1))
+    rem = sum(_up(abs(t) ** order << prec, x**order * (x - abs(t))) for t in shifts)
+    return _Series(c, 1, 1, [rem])
+
+
+@lru_cache(maxsize=256)
+def _harmonic(alpha: int, beta: int, grid: _Grid) -> _Series:
+    """H_{alpha G + beta} for G >= N."""
+    n, order, prec = grid
+    x = alpha * n
+    c = _blank(grid, 1)
+    c[0][0] = _fixed(lambda: mp.log(alpha) + mp.euler, prec)
+    c[0][1] = 1 << prec
+    c[1][0] = _rnd(1 << prec, 2 * x)
+    half = order // 2
+    for k in range(1, half + 1):
+        b = bernoulli(2 * k)
+        c[2 * k][0] = _rnd(-b.numerator << prec, b.denominator * 2 * k * x ** (2 * k))
+    b = bernoulli(2 * half + 2)
+    rem = _up(2 * abs(b.numerator) << prec, b.denominator * (2 * half + 2) * x ** (2 * half + 2))
+    psi = _Series(c, 0, 1, [rem])
+    if beta == 0:
+        return psi
+    # H_{x+b} = H_x + sum_{0<t<=b} 1/(x+t), and H_x - sum_{b<t<=0} 1/(x+t) for b < 0
+    shifts = range(1, beta + 1) if beta > 0 else range(beta + 1, 1)
+    sign = Fraction(1 if beta > 0 else -1)
+    return _combine([(Fraction(1), psi), (sign, _reciprocals(alpha, tuple(shifts), grid))], grid)
+
+
+@lru_cache(maxsize=64)
+def _power_sum(k: int, grid: _Grid) -> _Series:
+    """H^(k)_{G-1} = zeta(k) - zeta(k, G)."""
+    if k == 1:
+        return _harmonic(1, -1, grid)
+    n, order, prec = grid
+    if order < k + 1:
+        raise ValueError(f"order {order} is too low for the power sum of order {k}")
+    c = _blank(grid)
+    c[0][0] = _fixed(lambda: mp.zeta(k), prec)
+    c[k - 1][0] = -_rnd(1 << prec, (k - 1) * n ** (k - 1))
+    c[k][0] = -_rnd(1 << prec, 2 * n**k)
+    rising = k  # (k)_{2r-1}
+    r = 1
+    while k + 2 * r - 1 <= order:
+        b = bernoulli(2 * r)
+        p = k + 2 * r - 1
+        c[p][0] = -_rnd(b.numerator * rising << prec, b.denominator * math.factorial(2 * r) * n**p)
+        rising *= (k + 2 * r - 1) * (k + 2 * r)
+        r += 1
+    b = bernoulli(2 * r)
+    p = k + 2 * r - 1
+    rem = _up(2 * abs(b.numerator) * rising << prec, b.denominator * math.factorial(2 * r) * n**p)
+    return _Series(c, 0, 1, [rem])
+
+
+@lru_cache(maxsize=64)
+def _elementary(j: int, grid: _Grid) -> _Series:
+    """e_j(1, 1/2, ..., 1/(G-1)) = (1/j) sum_i (-1)^(i-1) e_{j-i} p_i (Newton)."""
+    if j == 0:
+        return _one(grid)
+    parts = []
+    for i in range(1, j + 1):
+        p = _power_sum(i, grid)
+        term = p if i == j else _mul(_elementary(j - i, grid), p, grid)
+        parts.append((Fraction((-1) ** (i - 1), j), term))
+    return _combine(parts, grid)
+
+
+def _atom(atom: tuple, grid: _Grid) -> _Series:
+    match atom:
+        case ("H", alpha, beta):
+            return _harmonic(alpha, beta, grid)
+        case ("O", beta):
+            # O_{G+b} = H_{2G+2b} - H_{G+b}/2
+            h2, h1 = _harmonic(2, 2 * beta, grid), _harmonic(1, beta, grid)
+            return _combine([(Fraction(1), h2), (Fraction(-1, 2), h1)], grid)
+        case ("E", j):
+            return _elementary(j, grid)
+    raise ValueError(f"unknown atom {atom!r}")
+
+
+def term_expansion(spec: SeriesSpec, n: int, order: int, prec: int) -> _Series:
+    """The regrouped term of ``spec`` expanded past cutoff n to order w^order."""
+    grid = _Grid(n, order, prec)
+    terms, linear = spec.family.atoms(*spec.args)
+    numer = []
+    for coeff, atoms in terms:
+        prod_ = None
+        for atom in atoms:
+            x = _atom(atom, grid)
+            prod_ = x if prod_ is None else _mul(prod_, x, grid)
+        numer.append((Fraction(coeff), prod_ or _one(grid)))
+    denom = None
+    for alpha, beta in linear:
+        x = _reciprocals(alpha, (beta,), grid)
+        denom = x if denom is None else _mul(denom, x, grid)
+    return _mul(_combine(numer, grid), denom, grid)
+
+
+def _times_linear(p: list[int], c: int) -> list[int]:
+    """p(eps) (c + eps), truncated to the length of p."""
+    return [c * v + (p[j - 1] if j else 0) for j, v in enumerate(p)]
+
+
+@lru_cache(maxsize=1024)
+def _log_power_row(i: int, deg: int, n: int, prec: int) -> tuple[tuple[int, ...], int]:
+    """Y_ij = sum_{G > n} (n/G)^i ln^j G for j <= deg, in ulps, and a bound
+    on the error of each.
+
+    Euler-Maclaurin from x0 = n + 1 on x^-(i+eps), with eps a truncated
+    power series variable (Johansson 2015): sum_{G >= x0} G^-(i+eps) =
+    x0^-(i+eps) [x0/(i-1+eps) + 1/2 + sum_r B_2r/(2r)! (i+eps)_{2r-1}
+    x0^(1-2r)] + R, and (-1)^j j! times the coefficient of eps^j is
+    sum ln^j G / G^i.  R is bounded for each j through DLMF 2.10.1 on
+    f(x) = ln^j x / x^i: at most 2|B_2m|/(2m)! times the integral of
+    |f^(2m)| past x0, with m one past the last term used.
+    """
+    x0 = n + 1
+    q = [_rnd((-1) ** j * x0 << prec, (i - 1) ** (j + 1)) for j in range(deg + 1)]
+    q[0] += 1 << (prec - 1)
+    poch = ([i, 1] + [0] * deg)[: deg + 1]  # (i+eps)_{2r-1}
+    log_x0 = math.log(x0)
+    last = math.inf
+    r = 1
+    while True:
+        b = bernoulli(2 * r)
+        den = b.denominator * math.factorial(2 * r) * x0 ** (2 * r - 1)
+        for j in range(deg + 1):
+            q[j] += _rnd(b.numerator * poch[j] << prec, den)
+        poch = _times_linear(_times_linear(poch, i + 2 * r - 1), i + 2 * r)
+        r += 1
+        # natural log of the next term: |B_2r|/(2r)! < 4/(2 pi)^2r, and the
+        # coefficients of (i+eps)_{2r-1} at most (i)_{2r-1} (1 + ln(i+2r))^deg
+        size = (
+            math.log(4)
+            - 2 * r * math.log(2 * math.pi)
+            + math.lgamma(i + 2 * r - 1)
+            - math.lgamma(i)
+            + (1 - 2 * r) * log_x0
+            + deg * math.log(1 + math.log(i + 2 * r))
+        )
+        if size < -(prec + 8) * math.log(2):
+            break
+        if size >= last:
+            # the series turns before it is small enough: i ~ 2 pi x0
+            raise ValueError(f"cutoff {n} is too low for order {i} at {prec} bits")
+        last = size
+    # terms r' < r were added; the remainder needs f^(2r)
+    m2 = 2 * r
+    poch = _times_linear(poch, i + m2 - 1)  # (i+eps)_{2r}
+    b = bernoulli(m2)
+    lam = math.ceil(log_x0) + 1  # > ln x0
+    scale = Fraction(2 * abs(b.numerator) * n**i, b.denominator * math.factorial(m2))
+    scale /= x0 ** (i + m2 - 1)
+    em = []
+    p1 = i + m2 - 1
+    for j in range(deg + 1):
+        # (j-l)! times the integral of x^-(i+m2) ln^(j-l) x past x0, over x0^(1-i-m2)
+        inner = sum(
+            Fraction(poch[l] * lam ** (j - l - t), math.factorial(j - l - t) * p1 ** (t + 1))
+            for l in range(j + 1)
+            for t in range(j - l + 1)
+        )
+        bound = scale * math.factorial(j) * inner
+        em.append(_up(bound.numerator << prec, bound.denominator))
+    err_q = r + 1  # half an ulp per rounded term
+    # x0^-eps = sum_j (-ln x0)^j / j! eps^j
+    ell = [_fixed(lambda j=j: (-mp.log(x0)) ** j / math.factorial(j), prec) for j in range(deg + 1)]
+    num, den = n**i, x0**i << prec
+    ys, err = [], 0
+    for j in range(deg + 1):
+        v = sum(ell[j - l] * q[l] for l in range(j + 1))
+        e = sum(abs(ell[j - l]) * err_q + abs(q[l]) + err_q for l in range(j + 1))
+        f = math.factorial(j)
+        ys.append(_rnd((-1) ** j * f * v * num, den))
+        err = max(err, _up(f * e * num, den) + 1 + em[j])
+    return tuple(ys), err
+
+
+def order(spec: SeriesSpec, n: int, digits: int) -> int:
+    """K: an order at which the atoms' remainders past cutoff n fall below
+    10^-(digits+6).  The harmonic atoms drop about 4 (K+1)! / (2 pi n)^(K+1),
+    the shifted reciprocals ((shift + 2)/n)^(K+1)."""
+    target = -(digits + 6) * math.log(10)
+    ratio = math.log((spec.family.shift(*spec.args) + 2) / n)
+    k = 8
+    while True:
+        harmonic = math.log(4) + math.lgamma(k + 2) - (k + 1) * math.log(2 * math.pi * n)
+        if max(harmonic, (k + 1) * ratio) <= target:
+            return k
+        k += 1
+
+
+def tail(spec: SeriesSpec, n: int, digits: int, prec: int) -> tuple[int, int]:
+    """(value, bound) in ulps of 2^-prec: sum_{G > n} of the regrouped term
+    of ``spec``, and a certified bound on the error of that value.
+
+    The value keeps every order of the expansion.  Truncating it at a lower
+    order k moves the orders above k into the remainder (w^i <= w^(k+1)
+    for i > k), and the bound reported is the certified bound of the least
+    such truncation that is below 10^-(digits+2), or the full expansion's
+    own bound when that is larger.  The enclosure so has the width the
+    requested digits ask for: the value's error is far inside it, and so
+    is the closed forms' own rounding at ``digits`` (about 10^-(digits+5)).
+    """
+    top = order(spec, n, digits)
+    t = term_expansion(spec, n, top, prec)
+    if t.val < 2:
+        raise ValueError(f"the regrouped term of {spec} does not decay like 1/G^2")
+    deg = max(len(t.c[0]), len(t.rem)) - 1
+    rows = [_log_power_row(i, deg, n, prec) for i in range(t.val, top + 2)]
+    one = 1 << prec
+    target = one * one // 10 ** (digits + 2)
+    # the remainder polynomial of the truncation at each order k, from the top
+    rems = [t.rem]
+    for k in range(top, t.val, -1):
+        rems.append(_poly_add(rems[-1], [abs(v) + t.err for v in t.c[k]]))
+    rems.reverse()
+    acc = rounding = 0
+    bounds = []
+    for k, (ys, ey) in enumerate(rows[:-1], t.val):
+        for cij, y in zip(t.c[k], ys):
+            acc += cij * y
+            rounding += abs(cij) * ey + (abs(y) + ey) * t.err
+        ys, ey = rows[k + 1 - t.val]
+        bounds.append(rounding + sum(r * (abs(y) + ey) for r, y in zip(rems[k - t.val], ys)))
+    reached = [b for b in bounds if b <= target]
+    bound = max(bounds[-1], reached[0]) if reached else bounds[-1]
+    return _rnd(acc, one), _up(bound, one) + 1

@@ -39,7 +39,13 @@ def _fmt(x, digits: int) -> str:
 
 def _add_numeric_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--digits", type=int, default=None, help="working precision (default 50)")
-    p.add_argument("--nmax", type=int, default=None, help="series cutoff (default 10^6)")
+    p.add_argument(
+        "--nmax",
+        type=int,
+        default=None,
+        help="most terms a series sums (default 10^6); the diagonal route stops "
+        "at 2^11 at 50 digits and expands the rest",
+    )
     p.add_argument("--quad-levels", type=int, default=None, help="max quadrature levels")
     p.add_argument(
         "--method",

@@ -4,7 +4,11 @@ The pass rule credits the oracle's own honesty budget: a report passes
 when abs_err <= max(tolerance, tail_bound + quadrature error estimate).
 A truncated sum that lands inside its certified tail bound is correct to
 the extent it can be checked at that cutoff; only a discrepancy exceeding
-both the tolerance and the bound is evidence against an identity.
+both the tolerance and the bound is evidence against an identity.  Past
+its asymptotic cutoff the diagonal oracle's tail_bound is about
+10^-(digits+2), below every tolerance used, so there the tolerance alone
+decides a pass, while abs_err and tail_bound still show how many digits
+the comparison pins down.
 """
 
 from __future__ import annotations

@@ -5,7 +5,11 @@ catalog series:
 
 * ``oracle_raw`` sums the defining multi-index form over a box cutoff;
 * ``oracle_diagonal`` sums the single-index regrouped form (indices
-  grouped by their total) with O(1) incremental harmonic updates;
+  grouped by their total) with O(1) incremental harmonic updates.  Once
+  ``n_max`` reaches the cutoff N* (``asymptotic_cutoff``, 2^11 at 50
+  digits) it sums N* terms and adds the certified asymptotic tail of
+  ``asymptotic.py``; below N* it sums n_max terms and bounds the rest by
+  the ``tail_estimate`` majorant;
 * ``oracle_quadrature`` integrates the log-power integral representation
   of the A-family with tanh-sinh nodes.
 
@@ -37,8 +41,14 @@ if TYPE_CHECKING:
     from .series import SeriesSpec
 
 _GUARD_BITS = 64
+# extra bits of the asymptotic route's grid: each fixed-point engine floors
+# its terms by far less than 2^32 ulps of its own grid, so N floored terms
+# stay within N 2^-prec of the exact partial sum
+_TAIL_GUARD_BITS = 32
 # a raw box of cutoff N over d indices sums N^d terms; refuse runaway requests
 _RAW_TERM_CAP = 5000**2
+# the diagonal route's asymptotic cutoff at 50 digits
+_ASYMPTOTIC_CUTOFF = 2**11
 
 
 def default_digits() -> int:
@@ -56,9 +66,11 @@ def default_digits() -> int:
 class NumericCfg:
     """Oracle configuration.
 
-    digits: working precision (>= 30); n_max: series cutoff (>= 10);
-    quad_levels: max tanh-sinh halvings (3..16); method: raw | diagonal |
-    quadrature.
+    digits: working precision (>= 30); n_max: the most terms a series
+    route sums (>= 10): the raw box cutoff, and a ceiling for the diagonal
+    route, which stops at its asymptotic cutoff (2^11 at 50 digits) when
+    n_max reaches it; quad_levels: max tanh-sinh halvings (3..16); method:
+    raw | diagonal | quadrature.
     """
 
     digits: int = field(default_factory=default_digits)
@@ -232,8 +244,9 @@ def zx_numeric(a: ZExpr, digits: int):
 # fixed-point series engines
 #
 # Every engine takes ONE = 1 << prec and returns the scaled integer partial
-# sum.  The regrouped loops are deliberately hand-specialized: these run up
-# to 10^6 iterations and a branch or attribute lookup per term is visible.
+# sum.  The regrouped loops are hand-specialized, as a branch or attribute
+# lookup per term shows over a long sum; the diagonal route itself stops at
+# its asymptotic cutoff (2^11 terms at 50 digits).
 
 
 def _prec_bits(digits: int) -> int:
@@ -516,12 +529,57 @@ def oracle_raw(spec: SeriesSpec, cfg: NumericCfg) -> OracleResult:
     return _summed(spec, cfg, "raw", partial(_factored_box, spec))
 
 
+def asymptotic_cutoff(spec: SeriesSpec, digits: int) -> int:
+    """N*: the terms the diagonal route sums before the asymptotic tail
+    takes over.  2^11 at 50 digits, doubled while it is below 40 digits or
+    64 (shift + 1), which keeps the expansion's order near digits/2."""
+    shift = spec.family.shift(*spec.args)
+    n = _ASYMPTOTIC_CUTOFF
+    while n < 40 * digits or n < 64 * (shift + 1):
+        n *= 2
+    return n
+
+
 def oracle_diagonal(spec: SeriesSpec, cfg: NumericCfg) -> OracleResult:
-    """Single-index regrouped sum to cfg.n_max with incremental harmonic state."""
+    """Single-index regrouped sum with incremental harmonic state.
+
+    cfg.n_max caps the terms summed.  When it reaches N* =
+    ``asymptotic_cutoff``, the first N* terms are summed and the rest is
+    the certified asymptotic tail: ``value`` is S_N* plus the expanded tail
+    and ``tail_bound`` covers its remainder and N* 2^-prec of rounding in
+    S_N*.  Below N*, the first n_max terms are summed and ``tail_estimate``
+    bounds what is left.
+    """
     fam = spec.family
     if fam.diag is None:
         raise ValueError(f"{spec} has no regrouped single sum here")
-    return _summed(spec, cfg, "diagonal", partial(fam.diag, *spec.args))
+    engine = partial(fam.diag, *spec.args)
+    n_star = asymptotic_cutoff(spec, cfg.digits)
+    if cfg.n_max < n_star:
+        return _summed(spec, cfg, "diagonal", engine)
+    # imported here, so a run that stays below N* does not load (and, without
+    # cached bytecode, compile) the expansion code
+    from . import asymptotic
+
+    t0 = time.perf_counter()
+    prec = _prec_bits(cfg.digits) + _TAIL_GUARD_BITS
+    head = engine(n_star, 1 << prec)
+    tail, bound = asymptotic.tail(spec, n_star, cfg.digits, prec)
+    bound += n_star << _TAIL_GUARD_BITS
+    with mp.workprec(prec + 64):
+        value = mp.ldexp(mp.mpf(head + tail), -prec)
+    with mp.workprec(64):
+        # padded so that rounding the integer to 64 bits cannot lower it
+        tail_bound = mp.ldexp(mp.mpf(bound + (bound >> 40) + 1), -prec)
+    return OracleResult(
+        value=value,
+        method="diagonal",
+        n_used=n_star,
+        levels_used=None,
+        tail_bound=tail_bound,
+        error_estimate=mp.mpf(0),
+        elapsed=time.perf_counter() - t0,
+    )
 
 
 def _summed(spec: SeriesSpec, cfg: NumericCfg, method: str, engine) -> OracleResult:

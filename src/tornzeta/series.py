@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import partial
-from math import prod
+from math import factorial, prod
 from typing import Callable
 
 from . import closedform, oracle
@@ -51,9 +51,14 @@ class Family:
     ``diag_term`` is the summand regrouped by the index total g, from
     g = ``origin``, and ``diag`` its hand-written fixed-point loop.  The
     two forms are written independently, so their exact partial sums
-    agreeing is a check of the regrouping.  ``tail`` gives (A, c, k, p) of
-    the majorant A (ln G + c)^k / G^p of the terms past a cutoff of at
-    least ``shift``.
+    agreeing is a check of the regrouping.  ``atoms`` states the regrouped
+    term a third time, as (terms, linear): the sum of coeff * product of
+    harmonic atoms over the terms, divided by the product of (a G + b)
+    over the linear factors, with atoms ``("H", a, b)`` = H_{aG+b},
+    ``("O", b)`` = O_{G+b} and ``("E", j)`` = e_j(1, 1/2, ..., 1/(G-1));
+    the asymptotic tail (``asymptotic.py``) expands it.  ``tail`` gives
+    (A, c, k, p) of the majorant A (ln G + c)^k / G^p of the terms past a
+    cutoff of at least ``shift``.
     """
 
     kind: str
@@ -63,6 +68,7 @@ class Family:
     summand: Callable[..., tuple] | None = None  # (*args); None: a one-index sum
     diag_term: Callable[..., Fraction] | None = None  # (*args, g); None: no regrouping
     diag: Callable[..., int] | None = None  # (*args, n_max, one)
+    atoms: Callable[..., tuple] | None = None  # (*args) -> (terms, linear)
     dims: Callable[..., int] = _const(2)  # number of summation indices
     origin: int = 1
     params: tuple[str, ...] = ()  # SeriesSpec fields shown in the syntax, in order
@@ -74,11 +80,11 @@ class Family:
     quadrature: bool = False  # the A-family integral representation applies
 
 
-def _single_sum(kind, token, closed, term, engine, tail) -> Family:
+def _single_sum(kind, token, closed, term, engine, atoms, tail) -> Family:
     # a one-index series is its own regrouping: one term, one engine
     return Family(
         kind=kind, token=token, closed=closed, tail=_const(tail),
-        diag_term=term, diag=engine, dims=_const(1),
+        diag_term=term, diag=engine, atoms=_const(atoms), dims=_const(1),
     )
 
 
@@ -117,6 +123,11 @@ def _halfint_summand(v: str) -> tuple:
     return 2 ** (2 + len(ks)), _odd, _odd, lambda g: prod(2 * g + k for k in ks)
 
 
+def _halfint_atoms(v: str) -> tuple:
+    ks = _HALF_FACTORS[v]
+    return ((2 ** (2 + len(ks)), (("O", 1),)),), ((1, 1),) + tuple((2, k) for k in ks)
+
+
 def _halfint_diag_term(v: str, g: int) -> Fraction:
     ks = _HALF_FACTORS[v]
     return 2 ** (2 + len(ks)) * odd_harmonic(g + 1) / ((g + 1) * prod(2 * g + k for k in ks))
@@ -134,6 +145,8 @@ _AN = Family(
     summand=lambda n, s: (None, _index, _index, lambda g: g + s),
     diag_term=lambda n, s, g: _composition_weight(n - 1, g) * harmonic(g + s) / (g + s),
     diag=oracle._diag_an,
+    # c_{n-1}(G) = (n-1)! e_{n-2}/G
+    atoms=lambda n, s: (((factorial(n - 1), (("E", n - 2), ("H", 1, s))),), ((1, 0), (1, s))),
     # c_j(G) <= 2^(j-1) H_G^(j-1)/G and H_{G+s} <= ln G + 2 for s <= G
     tail=lambda n, s: (Fraction(2 ** (n - 2)), 2.0, n - 1, 2),
     shift=lambda n, s: s,
@@ -163,6 +176,7 @@ FAMILIES: dict[str, Family] = {
             summand=_const((1, _index, _index, _index)),
             diag_term=lambda g: 2 * harmonic(g - 1) / Fraction(g * g),
             diag=oracle._diag_s111,
+            atoms=_const((((2, (("H", 1, -1),)),), ((1, 0), (1, 0)))),
             tail=_const((Fraction(2), 2.0, 1, 2)),
         ),
         _single_sum(
@@ -171,6 +185,7 @@ FAMILIES: dict[str, Family] = {
             closedform.eval_ln_series,
             lambda m: (2 * harmonic(2 * m + 1) - harmonic(m)) / (2 * m * (2 * m + 1)),
             oracle._sum_ln_series,
+            (((2, (("H", 2, 1),)), (-1, (("H", 1, 0),))), ((2, 0), (2, 1))),
             # 2 H_{2m+1} - H_m <= ln m + 3.2
             (Fraction(1, 4), 3.2, 1, 2),
         ),
@@ -180,6 +195,7 @@ FAMILIES: dict[str, Family] = {
             closedform.eval_on_series,
             lambda m: odd_harmonic(m) / (2 * m * (2 * m + 1)),
             oracle._sum_on_series,
+            (((1, (("O", 0),)),), ((2, 0), (2, 1))),
             # O_m <= (ln m + 3.4)/2
             (Fraction(1, 8), 3.4, 1, 2),
         ),
@@ -195,6 +211,7 @@ FAMILIES: dict[str, Family] = {
             summand=lambda j: (1, _odd, _odd, lambda g: 2 * g + j),
             diag_term=lambda j, g: odd_harmonic(g + 1) / ((g + 1) * (2 * g + j)),
             diag=oracle._diag_base_t,
+            atoms=lambda j: (((1, (("O", 1),)),), ((1, 1), (2, j))),
             tail=_const((Fraction(1, 4), 3.5, 1, 2)),
         ),
         Family(
@@ -209,6 +226,7 @@ FAMILIES: dict[str, Family] = {
             summand=_halfint_summand,
             diag_term=_halfint_diag_term,
             diag=oracle._diag_halfint,
+            atoms=_halfint_atoms,
             tail=lambda v: (Fraction(2), 3.5, 1, 1 + len(_HALF_FACTORS[v])),
         ),
         _single_sum(
@@ -217,6 +235,7 @@ FAMILIES: dict[str, Family] = {
             partial(closedform.eval_aux, "EvenOddAux"),
             lambda m: Fraction(1, 2 * m * (2 * m + 1)),
             oracle._sum_evenodd,
+            (((1, ()),), ((2, 0), (2, 1))),
             (Fraction(1, 4), 0.0, 0, 2),
         ),
         _single_sum(
@@ -225,6 +244,7 @@ FAMILIES: dict[str, Family] = {
             partial(closedform.eval_aux, "OddSquares"),
             lambda m: Fraction(1, (2 * m - 1) ** 2),
             oracle._sum_oddsq,
+            (((1, ()),), ((2, -1), (2, -1))),
             (Fraction(1, 4), 0.0, 0, 2),
         ),
         Family(
@@ -234,6 +254,7 @@ FAMILIES: dict[str, Family] = {
             summand=_const((1, _odd, _const(1), lambda g: (g + 1) * (2 * g + 1))),
             diag_term=lambda g: (odd_harmonic(g) - 1) / Fraction((g + 1) * (2 * g + 1)),
             diag=oracle._diag_binter,
+            atoms=_const((((1, (("O", 0),)), (-1, ())), ((1, 1), (2, 1)))),
             # O_G - 1 <= (ln G + 1.4)/2
             tail=_const((Fraction(1, 4), 2.0, 1, 2)),
         ),

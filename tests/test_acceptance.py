@@ -15,11 +15,13 @@ from tornzeta.closedform import closed_form_of, alt_binomial_sides, eval_An, eva
 from tornzeta.harness import paper_full_manifest, render_reports, run_suite, smoke_manifest, verify
 from tornzeta.oracle import (
     NumericCfg,
+    _prec_bits,
     box_partial_exact,
     const_zeta,
     diagonal_partial_exact,
     oracle_quadrature,
     oracle_raw,
+    tail_estimate,
     triangle_partial_exact,
     zx_numeric,
 )
@@ -160,7 +162,10 @@ def test_criterion_10_property_suites_soundness_honesty_monotone_determinism():
     ]:
         spec = parse_spec(text)
         assert diagonal_partial_exact(spec, depth) == triangle_partial_exact(spec, depth), text
-    # tail honesty: true remainders sit inside the certified bounds
+    # tail honesty: true remainders sit inside the certified majorants, with
+    # S_N from the row's diag engine (oracle_diagonal's route below the
+    # asymptotic cutoff), at cutoffs past that cutoff too
+    prec = _prec_bits(50)
     honesty = [
         "A3:s=0",
         "An:n=4,s=2",
@@ -179,9 +184,9 @@ def test_criterion_10_property_suites_soundness_honesty_monotone_determinism():
         with workdps(60):
             closed = zx_numeric(closed_form_of(spec), 50)
             for n_cut in (10**3, 10**4, 10**5):
-                res = verify(spec, NumericCfg(digits=50, n_max=n_cut, method="diagonal"), 1.0)
-                err = closed - res.oracle.value
-                assert 0 <= err <= res.oracle.tail_bound, (text, n_cut)
+                value = mp.mpf(spec.family.diag(*spec.args, n_cut, 1 << prec)) / mp.mpf(1 << prec)
+                err = closed - value
+                assert 0 <= err <= tail_estimate(spec, n_cut), (text, n_cut)
     # monotone bounded partial sums
     for text in ("A3:s=2", "S111", "on"):
         spec = parse_spec(text)

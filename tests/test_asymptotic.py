@@ -1,0 +1,233 @@
+"""The certified asymptotic tail of ``oracle_diagonal`` (``asymptotic.py``)."""
+
+import math
+import time
+from fractions import Fraction as F
+from functools import partial
+
+import pytest
+from mpmath import mp, workdps
+
+from tornzeta import asymptotic, oracle
+from tornzeta.closedform import closed_form_of
+from tornzeta.exact import harmonic, odd_harmonic
+from tornzeta.harness import paper_full_manifest, run_suite, verify
+from tornzeta.oracle import (
+    NumericCfg,
+    diagonal_partial_exact,
+    oracle_diagonal,
+    tail_estimate,
+    zx_numeric,
+)
+from tornzeta.series import parse_spec
+
+DIAG_FAMILIES = [
+    "A3:s=0",
+    "A3:s=5",
+    "An:n=2,s=1",
+    "An:n=4,s=2",
+    "An:n=6,s=0",
+    "aXL:k=0",
+    "aXL:k=3",
+    "S111",
+    "ln",
+    "on",
+    "evenodd",
+    "oddsq",
+    "binter",
+    "baseT:1",
+    "baseT:2",
+    "baseT:3",
+    "halfint:a",
+    "halfint:b",
+    "halfint:c",
+]
+
+
+# e_0..e_4 of 1, 1/2, ..., 1/(g-1) at index g-1, grown on demand (An has n <= 6)
+_ELEMENTARY = [[F(1)] + [F(0)] * 4]
+
+
+def _elementary(j: int, g: int) -> F:
+    while len(_ELEMENTARY) < g:
+        k, prev = len(_ELEMENTARY), _ELEMENTARY[-1]
+        _ELEMENTARY.append(prev[:1] + [prev[i] + prev[i - 1] / k for i in range(1, 5)])
+    return _ELEMENTARY[g - 1][j]
+
+
+def _atom_exact(atom, g: int) -> F:
+    match atom:
+        case ("H", alpha, beta):
+            return harmonic(alpha * g + beta)
+        case ("O", beta):
+            return odd_harmonic(g + beta)
+        case ("E", j):
+            return _elementary(j, g)
+
+
+def _atoms_exact(spec, g: int) -> F:
+    """The row's atom description evaluated exactly at index total g."""
+    terms, linear = spec.family.atoms(*spec.args)
+    num = sum(F(c) * math.prod(_atom_exact(a, g) for a in atoms) for c, atoms in terms)
+    return num / math.prod(alpha * g + beta for alpha, beta in linear)
+
+
+def _reference(closed):
+    """A closed form's value from mpmath's zeta, log 2 and pi."""
+    constants = {"unit": lambda k: 1, "ln2": lambda k: mp.log(2), "zeta": mp.zeta}
+    constants["pipow"] = lambda k: mp.pi**k
+    terms = closed.terms()
+    return sum(mp.mpf(c.numerator) / c.denominator * constants[sym.kind](sym.k) for sym, c in terms)
+
+
+@pytest.mark.parametrize("text", DIAG_FAMILIES)
+def test_atoms_transcribe_the_regrouped_term(text):
+    # the atom description and diag_term are written independently
+    spec = parse_spec(text)
+    for g in range(max(spec.family.origin, 1), 40):
+        assert _atoms_exact(spec, g) == spec.family.diag_term(*spec.args, g), g
+
+
+def _worst_ratio(t, exact, n: int, order: int, prec: int) -> float:
+    """max over G = n..n+100 of |exact(G) - t(G)| / certified bound, for an
+    expansion t past n, evaluated at twice its precision."""
+    worst = 0.0
+    with workdps(2 * int(prec / 3.32)):
+        ulp = mp.ldexp(1, -prec)
+        for g in range(n, n + 101):
+            w, lg = mp.mpf(n) / g, mp.log(g)
+            value = bound = mp.mpf(0)
+            spread = sum(w**i for i in range(t.val, order + 1))
+            for j in range(len(t.c[0])):
+                col = mp.mpf(0)
+                for i in range(order, -1, -1):
+                    col = col * w + t.c[i][j]
+                value += col * lg**j
+                bound += t.err * spread * lg**j
+            bound += w ** (order + 1) * sum(r * lg**j for j, r in enumerate(t.rem))
+            want = exact(g)
+            diff = abs(value * ulp - mp.mpf(want.numerator) / want.denominator)
+            assert diff <= bound * ulp, (g, diff, bound * ulp)
+            worst = max(worst, float(diff / (bound * ulp)))
+    return worst
+
+
+@pytest.mark.parametrize("text", DIAG_FAMILIES)
+def test_expansion_remainder_is_honest(text):
+    # at order 8 the truncation dominates the difference; at the route's
+    # own order for 50 digits the rounding does
+    spec = parse_spec(text)
+    prec = oracle._prec_bits(50) + oracle._TAIL_GUARD_BITS
+    for n in (50, 200, 1000):
+        for order in (8, asymptotic.order(spec, n, 50)):
+            t = asymptotic.term_expansion(spec, n, order, prec)
+            exact = partial(spec.family.diag_term, *spec.args)
+            assert _worst_ratio(t, exact, n, order, prec) <= 1
+
+
+@pytest.mark.parametrize(
+    "atom", [("H", 1, 0), ("H", 1, -1), ("H", 1, 7), ("H", 2, 1), ("O", 1), ("E", 2), ("E", 4)]
+)
+def test_atom_remainder_is_honest(atom):
+    # inside a term an atom's own remainder is two orders below what the
+    # product drops, so each atom is checked on its own
+    spec = parse_spec("A3:s=0")
+    prec = oracle._prec_bits(50)
+    for n in (50, 1000):
+        for order in (8, 17):
+            t = asymptotic._atom(atom, asymptotic._Grid(n, order, prec))
+            assert _worst_ratio(t, partial(_atom_exact, atom), n, order, prec) <= 1
+
+
+@pytest.mark.parametrize("text", DIAG_FAMILIES)
+def test_tail_encloses_the_true_remainder(text):
+    # closed form (from mpmath's constants) minus the exact partial sum
+    spec = parse_spec(text)
+    prec = oracle._prec_bits(50) + oracle._TAIL_GUARD_BITS
+    for n in (200, 1000):
+        value, bound = asymptotic.tail(spec, n, 50, prec)
+        with workdps(90):
+            s_n = diagonal_partial_exact(spec, n)
+            true = _reference(closed_form_of(spec)) - mp.mpf(s_n.numerator) / s_n.denominator
+            assert abs(mp.ldexp(value, -prec) - true) <= mp.ldexp(bound, -prec)
+            assert mp.ldexp(bound, -prec) < mp.mpf("1e-52")
+
+
+def test_cutoff_routes_by_n_max():
+    spec = parse_spec("A3:s=2")
+    n_star = oracle.asymptotic_cutoff(spec, 50)
+    assert n_star == 2**11
+    # below N* the majorant route runs as before
+    below = oracle_diagonal(spec, NumericCfg(digits=50, n_max=n_star - 1))
+    assert below.n_used == n_star - 1
+    assert below.tail_bound == tail_estimate(spec, n_star - 1)
+    # from N* on, n_max is only a ceiling
+    for n_max in (n_star, 10**6):
+        res = oracle_diagonal(spec, NumericCfg(digits=50, n_max=n_max))
+        assert res.n_used == n_star
+        assert res.tail_bound < mp.mpf("1e-52")
+    # the cutoff grows with the digits and with the shift
+    assert oracle.asymptotic_cutoff(spec, 300) == 2**14
+    assert oracle.asymptotic_cutoff(parse_spec("aXL:k=100"), 50) == 2**13
+    # far below it the log-power sums would need more orders than 2 pi N allows
+    with pytest.raises(ValueError, match="too low"):
+        asymptotic.tail(parse_spec("A3:s=5"), 50, 50, 300)
+
+
+def test_constants_come_from_mpmath(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the oracle called the evaluator's constants")
+
+    for name in ("const_zeta", "const_ln2", "const_pi"):
+        monkeypatch.setattr(oracle, name, refuse)
+    for text in ("An:n=5,s=0", "ln", "evenodd", "halfint:b"):
+        res = oracle_diagonal(parse_spec(text), NumericCfg(digits=40))
+        assert res.n_used == 2**11
+
+
+def _certified_digits(report, cap: int) -> float:
+    # perfbench/certify.py's definition, capped at the working precision
+    o = report.oracle
+    with workdps(cap + 20):
+        slack = report.abs_err + o.tail_bound + o.error_estimate
+        return float(min(-mp.log10(slack / abs(report.closed_numeric)), cap))
+
+
+def test_paper_full_diagonal_entries_certify_45_digits():
+    reports = run_suite(paper_full_manifest(50))
+    assert all(r.passed for r in reports), [r.reason for r in reports if not r.passed]
+    digits = [_certified_digits(r, 50) for r in reports]
+    diagonal = [d for r, d in zip(reports, digits) if r.oracle.method == "diagonal"]
+    assert len(diagonal) == 22
+    assert min(diagonal) >= 45
+    assert sum(digits) >= 1250
+
+
+def test_perturbed_closed_forms_fall_outside_every_enclosure():
+    for entry in paper_full_manifest(50).entries:
+        if entry.cfg.method != "diagonal":
+            continue
+        res = oracle_diagonal(entry.spec, entry.cfg)
+        with workdps(80):
+            closed = zx_numeric(closed_form_of(entry.spec), 50)
+            for sign in (1, -1):
+                moved = closed * (1 + sign * mp.mpf("1e-40"))
+                assert abs(moved - res.value) > res.tail_bound, (entry.spec.label(), sign)
+
+
+def test_huge_n_max_is_a_ceiling():
+    t0 = time.perf_counter()
+    report = verify(parse_spec("ln"), NumericCfg(digits=50, n_max=10**9), 1e-8)
+    assert time.perf_counter() - t0 < 2.0
+    assert report.passed, report.reason
+    assert report.oracle.n_used == 2**11
+
+
+def test_three_hundred_digits():
+    t0 = time.perf_counter()
+    report = verify(parse_spec("An:n=4,s=0"), NumericCfg(digits=300), 1e-8)
+    assert time.perf_counter() - t0 < 10.0
+    assert report.passed, report.reason
+    with workdps(320):
+        slack = report.abs_err + report.oracle.tail_bound
+        assert -mp.log10(slack / abs(report.closed_numeric)) >= 290

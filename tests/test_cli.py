@@ -40,10 +40,18 @@ class TestEval:
 
 class TestOracle:
     def test_diagonal(self, capsys):
+        assert main(["oracle", "aXL:k=1", "--method", "diagonal", "--nmax", "1000"]) == 0
+        out = capsys.readouterr().out
+        assert "method:   diagonal" in out
+        assert "n_used:   1000" in out
+        assert "tail_bound" in out
+
+    def test_diagonal_stops_at_asymptotic_cutoff(self, capsys):
+        # --nmax caps the terms; past 2^11 at 50 digits the tail is expanded
         assert main(["oracle", "aXL:k=1", "--method", "diagonal", "--nmax", "10000"]) == 0
         out = capsys.readouterr().out
         assert "method:   diagonal" in out
-        assert "n_used:   10000" in out
+        assert "n_used:   2048" in out
         assert "tail_bound" in out
 
     def test_tornheim_raw_is_reachable(self, capsys):

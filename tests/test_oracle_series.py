@@ -3,7 +3,9 @@ from fractions import Fraction as F
 import pytest
 from mpmath import mp, workdps
 
+from tornzeta import oracle
 from tornzeta.closedform import closed_form_of
+from tornzeta.exact import harmonic, harmonic_gen, odd_harmonic
 from tornzeta.oracle import (
     NumericCfg,
     box_partial_exact,
@@ -67,9 +69,41 @@ class TestReductionSoundness:
         assert diagonal_partial_exact(spec, depth) == triangle_partial_exact(spec, depth)
 
     @pytest.mark.parametrize("text", ["aXL:k=2", "ln", "on", "evenodd", "oddsq"])
-    def test_single_sums_coincide(self, text):
+    def test_one_index_triangle_is_the_diagonal(self, text):
+        # aXL has a defining summand, so this compares two transcriptions;
+        # ln, on, evenodd and oddsq have none, and triangle_partial_exact
+        # returns their diagonal partial itself: for them this checks the
+        # lookup only, and test_single_sums_match_second_transcription
+        # checks the terms
         spec = parse_spec(text)
         assert triangle_partial_exact(spec, 30) == diagonal_partial_exact(spec, 30)
+
+    @pytest.mark.parametrize("text", ["ln", "on", "evenodd", "oddsq"])
+    @pytest.mark.parametrize("cutoff", [1, 2, 7, 30, 61])
+    def test_single_sums_match_second_transcription(self, text, cutoff):
+        # each partial sum written again here, from its definition or a
+        # telescoped closed form, never from the family row
+        n = cutoff
+        if text == "ln":
+            # sum_m (2 H_{2m+1} - H_m) / (2m (2m+1)), inner sums spelled out
+            want = F(0)
+            for m in range(1, n + 1):
+                h_odd = sum(F(1, i) for i in range(1, 2 * m + 2))
+                h_m = sum(F(1, i) for i in range(1, m + 1))
+                want += (2 * h_odd - h_m) / (2 * m * (2 * m + 1))
+        elif text == "on":
+            # sum_m O_m / (2m (2m+1)), O_m = sum_{k<=m} 1/(2k-1)
+            want = sum(
+                sum(F(1, 2 * k - 1) for k in range(1, m + 1)) / (2 * m * (2 * m + 1))
+                for m in range(1, n + 1)
+            )
+        elif text == "evenodd":
+            # 1/(2m(2m+1)) = 1/(2m) - 1/(2m+1) telescopes to H_N/2 - (O_{N+1} - 1)
+            want = harmonic(n) / 2 - (odd_harmonic(n + 1) - 1)
+        else:
+            # the odd squares up to (2N-1)^2: all squares to (2N)^2 minus the even ones
+            want = harmonic_gen(2 * n, 2) - harmonic_gen(n, 2) / 4
+        assert diagonal_partial_exact(parse_spec(text), n) == want
 
     @pytest.mark.parametrize(
         "text",
@@ -221,20 +255,29 @@ class TestFixedPointEngines:
 HONESTY_FAMILIES = DIAG_FAMILIES + ["An:n=5,s=0", "An:n=3,s=4"]
 
 
+def majorant_sum(spec, n_cut: int, digits: int = 50):
+    """(S_N, tail_estimate) from the row's fixed-point diag engine: what
+    oracle_diagonal returns below the asymptotic cutoff, at any cutoff."""
+    prec = oracle._prec_bits(digits)
+    acc = spec.family.diag(*spec.args, n_cut, 1 << prec)
+    with workdps(digits + 10):
+        value = mp.mpf(acc) / mp.mpf(1 << prec)
+    return value, tail_estimate(spec, n_cut)
+
+
 class TestTailHonesty:
     @pytest.mark.parametrize("text", HONESTY_FAMILIES)
     @pytest.mark.parametrize("n_cut", [1000, 10000])
     def test_true_remainder_within_bound(self, text, n_cut):
         spec = parse_spec(text)
-        cfg = NumericCfg(digits=50, n_max=n_cut, method="diagonal")
-        res = oracle_for(spec, cfg)
+        value, bound = majorant_sum(spec, n_cut)
         with workdps(60):
             closed = zx_numeric(closed_form_of(spec), 50)
-            err = closed - res.value
+            err = closed - value
             assert err >= 0
-            assert err <= res.tail_bound
+            assert err <= bound
             # the majorant should stay within an order of magnitude of truth
-            assert res.tail_bound <= max(20 * err, mp.mpf("1e-25"))
+            assert bound <= max(20 * err, mp.mpf("1e-25"))
 
     def test_tornheim_raw_remainder_within_bound(self):
         spec = parse_spec("tornheim:a=1,b=1,c=1")
