@@ -5,11 +5,11 @@ catalog series:
 
 * ``oracle_raw`` sums the defining multi-index form over a box cutoff;
 * ``oracle_diagonal`` sums the single-index regrouped form (indices
-  grouped by their total) with O(1) incremental harmonic updates.  Once
-  ``n_max`` reaches the cutoff N* (``asymptotic_cutoff``, 2^11 at 50
-  digits) it sums N* terms and adds the certified asymptotic tail of
-  ``asymptotic.py``; below N* it sums n_max terms and bounds the rest by
-  the ``tail_estimate`` majorant;
+  grouped by their total), walking the row's harmonic atoms as running
+  prefix sums.  Once ``n_max`` reaches the cutoff N*
+  (``asymptotic_cutoff``, 2^11 at 50 digits) it sums N* terms and adds
+  the certified asymptotic tail of ``asymptotic.py``; below N* it sums
+  n_max terms and bounds the rest by the ``tail_estimate`` majorant;
 * ``oracle_quadrature`` integrates the log-power integral representation
   of the A-family with tanh-sinh nodes.
 
@@ -29,7 +29,9 @@ import threading
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
+from itertools import accumulate, count, islice, repeat
+from operator import add, floordiv, mul, rshift, truediv
 from typing import TYPE_CHECKING
 
 from mpmath import mp
@@ -244,144 +246,80 @@ def zx_numeric(a: ZExpr, digits: int):
 # fixed-point series engines
 #
 # Every engine takes ONE = 1 << prec and returns the scaled integer partial
-# sum.  The regrouped loops are hand-specialized, as a branch or attribute
-# lookup per term shows over a long sum; the diagonal route itself stops at
-# its asymptotic cutoff (2^11 terms at 50 digits).
+# sum.  One walk driven by each row's atoms serves every regrouped family:
+# the diagonal route sums at most its asymptotic cutoff (2^11 terms at 50
+# digits), where a hand-written loop per family saves nothing measurable.
 
 
 def _prec_bits(digits: int) -> int:
     return int(digits * 3.3219281) + _GUARD_BITS
 
 
-def _fx_harmonic_prefix(upto: int, one: int) -> list[int]:
-    h = [0] * (upto + 1)
-    acc = 0
-    for i in range(1, upto + 1):
-        acc += one // i
-        h[i] = acc
-    return h
+def _reciprocal_sums(one, div, step: int = 1):
+    """S_0 = 0, S_1, S_2, ... with S_i = S_{i-1} + div(one, 1 + (i-1) step):
+    the harmonic (step 1) or odd harmonic (step 2) prefix sums, floored on
+    the grid ONE with div = floordiv, exact with one = Fraction(1) and truediv."""
+    return accumulate(map(div, repeat(one), count(1, step)), initial=one * 0)
 
 
-def _diag_an(n: int, s: int, n_max: int, one: int) -> int:
-    """Regrouped A-family: sum_G c_{n-1}(G) H_{G+s}/(G+s), G = total index.
-
-    c_j(G) counts compositions of G into j parts weighted by 1/(product):
-    c_1(G) = 1/G, c_2(G) = 2 H_{G-1}/G, and generally c_j(G) = j! e_{j-1}/G
-    with e_i the elementary symmetric polynomial of 1, 1/2, ..., 1/(G-1).
-    Appending 1/(G-1) updates e_i += e_{i-1}/(G-1) from the top down, so
-    each term costs O(j) big-int operations, and every step floors a
-    positive quantity, so the sum stays below the exact partial.
-    """
-    if n > 6:
-        raise ValueError(f"regrouped summation supports n <= 6, got n={n}")
-    prec = one.bit_length() - 1
-    j = n - 1
-    acc = 0
-    if j == 1:
-        hs = sum(one // i for i in range(1, s + 1))
-        for g in range(1, n_max + 1):
-            hs += one // (g + s)
-            acc += hs // (g * (g + s))
-        return acc
-    if j == 2:
-        hs = sum(one // i for i in range(1, s + 2))
-        hm = 0
-        for g in range(2, n_max + 1):
-            hs += one // (g + s)
-            hm += one // (g - 1)
-            acc += (2 * ((hs * hm) >> prec)) // (g * (g + s))
-        return acc
-    # e_{j-1} and so the term stay exactly 0 until g = j
-    top_down = range(j - 1, 0, -1)
-    e = [one] + [0] * (j - 1)
-    fact = math.factorial(j)
-    hs = sum(one // i for i in range(1, s + 2))
-    for g in range(2, n_max + 1):
-        for i in top_down:
-            e[i] += e[i - 1] // (g - 1)
-        hs += one // (g + s)
-        c = (fact * e[j - 1]) // g
-        acc += ((c * hs) >> prec) // (g + s)
-    return acc
+def _atom_values(atom: tuple, origin: int, one, div):
+    """The harmonic atom's values at G = origin, origin + 1, ..."""
+    match atom:
+        case ("H", a, b):
+            return islice(_reciprocal_sums(one, div), a * origin + b, None, a)
+        case ("O", b):
+            return islice(_reciprocal_sums(one, div, 2), origin + b, None)
+        case ("E", j):
+            # e_i(G) = e_i(G-1) + e_{i-1}(G-1)/(G-1) from e_i(1) = 0
+            e = repeat(one)
+            for _ in range(j):
+                e = accumulate(map(div, e, count(1)), initial=one * 0)
+            return islice(e, origin - 1, None)
+    raise ValueError(f"unknown atom {atom!r}")
 
 
-def _diag_s111(n_max: int, one: int) -> int:
-    acc = 0
-    hm = 0
-    for g in range(2, n_max + 1):
-        hm += one // (g - 1)
-        acc += (2 * hm) // (g * g)
-    return acc
+def _regrouped_terms(spec: SeriesSpec, one, div, prec: int | None):
+    """The row's regrouped term at G = origin, origin + 1, ... from its
+    ``atoms``: (sum coeff * prod atoms) / prod (aG + b), each product of two
+    atoms shifted right by prec on the fixed-point grid (prec None: exact).
+    Every stage is an iterator, so a walk of any length holds O(1) values."""
+    fam = spec.family
+    if fam.atoms is None:
+        raise ValueError(f"{spec} has no regrouped single sum here")
+    terms, linear = fam.atoms(*spec.args)
+    origin = fam.origin
+    const, num = one * 0, None
+    for coeff, atoms in terms:
+        part = None
+        for atom in atoms:
+            if atom == ("E", 0):
+                continue  # e_0 = 1
+            x = _atom_values(atom, origin, one, div)
+            if part is None:
+                part = x
+            else:
+                part = map(mul, part, x)
+                if prec is not None:
+                    part = map(rshift, part, repeat(prec))
+        if part is None:
+            const += coeff * one
+            continue
+        if coeff != 1:
+            part = map(mul, repeat(coeff), part)
+        num = part if num is None else map(add, num, part)
+    if num is None:
+        num = repeat(const)
+    elif const:
+        num = map(add, num, repeat(const))
+    # prod (aG + b) over the linear factors
+    dens = reduce(partial(map, mul), [count(a * origin + b, a) for a, b in linear])
+    return map(div, num, dens)
 
 
-def _diag_base_t(j: int, n_max: int, one: int) -> int:
-    acc = 0
-    o = 0
-    for g in range(0, n_max + 1):
-        o += one // (2 * g + 1)
-        acc += o // ((g + 1) * (2 * g + j))
-    return acc
-
-
-def _diag_halfint(variant: str, n_max: int, one: int) -> int:
-    acc = 0
-    o = 0
-    if variant == "a":
-        for g in range(0, n_max + 1):
-            o += one // (2 * g + 1)
-            acc += (16 * o) // ((g + 1) * (2 * g + 1) * (2 * g + 2))
-    elif variant == "b":
-        for g in range(0, n_max + 1):
-            o += one // (2 * g + 1)
-            acc += (16 * o) // ((g + 1) * (2 * g + 2) * (2 * g + 3))
-    else:
-        for g in range(0, n_max + 1):
-            o += one // (2 * g + 1)
-            acc += (32 * o) // ((g + 1) * (2 * g + 1) * (2 * g + 2) * (2 * g + 3))
-    return acc
-
-
-def _diag_binter(n_max: int, one: int) -> int:
-    acc = 0
-    o = one  # O_1
-    for g in range(2, n_max + 1):
-        o += one // (2 * g - 1)
-        acc += (o - one) // ((g + 1) * (2 * g + 1))
-    return acc
-
-
-def _sum_ln_series(n_max: int, one: int) -> int:
-    acc = 0
-    h2 = one  # H_{2m+1}, starting from H_1
-    hm = 0
-    for m in range(1, n_max + 1):
-        h2 += one // (2 * m) + one // (2 * m + 1)
-        hm += one // m
-        acc += (2 * h2 - hm) // (2 * m * (2 * m + 1))
-    return acc
-
-
-def _sum_on_series(n_max: int, one: int) -> int:
-    acc = 0
-    o = 0
-    for m in range(1, n_max + 1):
-        o += one // (2 * m - 1)
-        acc += o // (2 * m * (2 * m + 1))
-    return acc
-
-
-def _sum_evenodd(n_max: int, one: int) -> int:
-    acc = 0
-    for m in range(1, n_max + 1):
-        acc += one // (2 * m * (2 * m + 1))
-    return acc
-
-
-def _sum_oddsq(n_max: int, one: int) -> int:
-    acc = 0
-    for k in range(n_max):
-        acc += one // ((2 * k + 1) ** 2)
-    return acc
+def _regrouped_sum(spec: SeriesSpec, n_max: int, one: int) -> int:
+    """The regrouped terms at G = origin..n_max, each floored onto the grid ONE."""
+    terms = _regrouped_terms(spec, one, floordiv, one.bit_length() - 1)
+    return sum(islice(terms, n_max + 1 - spec.family.origin))
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +358,7 @@ def _factored_box(spec: SeriesSpec, box: int, one: int) -> int:
     num, last, tot, rows = _defining_walk(spec, box, top)
     if num is None:
         s = spec.family.shift(*spec.args)
-        nums = _fx_harmonic_prefix(top + s, one)[s:]
+        nums = list(islice(_reciprocal_sums(one, floordiv), s, top + s + 1))
     else:
         nums = [num * one] * (top + 1)
     acc = 0
@@ -439,10 +377,8 @@ def _factored_box(spec: SeriesSpec, box: int, one: int) -> int:
 
 def diagonal_partial_exact(spec: SeriesSpec, cutoff: int) -> Fraction:
     """Exact partial sum of the single-index regrouped form, totals <= cutoff."""
-    fam, args = spec.family, spec.args
-    if fam.diag_term is None:
-        raise ValueError(f"no diagonal form for {spec}")
-    return sum(map(partial(fam.diag_term, *args), range(fam.origin, cutoff + 1)), Fraction(0))
+    terms = _regrouped_terms(spec, Fraction(1), truediv, None)
+    return sum(islice(terms, cutoff + 1 - spec.family.origin), Fraction(0))
 
 
 def triangle_partial_exact(spec: SeriesSpec, cutoff: int) -> Fraction:
@@ -524,8 +460,8 @@ def oracle_raw(spec: SeriesSpec, cfg: NumericCfg) -> OracleResult:
             f"raw box {cfg.n_max}^{dims} is out of reach; cap {_RAW_TERM_CAP} terms (use diagonal)"
         )
     if dims == 1:
-        # a one-index series is its own regrouping, summed by its diagonal loop
-        return _summed(spec, cfg, "raw", partial(fam.diag, *spec.args))
+        # a one-index series is its own regrouping, summed by the regrouped walk
+        return _summed(spec, cfg, "raw", partial(_regrouped_sum, spec))
     return _summed(spec, cfg, "raw", partial(_factored_box, spec))
 
 
@@ -550,10 +486,7 @@ def oracle_diagonal(spec: SeriesSpec, cfg: NumericCfg) -> OracleResult:
     S_N*.  Below N*, the first n_max terms are summed and ``tail_estimate``
     bounds what is left.
     """
-    fam = spec.family
-    if fam.diag is None:
-        raise ValueError(f"{spec} has no regrouped single sum here")
-    engine = partial(fam.diag, *spec.args)
+    engine = partial(_regrouped_sum, spec)
     n_star = asymptotic_cutoff(spec, cfg.digits)
     if cfg.n_max < n_star:
         return _summed(spec, cfg, "diagonal", engine)

@@ -7,7 +7,7 @@ command line and echoed in reports, e.g. ``A3:s=2``, ``An:n=4,s=0``,
 
 Everything the package knows about a family lives in its row of
 ``FAMILIES``: the parameter schema, the closed form, the defining summand,
-the regrouped term and its fixed-point engine, and the tail majorant.  The
+the regrouped term as harmonic atoms, and the tail majorant.  The
 closed-form evaluators and the oracles look the row up through
 ``SeriesSpec.family``; adding a family means adding one row.
 """
@@ -20,8 +20,7 @@ from functools import partial
 from math import factorial, prod
 from typing import Callable
 
-from . import closedform, oracle
-from .exact import harmonic, harmonic_gen, odd_harmonic
+from . import closedform
 from .zexpr import ZExpr
 
 
@@ -48,17 +47,17 @@ class Family:
     ``origin`` and g = m_1 + ... + m_d; num is a constant, or None for
     H_{g + shift}.  The raw box and the exact triangle and box partials all
     come from it; a one-index row without it is its own regrouping.
-    ``diag_term`` is the summand regrouped by the index total g, from
-    g = ``origin``, and ``diag`` its hand-written fixed-point loop.  The
-    two forms are written independently, so their exact partial sums
-    agreeing is a check of the regrouping.  ``atoms`` states the regrouped
-    term a third time, as (terms, linear): the sum of coeff * product of
+    ``atoms`` is the summand regrouped by the index total G, from
+    G = ``origin``, as (terms, linear): the sum of coeff * product of
     harmonic atoms over the terms, divided by the product of (a G + b)
     over the linear factors, with atoms ``("H", a, b)`` = H_{aG+b},
-    ``("O", b)`` = O_{G+b} and ``("E", j)`` = e_j(1, 1/2, ..., 1/(G-1));
-    the asymptotic tail (``asymptotic.py``) expands it.  ``tail`` gives
-    (A, c, k, p) of the majorant A (ln G + c)^k / G^p of the terms past a
-    cutoff of at least ``shift``.
+    ``("O", b)`` = O_{G+b} and ``("E", j)`` = e_j(1, 1/2, ..., 1/(G-1)).
+    The diagonal route's fixed-point walk, the exact diagonal partial and
+    the asymptotic tail (``asymptotic.py``) all come from it.  The two
+    forms are written independently, so their exact partial sums agreeing
+    is a check of the regrouping.  ``tail`` gives (A, c, k, p) of the
+    majorant A (ln G + c)^k / G^p of the terms past a cutoff of at least
+    ``shift``.
     """
 
     kind: str
@@ -66,8 +65,6 @@ class Family:
     closed: Callable[..., ZExpr] | None  # None: oracle-only, no closed form
     tail: Callable[..., tuple[Fraction, float, int, int]]
     summand: Callable[..., tuple] | None = None  # (*args); None: a one-index sum
-    diag_term: Callable[..., Fraction] | None = None  # (*args, g); None: no regrouping
-    diag: Callable[..., int] | None = None  # (*args, n_max, one)
     atoms: Callable[..., tuple] | None = None  # (*args) -> (terms, linear)
     dims: Callable[..., int] = _const(2)  # number of summation indices
     origin: int = 1
@@ -80,37 +77,11 @@ class Family:
     quadrature: bool = False  # the A-family integral representation applies
 
 
-def _single_sum(kind, token, closed, term, engine, atoms, tail) -> Family:
-    # a one-index series is its own regrouping: one term, one engine
+def _single_sum(kind, token, closed, atoms, tail) -> Family:
+    # a one-index series is its own regrouping: its atoms are its term
     return Family(
-        kind=kind, token=token, closed=closed, tail=_const(tail),
-        diag_term=term, diag=engine, atoms=_const(atoms), dims=_const(1),
+        kind=kind, token=token, closed=closed, tail=_const(tail), atoms=_const(atoms), dims=_const(1)
     )
-
-
-def _composition_weight(j: int, g: int) -> Fraction:
-    """c_j(g): 1/product summed over compositions of g into j parts,
-    j m_{j-1}/g with m_i the monomial in the power sums p_i = H_{g-1}^(i)
-    (``oracle._diag_an`` sums the same weight as j! e_{j-1}/g)."""
-    if g < j:
-        return Fraction(0)
-    if j == 1:
-        return Fraction(1, g)
-    p1 = harmonic(g - 1)
-    if j == 2:
-        return 2 * p1 / g
-    p2 = harmonic_gen(g - 1, 2)
-    if j == 3:
-        return 3 * (p1 * p1 - p2) / g
-    p3 = harmonic_gen(g - 1, 3)
-    if j == 4:
-        return 4 * (p1**3 - 3 * p1 * p2 + 2 * p3) / g
-    p4 = harmonic_gen(g - 1, 4)
-    if j == 5:
-        return (
-            5 * (p1**4 - 6 * p1 * p1 * p2 + 3 * p2 * p2 + 8 * p1 * p3 - 6 * p4) / g
-        )
-    raise ValueError(f"convolution weights supported for j <= 5, got j={j}")
 
 
 # half-integer variant -> k of its outer factors (m+n+k/2); with the inner
@@ -128,11 +99,6 @@ def _halfint_atoms(v: str) -> tuple:
     return ((2 ** (2 + len(ks)), (("O", 1),)),), ((1, 1),) + tuple((2, k) for k in ks)
 
 
-def _halfint_diag_term(v: str, g: int) -> Fraction:
-    ks = _HALF_FACTORS[v]
-    return 2 ** (2 + len(ks)) * odd_harmonic(g + 1) / ((g + 1) * prod(2 * g + k for k in ks))
-
-
 _AN = Family(
     kind="An",
     token="An",
@@ -143,8 +109,6 @@ _AN = Family(
     dims=lambda n, s: n - 1,
     # H_{g+s} / (m_1 ... m_{n-1} (g+s))
     summand=lambda n, s: (None, _index, _index, lambda g: g + s),
-    diag_term=lambda n, s, g: _composition_weight(n - 1, g) * harmonic(g + s) / (g + s),
-    diag=oracle._diag_an,
     # c_{n-1}(G) = (n-1)! e_{n-2}/G
     atoms=lambda n, s: (((factorial(n - 1), (("E", n - 2), ("H", 1, s))),), ((1, 0), (1, s))),
     # c_j(G) <= 2^(j-1) H_G^(j-1)/G and H_{G+s} <= ln G + 2 for s <= G
@@ -174,8 +138,6 @@ FAMILIES: dict[str, Family] = {
             token="S111",
             closed=lambda: ZExpr.zeta(3, 2),
             summand=_const((1, _index, _index, _index)),
-            diag_term=lambda g: 2 * harmonic(g - 1) / Fraction(g * g),
-            diag=oracle._diag_s111,
             atoms=_const((((2, (("H", 1, -1),)),), ((1, 0), (1, 0)))),
             tail=_const((Fraction(2), 2.0, 1, 2)),
         ),
@@ -183,8 +145,6 @@ FAMILIES: dict[str, Family] = {
             "LnSeries",
             "ln",
             closedform.eval_ln_series,
-            lambda m: (2 * harmonic(2 * m + 1) - harmonic(m)) / (2 * m * (2 * m + 1)),
-            oracle._sum_ln_series,
             (((2, (("H", 2, 1),)), (-1, (("H", 1, 0),))), ((2, 0), (2, 1))),
             # 2 H_{2m+1} - H_m <= ln m + 3.2
             (Fraction(1, 4), 3.2, 1, 2),
@@ -193,8 +153,6 @@ FAMILIES: dict[str, Family] = {
             "OnSeries",
             "on",
             closedform.eval_on_series,
-            lambda m: odd_harmonic(m) / (2 * m * (2 * m + 1)),
-            oracle._sum_on_series,
             (((1, (("O", 0),)),), ((2, 0), (2, 1))),
             # O_m <= (ln m + 3.4)/2
             (Fraction(1, 8), 3.4, 1, 2),
@@ -209,8 +167,6 @@ FAMILIES: dict[str, Family] = {
             closed=closedform.eval_base_T,
             origin=0,
             summand=lambda j: (1, _odd, _odd, lambda g: 2 * g + j),
-            diag_term=lambda j, g: odd_harmonic(g + 1) / ((g + 1) * (2 * g + j)),
-            diag=oracle._diag_base_t,
             atoms=lambda j: (((1, (("O", 1),)),), ((1, 1), (2, j))),
             tail=_const((Fraction(1, 4), 3.5, 1, 2)),
         ),
@@ -224,8 +180,6 @@ FAMILIES: dict[str, Family] = {
             closed=closedform.eval_halfint,
             origin=0,
             summand=_halfint_summand,
-            diag_term=_halfint_diag_term,
-            diag=oracle._diag_halfint,
             atoms=_halfint_atoms,
             tail=lambda v: (Fraction(2), 3.5, 1, 1 + len(_HALF_FACTORS[v])),
         ),
@@ -233,8 +187,6 @@ FAMILIES: dict[str, Family] = {
             "EvenOddAux",
             "evenodd",
             partial(closedform.eval_aux, "EvenOddAux"),
-            lambda m: Fraction(1, 2 * m * (2 * m + 1)),
-            oracle._sum_evenodd,
             (((1, ()),), ((2, 0), (2, 1))),
             (Fraction(1, 4), 0.0, 0, 2),
         ),
@@ -242,8 +194,6 @@ FAMILIES: dict[str, Family] = {
             "OddSquares",
             "oddsq",
             partial(closedform.eval_aux, "OddSquares"),
-            lambda m: Fraction(1, (2 * m - 1) ** 2),
-            oracle._sum_oddsq,
             (((1, ()),), ((2, -1), (2, -1))),
             (Fraction(1, 4), 0.0, 0, 2),
         ),
@@ -252,8 +202,6 @@ FAMILIES: dict[str, Family] = {
             token="binter",
             closed=partial(closedform.eval_aux, "BInter"),
             summand=_const((1, _odd, _const(1), lambda g: (g + 1) * (2 * g + 1))),
-            diag_term=lambda g: (odd_harmonic(g) - 1) / Fraction((g + 1) * (2 * g + 1)),
-            diag=oracle._diag_binter,
             atoms=_const((((1, (("O", 0),)), (-1, ())), ((1, 1), (2, 1)))),
             # O_G - 1 <= (ln G + 1.4)/2
             tail=_const((Fraction(1, 4), 2.0, 1, 2)),

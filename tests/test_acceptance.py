@@ -16,6 +16,7 @@ from tornzeta.harness import paper_full_manifest, render_reports, run_suite, smo
 from tornzeta.oracle import (
     NumericCfg,
     _prec_bits,
+    _regrouped_sum,
     box_partial_exact,
     const_zeta,
     diagonal_partial_exact,
@@ -163,7 +164,7 @@ def test_criterion_10_property_suites_soundness_honesty_monotone_determinism():
         spec = parse_spec(text)
         assert diagonal_partial_exact(spec, depth) == triangle_partial_exact(spec, depth), text
     # tail honesty: true remainders sit inside the certified majorants, with
-    # S_N from the row's diag engine (oracle_diagonal's route below the
+    # S_N from the regrouped walk (oracle_diagonal's route below the
     # asymptotic cutoff), at cutoffs past that cutoff too
     prec = _prec_bits(50)
     honesty = [
@@ -184,7 +185,7 @@ def test_criterion_10_property_suites_soundness_honesty_monotone_determinism():
         with workdps(60):
             closed = zx_numeric(closed_form_of(spec), 50)
             for n_cut in (10**3, 10**4, 10**5):
-                value = mp.mpf(spec.family.diag(*spec.args, n_cut, 1 << prec)) / mp.mpf(1 << prec)
+                value = mp.mpf(_regrouped_sum(spec, n_cut, 1 << prec)) / mp.mpf(1 << prec)
                 err = closed - value
                 assert 0 <= err <= tail_estimate(spec, n_cut), (text, n_cut)
     # monotone bounded partial sums

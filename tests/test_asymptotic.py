@@ -17,9 +17,11 @@ from tornzeta.oracle import (
     diagonal_partial_exact,
     oracle_diagonal,
     tail_estimate,
+    triangle_partial_exact,
     zx_numeric,
 )
 from tornzeta.series import parse_spec
+from tornzeta.zexpr import ZExpr
 
 DIAG_FAMILIES = [
     "A3:s=0",
@@ -44,15 +46,19 @@ DIAG_FAMILIES = [
 ]
 
 
-# e_0..e_4 of 1, 1/2, ..., 1/(g-1) at index g-1, grown on demand (An has n <= 6)
-_ELEMENTARY = [[F(1)] + [F(0)] * 4]
+# _ELEMENTARY[j][g - 1] = e_j(1, 1/2, ..., 1/(g-1)), each column grown on
+# demand, for any j
+_ELEMENTARY: dict[int, list[F]] = {}
 
 
 def _elementary(j: int, g: int) -> F:
-    while len(_ELEMENTARY) < g:
-        k, prev = len(_ELEMENTARY), _ELEMENTARY[-1]
-        _ELEMENTARY.append(prev[:1] + [prev[i] + prev[i - 1] / k for i in range(1, 5)])
-    return _ELEMENTARY[g - 1][j]
+    if j == 0:
+        return F(1)
+    col = _ELEMENTARY.setdefault(j, [F(0)])
+    while len(col) < g:
+        k = len(col)
+        col.append(col[-1] + _elementary(j - 1, k) / k)
+    return col[g - 1]
 
 
 def _atom_exact(atom, g: int) -> F:
@@ -82,10 +88,16 @@ def _reference(closed):
 
 @pytest.mark.parametrize("text", DIAG_FAMILIES)
 def test_atoms_transcribe_the_regrouped_term(text):
-    # the atom description and diag_term are written independently
+    # the atom description and the defining summand are written
+    # independently, so the atom term at total g is the triangle partial's
+    # step at g; ln, on, evenodd and oddsq have no summand, and for them
+    # the triangle partial is the exact walk over the same atoms
     spec = parse_spec(text)
-    for g in range(max(spec.family.origin, 1), 40):
-        assert _atoms_exact(spec, g) == spec.family.diag_term(*spec.args, g), g
+    top = 40 if spec.family.dims(*spec.args) <= 2 else 14
+    acc = F(0)
+    for g in range(spec.family.origin, top + 1):
+        acc += _atoms_exact(spec, g)
+        assert acc == triangle_partial_exact(spec, g), g
 
 
 def _worst_ratio(t, exact, n: int, order: int, prec: int) -> float:
@@ -121,12 +133,13 @@ def test_expansion_remainder_is_honest(text):
     for n in (50, 200, 1000):
         for order in (8, asymptotic.order(spec, n, 50)):
             t = asymptotic.term_expansion(spec, n, order, prec)
-            exact = partial(spec.family.diag_term, *spec.args)
+            exact = partial(_atoms_exact, spec)
             assert _worst_ratio(t, exact, n, order, prec) <= 1
 
 
 @pytest.mark.parametrize(
-    "atom", [("H", 1, 0), ("H", 1, -1), ("H", 1, 7), ("H", 2, 1), ("O", 1), ("E", 2), ("E", 4)]
+    "atom",
+    [("H", 1, 0), ("H", 1, -1), ("H", 1, 7), ("H", 2, 1), ("O", 1), ("E", 2), ("E", 4), ("E", 6)],
 )
 def test_atom_remainder_is_honest(atom):
     # inside a term an atom's own remainder is two orders below what the
@@ -213,6 +226,16 @@ def test_perturbed_closed_forms_fall_outside_every_enclosure():
             for sign in (1, -1):
                 moved = closed * (1 + sign * mp.mpf("1e-40"))
                 assert abs(moved - res.value) > res.tail_bound, (entry.spec.label(), sign)
+
+
+def test_an_past_six_folds_verifies_through_the_asymptotic_route():
+    # e_j comes from one recurrence for every j, so n is not capped: 8! zeta(9)
+    spec = parse_spec("An:n=8,s=0")
+    assert closed_form_of(spec) == ZExpr.zeta(9, math.factorial(8))
+    report = verify(spec, NumericCfg(digits=50), 1e-8)
+    assert report.passed, report.reason
+    assert report.oracle.n_used == 2**11
+    assert _certified_digits(report, 50) >= 45
 
 
 def test_huge_n_max_is_a_ceiling():
