@@ -12,11 +12,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from mpmath import mp
-
 from .closedform import closed_form_of
 from .exact import bernoulli
-from .harness import PRESETS, emit, render_reports, verify
+from .harness import PRESETS, _fmt, emit, render_reports, verify
 from .harness import run_suite as _run_suite
 from .oracle import (
     NumericCfg,
@@ -30,11 +28,6 @@ from .oracle import (
 )
 from .series import parse_spec
 from .zexpr import zx_normalize
-
-
-def _fmt(x, digits: int) -> str:
-    with mp.workdps(digits + 10):
-        return mp.nstr(mp.mpf(x), digits, strip_zeros=False)
 
 
 def _add_numeric_opts(p: argparse.ArgumentParser) -> None:

@@ -228,9 +228,9 @@ _CSV_COLUMNS = (
 )
 
 
-def _fmt30(x) -> str:
-    with mp.workdps(40):
-        return mp.nstr(mp.mpf(x), 30, strip_zeros=False)
+def _fmt(x, digits: int) -> str:
+    with mp.workdps(digits + 10):
+        return mp.nstr(mp.mpf(x), digits, strip_zeros=False)
 
 
 def _n_used(o: OracleResult):
@@ -244,12 +244,12 @@ def _row(report: EvalReport) -> dict:
         "spec": report.spec.token(),
         "params": report.spec.params_text(),
         "closed_form_text": report.closed_text,
-        "closed_numeric": _fmt30(report.closed_numeric),
-        "oracle_value": _fmt30(o.value),
+        "closed_numeric": _fmt(report.closed_numeric, 30),
+        "oracle_value": _fmt(o.value, 30),
         "oracle_method": o.method,
         "n_used": _n_used(o),
-        "abs_err": _fmt30(report.abs_err),
-        "tail_bound": _fmt30(o.tail_bound),
+        "abs_err": _fmt(report.abs_err, 30),
+        "tail_bound": _fmt(o.tail_bound, 30),
         "pass": report.passed,
     }
 

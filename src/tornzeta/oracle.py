@@ -25,18 +25,17 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from itertools import accumulate, count, islice, repeat
-from operator import add, floordiv, mul, rshift, truediv
+from operator import add, floordiv, mul, rshift
 from typing import TYPE_CHECKING
 
 from mpmath import mp
 
-from .exact import bernoulli, harmonic
+from .exact import bernoulli
 from .zexpr import ZExpr
 
 if TYPE_CHECKING:
@@ -117,60 +116,41 @@ class OracleError(Exception):
 # ---------------------------------------------------------------------------
 # constants
 
-_const_cache: dict[tuple, object] = {}
-_const_lock = threading.Lock()
-
-
-def _cached_const(key, compute):
-    val = _const_cache.get(key)
-    if val is None:
-        with _const_lock:
-            val = _const_cache.get(key)
-            if val is None:
-                val = compute()
-                _const_cache[key] = val
-    return val
-
 
 def _check_digits(digits: int) -> None:
     if digits < 30:
         raise ValueError(f"precision below 30 digits is not supported, got {digits}")
 
 
+@cache
 def const_pi(digits: int):
     """pi at the requested precision (delegated to the mpfloat backend)."""
     _check_digits(digits)
-
-    def compute():
-        with mp.workdps(digits + 10):
-            return +mp.pi
-
-    return _cached_const(("pi", digits), compute)
+    with mp.workdps(digits + 10):
+        return +mp.pi
 
 
+@cache
 def const_ln2(digits: int):
     """ln 2 = 2 atanh(1/3), summed as 2 sum_{i>=0} (1/9)^i / (3 (2i+1))."""
     _check_digits(digits)
-
-    def compute():
-        with mp.workdps(digits + 10):
-            target = mp.mpf(10) ** (-(digits + 8))
-            x2 = mp.mpf(1) / 9
-            power = mp.mpf(1) / 3
-            acc = mp.mpf(0)
-            i = 0
-            while True:
-                term = power / (2 * i + 1)
-                acc += term
-                if term < target:
-                    break
-                power *= x2
-                i += 1
-            return +(2 * acc)
-
-    return _cached_const(("ln2", digits), compute)
+    with mp.workdps(digits + 10):
+        target = mp.mpf(10) ** (-(digits + 8))
+        x2 = mp.mpf(1) / 9
+        power = mp.mpf(1) / 3
+        acc = mp.mpf(0)
+        i = 0
+        while True:
+            term = power / (2 * i + 1)
+            acc += term
+            if term < target:
+                break
+            power *= x2
+            i += 1
+        return +(2 * acc)
 
 
+@cache
 def const_zeta(k: int, digits: int):
     """zeta(k) by Euler-Maclaurin with M = 2*digits.
 
@@ -185,42 +165,32 @@ def const_zeta(k: int, digits: int):
     if k < 2:
         raise ValueError(f"zeta needs k >= 2, got {k}")
     _check_digits(digits)
-
-    def compute():
-        with mp.workdps(digits + 10):
-            big_m = 2 * digits
-            acc = mp.mpf(0)
-            for i in range(1, big_m):
-                acc += mp.mpf(1) / mp.mpf(i) ** k
-            m_ = mp.mpf(big_m)
-            acc += m_ ** (1 - k) / (k - 1) + m_ ** (-k) / 2
-            target = mp.mpf(10) ** (-(digits + 5))
-            rising = mp.mpf(k)
-            power = m_ ** (-k - 1)
-            prev = None
-            i = 1
-            while True:
-                b = bernoulli(2 * i)
-                corr = (
-                    mp.mpf(b.numerator)
-                    / b.denominator
-                    / math.factorial(2 * i)
-                    * rising
-                    * power
-                )
-                if prev is not None and abs(corr) >= prev:
-                    break
-                acc += corr
-                mag = abs(corr)
-                if mag < target:
-                    break
-                prev = mag
-                rising *= (k + 2 * i - 1) * (k + 2 * i)
-                power /= m_ * m_
-                i += 1
-            return +acc
-
-    return _cached_const(("zeta", k, digits), compute)
+    with mp.workdps(digits + 10):
+        big_m = 2 * digits
+        acc = mp.mpf(0)
+        for i in range(1, big_m):
+            acc += mp.mpf(1) / mp.mpf(i) ** k
+        m_ = mp.mpf(big_m)
+        acc += m_ ** (1 - k) / (k - 1) + m_ ** (-k) / 2
+        target = mp.mpf(10) ** (-(digits + 5))
+        rising = mp.mpf(k)
+        power = m_ ** (-k - 1)
+        prev = None
+        i = 1
+        while True:
+            b = bernoulli(2 * i)
+            corr = mp.mpf(b.numerator) / b.denominator / math.factorial(2 * i) * rising * power
+            if prev is not None and abs(corr) >= prev:
+                break
+            acc += corr
+            mag = abs(corr)
+            if mag < target:
+                break
+            prev = mag
+            rising *= (k + 2 * i - 1) * (k + 2 * i)
+            power /= m_ * m_
+            i += 1
+        return +acc
 
 
 def zx_numeric(a: ZExpr, digits: int):
@@ -258,7 +228,7 @@ def _prec_bits(digits: int) -> int:
 def _reciprocal_sums(one, div, step: int = 1):
     """S_0 = 0, S_1, S_2, ... with S_i = S_{i-1} + div(one, 1 + (i-1) step):
     the harmonic (step 1) or odd harmonic (step 2) prefix sums, floored on
-    the grid ONE with div = floordiv, exact with one = Fraction(1) and truediv."""
+    the grid ONE with div = floordiv, exact with one = 1 and div = _exact_div."""
     return accumulate(map(div, repeat(one), count(1, step)), initial=one * 0)
 
 
@@ -352,19 +322,25 @@ def _defining_walk(spec: SeriesSpec, hi: int, top: int):
     return num, last, tot, [(p, slice(t + origin, t + origin + span)) for p, t in level]
 
 
-def _factored_box(spec: SeriesSpec, box: int, one: int) -> int:
-    # every term floor(num * one / den), as a hand-written double loop would
-    top = spec.family.dims(*spec.args) * box
-    num, last, tot, rows = _defining_walk(spec, box, top)
+def _defining_sum(spec: SeriesSpec, hi: int, top: int, one, div):
+    """The defining form over ``_defining_walk(spec, hi, top)``, each term
+    div(num * one, den): floored on the grid ONE with (1 << prec, floordiv),
+    exact with (1, _exact_div)."""
+    num, last, tot, rows = _defining_walk(spec, hi, top)
     if num is None:
         s = spec.family.shift(*spec.args)
-        nums = list(islice(_reciprocal_sums(one, floordiv), s, top + s + 1))
+        nums = list(islice(_reciprocal_sums(one, div), s, top + s + 1))
     else:
         nums = [num * one] * (top + 1)
-    acc = 0
+    acc = div(0, 1)  # zero as an int, or as a Fraction
     for p, sl in rows:
-        acc += sum([h // (p * b * c) for h, b, c in zip(nums[sl], last, tot[sl])])
+        acc += sum(map(div, nums[sl], [p * b * c for b, c in zip(last, tot[sl])]))
     return acc
+
+
+def _factored_box(spec: SeriesSpec, box: int, one: int) -> int:
+    # every term floor(num * one / den), as a hand-written double loop would
+    return _defining_sum(spec, box, spec.family.dims(*spec.args) * box, one, floordiv)
 
 
 # ---------------------------------------------------------------------------
@@ -372,12 +348,18 @@ def _factored_box(spec: SeriesSpec, box: int, one: int) -> int:
 #
 # Used by the reduction-soundness checks: the diagonal regrouping must be
 # an identity, so diagonal and defining-form partial sums over matching
-# index sets agree exactly as Fractions, not merely numerically.
+# index sets agree exactly as Fractions, not merely numerically.  They run
+# the fixed-point walks with one = 1 and div = _exact_div: an int numerator
+# over an int denominator starts a Fraction, and a Fraction divides as one.
+
+
+def _exact_div(x, d):
+    return Fraction(x, d) if isinstance(x, int) else x / d
 
 
 def diagonal_partial_exact(spec: SeriesSpec, cutoff: int) -> Fraction:
     """Exact partial sum of the single-index regrouped form, totals <= cutoff."""
-    terms = _regrouped_terms(spec, Fraction(1), truediv, None)
+    terms = _regrouped_terms(spec, 1, _exact_div, None)
     return sum(islice(terms, cutoff + 1 - spec.family.origin), Fraction(0))
 
 
@@ -387,39 +369,29 @@ def triangle_partial_exact(spec: SeriesSpec, cutoff: int) -> Fraction:
     For double sums that is the triangle (or simplex) of index totals
     <= cutoff; for single sums it coincides with the diagonal partial.
     """
-    return _defining_partial(spec, cutoff, cutoff)
+    if spec.family.summand is None:
+        # a one-index series is its own regrouping
+        return diagonal_partial_exact(spec, cutoff)
+    return _defining_sum(spec, cutoff, cutoff, 1, _exact_div)
 
 
 def box_partial_exact(spec: SeriesSpec, box: int) -> Fraction:
     """Exact defining-form sum over the raw box cutoff (what oracle_raw sums)."""
-    return _defining_partial(spec, box, spec.family.dims(*spec.args) * box)
-
-
-def _defining_partial(spec: SeriesSpec, hi: int, top: int) -> Fraction:
     if spec.family.summand is None:
-        # a one-index series is its own regrouping
-        return diagonal_partial_exact(spec, hi)
-    num, last, tot, rows = _defining_walk(spec, hi, top)
-    acc = Fraction(0)
-    if num is None:
-        s = spec.family.shift(*spec.args)
-        nums = [harmonic(g + s) for g in range(top + 1)]
-        for p, sl in rows:
-            acc += sum([h / (p * b * c) for h, b, c in zip(nums[sl], last, tot[sl])])
-    else:
-        for p, sl in rows:
-            acc += sum([Fraction(num, p * b * c) for b, c in zip(last, tot[sl])])
-    return acc
+        return diagonal_partial_exact(spec, box)
+    return _defining_sum(spec, box, spec.family.dims(*spec.args) * box, 1, _exact_div)
 
 
 # ---------------------------------------------------------------------------
 # tail bounds
 #
-# Each family row's ``tail`` is a certified majorant A (ln x + c)^k / x^p
-# of its reduced terms past the cutoff; the discarded tail is then at most
-# the closed-form integral from N to infinity, by monotone integral
-# comparison.  Constants are over-estimates chosen for provability, not
-# tightness; the tail-honesty tests pin them against true remainders.
+# Each family row's ``tail`` gives A (ln x + c)^k / x^p, and the discarded
+# tail is at most its closed-form integral from N to infinity.  For every row
+# but oddsq that follows from a term-wise majorant by monotone integral
+# comparison.  oddsq's 1/(4G^2) lies below its term 1/(2G-1)^2; its bound
+# 1/(4N) holds by convexity, as the integral of (2x-1)^-2 from N + 1/2.
+# Constants are over-estimates chosen for provability, not tightness; the
+# tail-honesty tests pin them against true remainders.
 
 
 def tail_estimate(spec: SeriesSpec, n_cut: int):

@@ -1,10 +1,13 @@
+import os
+import subprocess
+import sys
 import threading
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from tornzeta import exact
 from tornzeta.exact import (
     bernoulli,
     binomial,
@@ -67,13 +70,36 @@ class TestBernoulli:
             bernoulli(-1)
 
     @given(st.integers(min_value=1, max_value=40))
+    @example(120)
+    @example(250)
     def test_defining_recurrence(self, n):
-        # sum_{k<n} C(n,k) B_k = 0 for n >= 2, with B_1 = -1/2 convention
+        # sum_{k<n} C(n,k) B_k = 0 for n >= 2, with B_1 = -1/2 convention;
+        # 120 and 250 reach past the B_172 that 300-digit runs use
         total = sum(binomial(n, k) * bernoulli(k) for k in range(n))
         if n == 1:
             assert total == 1
         else:
             assert total == 0
+
+    def test_recursion_stays_shallow(self):
+        # the recurrence asks for B_j with j ascending, so a cold B_300 finds
+        # every B_j it needs cached and recurses at most 2 deep
+        code = (
+            "import sys\n"
+            "from tornzeta.exact import bernoulli\n"
+            "sys.setrecursionlimit(100)\n"
+            "print(bernoulli(300))\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == str(bernoulli(300))
 
 
 class TestHarmonic:
@@ -133,24 +159,33 @@ def test_table_cache_is_shared():
 
 
 def test_fresh_table_concurrent_growth():
-    # start past every row cached so far, so the threads grow the caches
-    base = max(len(exact._harmonic_cache), len(exact._odd_cache), len(exact._gen_cache.get(2, ())))
+    # start each table past every index the rest of the suite asks for (H_n
+    # to about 2200, O_m to about 1100, H_n^(2) to about 200), so the
+    # threads fill the caches together
+    h0, o0, g0 = 2500, 1200, 250
     errs = []
 
     def _work():
         try:
-            for n in range(base, base + 400):
+            for n in range(h0, h0 + 25):
                 assert harmonic(n) - harmonic(n - 1) == F(1, n)
-                odd_harmonic(base + n % 97)
-                harmonic_gen(base + n % 53, 2)
+                odd_harmonic(o0 + n % 11)
+                harmonic_gen(g0 + n % 7, 2)
         except Exception as exc:  # pragma: no cover - only on race
             errs.append(exc)
 
     threads = [threading.Thread(target=_work) for _ in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=60)
-        assert not t.is_alive()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
     assert not errs
-    assert harmonic(base + 399) == sum(F(1, i) for i in range(1, base + 400))
+    assert harmonic(h0 + 24) == sum(F(1, i) for i in range(1, h0 + 25))
+    assert odd_harmonic(o0 + 10) == sum(F(1, 2 * i - 1) for i in range(1, o0 + 11))
+    assert harmonic_gen(g0 + 6, 2) == sum(F(1, i * i) for i in range(1, g0 + 7))

@@ -350,6 +350,15 @@ class TestTailHonesty:
             # the majorant should stay within an order of magnitude of truth
             assert bound <= max(20 * err, mp.mpf("1e-25"))
 
+    @pytest.mark.parametrize("n_cut", [10, 11, 100])
+    def test_oddsq_remainder_within_convexity_bound(self, n_cut):
+        # oddsq's 1/(4G^2) lies below its term 1/(2G-1)^2; the bound 1/(4N)
+        # holds as the integral of the convex (2x-1)^-2 from N + 1/2
+        spec = parse_spec("oddsq")
+        with workdps(60):
+            rest = mp.pi**2 / 8 - f2m(diagonal_partial_exact(spec, n_cut))
+            assert 0 < rest <= tail_estimate(spec, n_cut)
+
     def test_tornheim_raw_remainder_within_bound(self):
         spec = parse_spec("tornheim:a=1,b=1,c=1")
         cfg = NumericCfg(digits=50, n_max=100, method="raw")
