@@ -300,26 +300,46 @@ def _regrouped_sum(spec: SeriesSpec, n_max: int, one: int) -> int:
 # and box partials all walk the same tables, built once per call: the
 # factors of each index value and of each total, and the (product, total)
 # of every prefix m_1..m_{d-1}; the last index is one pass along the tables.
+# Where lead and last agree the summand is symmetric (num and total depend
+# on g alone) and the walk folds: it visits only m_1 <= ... <= m_d, each
+# weighted by its d!/prod(run length)! orderings, which share one
+# denominator and so one floored (or exact) term: the fold is exact.
 
 
 def _defining_walk(spec: SeriesSpec, hi: int, top: int):
     """(num, last, tot, rows) over the indices origin..hi with total <= top:
-    the last-index and total factors, and for each prefix m_1..m_{d-1} its
-    lead product and the slice of totals that its last index reaches."""
+    the last-index and total factors, and per prefix m_1..m_{d-1} a row
+    (lead product, totals slice, i, first, rest): the last index runs from
+    last[i], its first term weighted by first and the others by rest.  A
+    plain row starts every index at origin with weight 1.  A folded one
+    starts it at the index before: a prefix of k indices with w orderings,
+    ending in a run of ``run`` equal values, weights a repeat w (k+1)/(run+1)
+    and a larger value w (k+1), both integers."""
     fam, args = spec.family, spec.args
-    origin = fam.origin
+    origin, dims = fam.origin, fam.dims(*args)
     num, lead_f, last_f, total_f = fam.summand(*args)
     lead = [lead_f(m) for m in range(origin, hi + 1)]
     last = [last_f(m) for m in range(origin, hi + 1)]
     tot = [total_f(g) for g in range(top + 1)]
-    level = [(1, 0)]
-    for left in range(fam.dims(*args) - 1, 0, -1):
-        cap = top - left * origin
-        level = [
-            (p * a, t + m) for p, t in level for m, a in zip(range(origin, cap - t + 1), lead)
-        ]
-    span = len(last)
-    return num, last, tot, [(p, slice(t + origin, t + origin + span)) for p, t in level]
+    fold = lead == last
+    level = [(1, 0, 0, origin, 1, 1)]
+    for k in range(1, dims):
+        nxt = []
+        for p, t, run, lo, first, rest in level:
+            # the d - k indices after m_k each need at least m (folded) or origin
+            cap = (top - t) // (dims - k + 1) if fold else top - t - (dims - k) * origin
+            ms = zip(range(lo, cap + 1), islice(lead, lo - origin, None))
+            if fold:
+                for m, a in ms:
+                    w, r = (first, run + 1) if m == lo else (rest, 1)
+                    nxt.append((p * a, t + m, r, m, w * (k + 1) // (r + 1), w * (k + 1)))
+            else:
+                nxt += [(p * a, t + m, 0, origin, 1, 1) for m, a in ms]
+        level = nxt
+    return num, last, tot, [
+        (p, slice(t + lo, t + hi + 1), lo - origin, first, rest)
+        for p, t, _, lo, first, rest in level
+    ]
 
 
 def _defining_sum(spec: SeriesSpec, hi: int, top: int, one, div):
@@ -333,8 +353,11 @@ def _defining_sum(spec: SeriesSpec, hi: int, top: int, one, div):
     else:
         nums = [num * one] * (top + 1)
     acc = div(0, 1)  # zero as an int, or as a Fraction
-    for p, sl in rows:
-        acc += sum(map(div, nums[sl], [p * b * c for b, c in zip(last, tot[sl])]))
+    for p, sl, i, first, rest in rows:
+        terms = map(div, nums[sl], [p * b * c for b, c in zip(last[i:] if i else last, tot[sl])])
+        if first != rest:  # a folded row, whose first term repeats the index before
+            acc += first * next(terms, 0)
+        acc += rest * sum(terms)
     return acc
 
 
@@ -409,13 +432,15 @@ def tail_estimate(spec: SeriesSpec, n_cut: int):
     if offset > n_cut:
         raise ValueError(f"tail bound needs cutoff >= shift {offset}, got {n_cut}")
     a_const, c_log, k_pow, p_pow = fam.tail(*args)
-    with mp.workdps(30):
+    # positive terms at 40 digits err far below the 1e-35 relative pad that
+    # makes the result an upper bound, itself far below the 30 digits reported
+    with mp.workdps(40):
         base = mp.mpf(n_cut) ** (1 - p_pow) / (p_pow - 1)
         ln_c = mp.log(n_cut) + c_log
         integral = base
         for i in range(1, k_pow + 1):
             integral = ln_c**i * base + i * integral / (p_pow - 1)
-        return +(mp.mpf(a_const.numerator) / a_const.denominator * integral)
+        return mp.mpf(a_const.numerator) / a_const.denominator * integral * (1 + mp.mpf("1e-35"))
 
 
 # ---------------------------------------------------------------------------

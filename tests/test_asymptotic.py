@@ -10,7 +10,6 @@ from mpmath import mp, workdps
 
 from tornzeta import asymptotic, oracle
 from tornzeta.closedform import closed_form_of
-from tornzeta.exact import harmonic, odd_harmonic
 from tornzeta.harness import paper_full_manifest, run_suite, verify
 from tornzeta.oracle import (
     NumericCfg,
@@ -61,12 +60,25 @@ def _elementary(j: int, g: int) -> F:
     return col[g - 1]
 
 
+# _HARMONIC[i] = H_i and _ODD[i] = O_i = 1 + 1/3 + ... + 1/(2i-1), grown on
+# demand like the e_j columns, so fresh ascending indices cost one addition
+# each rather than a cold sum
+_HARMONIC: list[F] = [F(0)]
+_ODD: list[F] = [F(0)]
+
+
+def _grown(col: list[F], i: int, step: int) -> F:
+    while len(col) <= i:
+        col.append(col[-1] + F(1, step * len(col) - step + 1))
+    return col[i]
+
+
 def _atom_exact(atom, g: int) -> F:
     match atom:
         case ("H", alpha, beta):
-            return harmonic(alpha * g + beta)
+            return _grown(_HARMONIC, alpha * g + beta, 1)
         case ("O", beta):
-            return odd_harmonic(g + beta)
+            return _grown(_ODD, g + beta, 2)
         case ("E", j):
             return _elementary(j, g)
 

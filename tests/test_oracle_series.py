@@ -1,5 +1,8 @@
 import tracemalloc
 from fractions import Fraction as F
+from itertools import product
+from math import comb, factorial, prod
+from operator import floordiv
 
 import pytest
 from mpmath import mp, workdps
@@ -19,7 +22,7 @@ from tornzeta.oracle import (
     triangle_partial_exact,
     zx_numeric,
 )
-from tornzeta.series import SeriesSpec, parse_spec
+from tornzeta.series import FAMILIES, SeriesSpec, parse_spec
 
 
 def f2m(fr: F):
@@ -323,7 +326,96 @@ class TestFixedPointEngines:
             assert mp.nstr(a.value, 40) == mp.nstr(b.value, 40)
 
 
+# every row with two or more indices; the fold engages where lead and last agree
+MULTI_INDEX = [
+    "S111",
+    "baseT:1",
+    "baseT:2",
+    "baseT:3",
+    "halfint:a",
+    "halfint:b",
+    "halfint:c",
+    "binter",
+    "A3:s=0",
+    "A3:s=7",
+    "An:n=3,s=2",
+    "An:n=4,s=0",
+    "An:n=4,s=2",
+    "An:n=5,s=1",
+    "tornheim:a=2,b=1,c=1",
+    "tornheim:a=1,b=1,c=2",
+    "tornheim:a=2,b=2,c=1",
+]
+
+
+def _unfolded_sum(spec, hi: int, top: int, one, div):
+    """The defining form summed over every ordered index tuple in
+    origin..hi with total <= top, one div(num * one, den) per tuple, with
+    H_{g+shift} summed as div(one, i) per reciprocal, as the engines do."""
+    fam = spec.family
+    num, lead, last, total = fam.summand(*spec.args)
+    shift = fam.shift(*spec.args)
+    harm = [div(0, 1)]
+    for i in range(1, top + shift + 1):
+        harm.append(harm[-1] + div(one, i))
+    acc = div(0, 1)
+    for ms in product(range(fam.origin, hi + 1), repeat=fam.dims(*spec.args)):
+        g = sum(ms)
+        if g <= top:
+            top_num = harm[g + shift] if num is None else num * one
+            acc += div(top_num, prod(map(lead, ms[:-1])) * last(ms[-1]) * total(g))
+    return acc
+
+
+class TestSymmetricFold:
+    @pytest.mark.parametrize("text", MULTI_INDEX)
+    def test_fold_matches_every_ordering(self, text):
+        # a symmetric row sums each unordered tuple once, weighted by its
+        # orderings; per-term floors depend on the multiset alone, so the
+        # integers and the Fractions must equal the unfolded sums exactly
+        spec = parse_spec(text)
+        dims = spec.family.dims(*spec.args)
+        for box in (1, 2, 7, 40) if dims == 2 else (1, 2, 3, 7):
+            for digits in (30, 77):
+                one = 1 << oracle._prec_bits(digits)
+                for top in (box, dims * box):
+                    got = oracle._defining_sum(spec, box, top, one, floordiv)
+                    assert got == _unfolded_sum(spec, box, top, one, floordiv), (box, digits, top)
+            exact = _unfolded_sum(spec, box, box, 1, oracle._exact_div)
+            assert triangle_partial_exact(spec, box) == exact, box
+            exact = _unfolded_sum(spec, box, dims * box, 1, oracle._exact_div)
+            assert box_partial_exact(spec, box) == exact, box
+
+    @pytest.mark.parametrize(
+        "text,box,terms",
+        [
+            ("S111", 40, 40 * 41 // 2),
+            ("binter", 40, 40 * 40),
+            ("An:n=4,s=0", 7, comb(7 + 2, 3)),
+            ("An:n=5,s=1", 7, comb(7 + 3, 4)),
+        ],
+    )
+    def test_fold_engages_on_symmetric_rows_only(self, text, box, terms):
+        # a folded row walks the nondecreasing tuples, each weighted by its
+        # d!/prod(run length)! orderings, which add up to box^d
+        spec = parse_spec(text)
+        dims = spec.family.dims(*spec.args)
+        num, last, tot, rows = oracle._defining_walk(spec, box, dims * box)
+        touched = [sl.stop - sl.start for p, sl, i, first, rest in rows]
+        assert sum(touched) == terms
+        weighted = sum(first + rest * (n - 1) for (*_, first, rest), n in zip(rows, touched))
+        assert weighted == box**dims
+
+
 HONESTY_FAMILIES = DIAG_FAMILIES + ["An:n=5,s=0", "An:n=3,s=4", "An:n=7,s=0"]
+# one spec per family row or more, covering every row's tail
+TAIL_ROWS = HONESTY_FAMILIES + [
+    "A3:s=20",
+    "aXL:k=50",
+    "tornheim:a=1,b=1,c=1",
+    "tornheim:a=2,b=1,c=1",
+    "tornheim:a=1,b=1,c=3",
+]
 
 
 def majorant_sum(spec, n_cut: int, digits: int = 50):
@@ -358,6 +450,9 @@ class TestTailHonesty:
         with workdps(60):
             rest = mp.pi**2 / 8 - f2m(diagonal_partial_exact(spec, n_cut))
             assert 0 < rest <= tail_estimate(spec, n_cut)
+        # and not below 1/(4N) itself, compared exactly
+        man, exp = tail_estimate(spec, n_cut).man_exp
+        assert man * F(2) ** exp >= F(1, 4 * n_cut)
 
     def test_tornheim_raw_remainder_within_bound(self):
         spec = parse_spec("tornheim:a=1,b=1,c=1")
@@ -379,6 +474,30 @@ class TestTailHonesty:
 
     def test_bound_positive(self):
         assert tail_estimate(parse_spec("on"), 50) > 0
+
+    def test_tail_rows_cover_every_family(self):
+        assert {parse_spec(text).kind for text in TAIL_ROWS} == set(FAMILIES)
+
+    @pytest.mark.parametrize("text", TAIL_ROWS)
+    def test_bound_rounds_up(self, text):
+        # the majorant integral A sum_i k!/(k-i)! (ln N + c)^(k-i) N^(1-p)/(p-1)^(i+1),
+        # evaluated here at 80 digits: the returned bound must not lie below
+        # it, and may exceed it only by a pad far below the 30 digits reported
+        spec = parse_spec(text)
+        a_const, c_log, k_pow, p_pow = spec.family.tail(*spec.args)
+        for n_cut in (10, 11, 37, 100, 1000, 1500, 10**5):
+            if n_cut < spec.family.shift(*spec.args):
+                continue
+            bound = tail_estimate(spec, n_cut)
+            with workdps(80):
+                ln_c = mp.log(n_cut) + c_log
+                integral = sum(
+                    factorial(k_pow) // factorial(k_pow - i) * ln_c ** (k_pow - i)
+                    / mp.mpf(p_pow - 1) ** (i + 1)
+                    for i in range(k_pow + 1)
+                )
+                want = f2m(a_const) * integral * mp.mpf(n_cut) ** (1 - p_pow)
+                assert want <= bound <= want * (1 + mp.mpf("1e-33")), n_cut
 
 
 class TestMonotoneApproach:
