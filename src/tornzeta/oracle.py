@@ -432,15 +432,15 @@ def tail_estimate(spec: SeriesSpec, n_cut: int):
     if offset > n_cut:
         raise ValueError(f"tail bound needs cutoff >= shift {offset}, got {n_cut}")
     a_const, c_log, k_pow, p_pow = fam.tail(*args)
-    # positive terms at 40 digits err far below the 1e-35 relative pad that
-    # makes the result an upper bound, itself far below the 30 digits reported
+    # positive terms at 40 digits err far below the 2^-116 (1.2e-35) relative
+    # pad that makes the result an upper bound, far below the 30 digits reported
     with mp.workdps(40):
         base = mp.mpf(n_cut) ** (1 - p_pow) / (p_pow - 1)
         ln_c = mp.log(n_cut) + c_log
         integral = base
         for i in range(1, k_pow + 1):
             integral = ln_c**i * base + i * integral / (p_pow - 1)
-        return mp.mpf(a_const.numerator) / a_const.denominator * integral * (1 + mp.mpf("1e-35"))
+        return mp.mpf(a_const.numerator) / a_const.denominator * integral * (1 + mp.ldexp(1, -116))
 
 
 # ---------------------------------------------------------------------------
