@@ -227,8 +227,9 @@ def _prec_bits(digits: int) -> int:
 
 def _reciprocal_sums(one, div, step: int = 1):
     """S_0 = 0, S_1, S_2, ... with S_i = S_{i-1} + div(one, 1 + (i-1) step):
-    the harmonic (step 1) or odd harmonic (step 2) prefix sums, floored on
-    the grid ONE with div = floordiv, exact with one = 1 and div = _exact_div."""
+    the harmonic (step 1) or odd harmonic (step 2) prefix sums on the grid
+    ONE, floored with div = floordiv (exactly, where each 1/i lies on it),
+    or as Fractions with one = 1 and div = _exact_div."""
     return accumulate(map(div, repeat(one), count(1, step)), initial=one * 0)
 
 
@@ -342,19 +343,24 @@ def _defining_walk(spec: SeriesSpec, hi: int, top: int):
     ]
 
 
-def _defining_sum(spec: SeriesSpec, hi: int, top: int, one, div):
+def _defining_sum(spec: SeriesSpec, hi: int, top: int, one: int) -> int:
     """The defining form over ``_defining_walk(spec, hi, top)``, each term
-    div(num * one, den): floored on the grid ONE with (1 << prec, floordiv),
-    exact with (1, _exact_div)."""
+    floor(num * one / (p * last * tot)) on the grid ONE.  As floor(floor(x/c)/d)
+    = floor(x/(c d)) for integers x >= 0 and c, d >= 1, each total's numerator
+    is divided by tot once, q[g], and a term is q[g] // (p * last), bit for
+    bit.  On a grid every denominator divides (``_exact_grid``) it is exact."""
     num, last, tot, rows = _defining_walk(spec, hi, top)
+    fam = spec.family
+    # totals below origin * dims are never reached (S111's factor at 0 is 0)
+    low = fam.origin * fam.dims(*spec.args)
     if num is None:
-        s = spec.family.shift(*spec.args)
-        nums = list(islice(_reciprocal_sums(one, div), s, top + s + 1))
+        nums = islice(_reciprocal_sums(one, floordiv), low + fam.shift(*spec.args), None)
     else:
-        nums = [num * one] * (top + 1)
-    acc = div(0, 1)  # zero as an int, or as a Fraction
+        nums = repeat(num * one)
+    q = [0] * low + list(map(floordiv, nums, tot[low:]))
+    acc = 0
     for p, sl, i, first, rest in rows:
-        terms = map(div, nums[sl], [p * b * c for b, c in zip(last[i:] if i else last, tot[sl])])
+        terms = map(floordiv, q[sl], map(mul, repeat(p), last[i:] if i else last))
         if first != rest:  # a folded row, whose first term repeats the index before
             acc += first * next(terms, 0)
         acc += rest * sum(terms)
@@ -362,8 +368,7 @@ def _defining_sum(spec: SeriesSpec, hi: int, top: int, one, div):
 
 
 def _factored_box(spec: SeriesSpec, box: int, one: int) -> int:
-    # every term floor(num * one / den), as a hand-written double loop would
-    return _defining_sum(spec, box, spec.family.dims(*spec.args) * box, one, floordiv)
+    return _defining_sum(spec, box, spec.family.dims(*spec.args) * box, one)
 
 
 # ---------------------------------------------------------------------------
@@ -371,13 +376,37 @@ def _factored_box(spec: SeriesSpec, box: int, one: int) -> int:
 #
 # Used by the reduction-soundness checks: the diagonal regrouping must be
 # an identity, so diagonal and defining-form partial sums over matching
-# index sets agree exactly as Fractions, not merely numerically.  They run
-# the fixed-point walks with one = 1 and div = _exact_div: an int numerator
-# over an int denominator starts a Fraction, and a Fraction divides as one.
+# index sets agree exactly as Fractions, not merely numerically.  The
+# defining form is ``_defining_sum`` on a grid L where every floor is exact,
+# over L.  The regrouped walk runs with one = 1 and div = _exact_div: an int
+# numerator over an int denominator starts a Fraction, which divides as one.
 
 
 def _exact_div(x, d):
     return Fraction(x, d) if isinstance(x, int) else x / d
+
+
+def _exact_grid(spec: SeriesSpec, hi: int, top: int) -> int:
+    """lcm(lead)^(d-1) lcm(last) lcm(tot over the reachable totals), times
+    lcm(1..top + shift) for H_{g+shift}: each 1/i, q[g] and term of
+    ``_defining_sum(spec, hi, top, L)`` is then an integer."""
+    fam, args = spec.family, spec.args
+    origin, dims = fam.origin, fam.dims(*args)
+    num, lead, last, total = fam.summand(*args)
+    ms = range(origin, hi + 1)
+    grid = math.lcm(*map(lead, ms)) ** (dims - 1) * math.lcm(*map(last, ms))
+    grid *= math.lcm(*map(total, range(origin * dims, top + 1)))
+    if num is None:
+        grid *= math.lcm(*range(1, top + fam.shift(*args) + 1))
+    return grid
+
+
+def _exact_defining_sum(spec: SeriesSpec, hi: int, top: int) -> Fraction:
+    """``_defining_sum`` over its exact grid; a one-index series is its own regrouping."""
+    if spec.family.summand is None:
+        return diagonal_partial_exact(spec, hi)
+    grid = _exact_grid(spec, hi, top)
+    return Fraction(_defining_sum(spec, hi, top, grid), grid)
 
 
 def diagonal_partial_exact(spec: SeriesSpec, cutoff: int) -> Fraction:
@@ -392,17 +421,12 @@ def triangle_partial_exact(spec: SeriesSpec, cutoff: int) -> Fraction:
     For double sums that is the triangle (or simplex) of index totals
     <= cutoff; for single sums it coincides with the diagonal partial.
     """
-    if spec.family.summand is None:
-        # a one-index series is its own regrouping
-        return diagonal_partial_exact(spec, cutoff)
-    return _defining_sum(spec, cutoff, cutoff, 1, _exact_div)
+    return _exact_defining_sum(spec, cutoff, cutoff)
 
 
 def box_partial_exact(spec: SeriesSpec, box: int) -> Fraction:
     """Exact defining-form sum over the raw box cutoff (what oracle_raw sums)."""
-    if spec.family.summand is None:
-        return diagonal_partial_exact(spec, box)
-    return _defining_sum(spec, box, spec.family.dims(*spec.args) * box, 1, _exact_div)
+    return _exact_defining_sum(spec, box, spec.family.dims(*spec.args) * box)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from fractions import Fraction as F
 from itertools import product
@@ -5,6 +6,7 @@ from math import comb, factorial, prod
 from operator import floordiv
 
 import pytest
+from hypothesis import given, strategies as st
 from mpmath import mp, workdps
 
 from tornzeta import oracle
@@ -367,6 +369,52 @@ def _unfolded_sum(spec, hi: int, top: int, one, div):
     return acc
 
 
+# sha256 of str() of (triangle, box) exact partials at every (spec, cutoff)
+# of the exact-sound benchmark workload, as summed term by term in Fractions
+# before the defining form moved onto the common-multiple grid
+EXACT_SOUND_PINNED = [
+    ("A3:s=0", 60, "4a0c92176045e6295a56788c4df29e3b68e37918289e0b9afa02d08d3cb0aa23"),
+    ("A3:s=7", 90, "80da0fe3bc16b4dee1581e9b1e5e773a7734e43e01f12bc1fcbf4fd70bceda4d"),
+    ("A3:s=20", 120, "5fd43353e5f9da51511ccde04339d89a2f0d8b8e10b69fc49c25fad8409e162b"),
+    ("An:n=2,s=0", 60, "b0a17e772aa22358bda34b0c188c49f73c58c4ac36d87721eeb5cceac33ba235"),
+    ("An:n=2,s=3", 90, "05fe217a8b52b85579d41550369541c3d82cc6668d237264e5048fdfcae06a21"),
+    ("An:n=2,s=6", 120, "3635f2d21a1d4efeab10fb00ff61bdf11599f2e8fd22d307f32361d524547dc2"),
+    ("An:n=3,s=0", 60, "4a0c92176045e6295a56788c4df29e3b68e37918289e0b9afa02d08d3cb0aa23"),
+    ("An:n=3,s=3", 90, "55770856f08fd9e64cd67629762d19a627c75f15d044bfdd3652babdbb91be60"),
+    ("An:n=3,s=6", 120, "49de919b5b559b59375ca4fdefb593b0151799cc8ad0d6b9fe20d1544e0929fb"),
+    ("An:n=4,s=0", 20, "74597dbb100293d5e9b0de49a42fea28b949aa6695714edd7cb0510907258cad"),
+    ("An:n=4,s=3", 28, "16766d22117fa8299018d5cddec06267d36791b6e04729860632bb3419bed81d"),
+    ("An:n=4,s=6", 36, "3397d15cab8075ad09aa0321211f223eea40eac4780299cc7d00fe5d555e621b"),
+    ("aXL:k=0", 60, "b0a17e772aa22358bda34b0c188c49f73c58c4ac36d87721eeb5cceac33ba235"),
+    ("aXL:k=7", 90, "9d2bcec54a41a97edb20de1a894a7ddad275a42f12ceff37880470315868655f"),
+    ("aXL:k=20", 120, "0cb45dc04bd0fde55b2967ae367a9556c1d8730b5acb1f663ad500ac2c1f673a"),
+    ("S111", 60, "747085b75890805d6d6e46d1ea6d9ca71cd35a4536cd0af6e539523b14e32caa"),
+    ("S111", 90, "ee89eb38feca879994fb8fd7ac7f070f4ee7fde0f7ca6e49af5124e512ecc4c3"),
+    ("S111", 120, "8dc8d3b0713b556269fa873575d928770104a79bb7a5f832948badaa5f77153d"),
+    ("ln", 60, "e5910e13e60816602070e2acf0e34e72a075790e3116ed9806b2a9fc7adde661"),
+    ("ln", 90, "ebf6c5086c2306717ea024491bc84a54dd24a127b05ccaa945b6ecbb77596610"),
+    ("ln", 120, "35a0201bcea29cecff5b6c30480ead23f8e84b418954464f1734d794fd982b80"),
+    ("on", 60, "4753a92e732a4c1b4bef7814d47d9992c07887e9015dd1e4b05f9195b5b706b2"),
+    ("on", 90, "ec4470c3ef8e22638838b2bfa227a170c03f77a76a56a870dc16125e2f62e59e"),
+    ("on", 120, "40e77ac4a897d8a633854ab73445d9642907fb3e2a489a78fc2359eb3b3db2f3"),
+    ("baseT:1", 60, "486fb1312dca5d3edd5e2de24965ece488575a8fa4399f62729d19cab63e54fc"),
+    ("baseT:2", 90, "4f00e243288ef50909e2dab5224e87e4e036484a28986e775bbf8a56a26ff8c1"),
+    ("baseT:3", 120, "6c3040945321964a11e70e01e3ff330e687f0cc5ad9ebeb4ed27e881ac97bc52"),
+    ("halfint:a", 60, "49ee9cf6a37abfca43f24bebbbf4f833b5f27bbecc93ba8a33ec181f58dbf4c1"),
+    ("halfint:b", 90, "cd732bf8865642af15f3722c579117228e6084266fcb86b8b9a0fc6ccef6db55"),
+    ("halfint:c", 120, "23ff1cbb60ee52c820056c8e9217c656b5f0fd97d73bce55b88ce9afe043778f"),
+    ("evenodd", 60, "c57c4cadd2d9fddf0e97f59b14c6903bdc1532404f4b8ee5d8a83129636284df"),
+    ("evenodd", 90, "2426964b6406ee669b9e5a405f72c81410443678e9629615fef2d64b7c9ad270"),
+    ("evenodd", 120, "4069908fd9587048cbd0c6cadab88bab9cb5726a6ced5cb9f03cc170239253e3"),
+    ("oddsq", 60, "ec9f12f71f5870e33491e8dd85b91a42f76e12f09b09ac0eeab7a40cfb0bee01"),
+    ("oddsq", 90, "c98705e73b264f29076486d41b9fd3fc2259b3c8473ec84775e1a0a5493ba749"),
+    ("oddsq", 120, "d933b07785dda06dbdee6a795523890b38e7caaacdd5cd85ee4a504fb7a21813"),
+    ("binter", 60, "92a74edaca81188411a91e163e6803c070caf74471646732d8afd99409461236"),
+    ("binter", 90, "6675bce7e1e775c40ae62112ecf3241656fa8e9cace3d17716ad1b5378434845"),
+    ("binter", 120, "dcda0cbbfd031ff0f965e91e02bbfa595bf87cbea434a286504f6fd588319fd5"),
+]
+
+
 class TestSymmetricFold:
     @pytest.mark.parametrize("text", MULTI_INDEX)
     def test_fold_matches_every_ordering(self, text):
@@ -379,12 +427,64 @@ class TestSymmetricFold:
             for digits in (30, 77):
                 one = 1 << oracle._prec_bits(digits)
                 for top in (box, dims * box):
-                    got = oracle._defining_sum(spec, box, top, one, floordiv)
+                    got = oracle._defining_sum(spec, box, top, one)
                     assert got == _unfolded_sum(spec, box, top, one, floordiv), (box, digits, top)
             exact = _unfolded_sum(spec, box, box, 1, oracle._exact_div)
             assert triangle_partial_exact(spec, box) == exact, box
             exact = _unfolded_sum(spec, box, dims * box, 1, oracle._exact_div)
             assert box_partial_exact(spec, box) == exact, box
+
+    def test_exact_sound_partials_pinned(self):
+        for text, cutoff, digest in EXACT_SOUND_PINNED:
+            spec = parse_spec(text)
+            pair = f"{triangle_partial_exact(spec, cutoff)} {box_partial_exact(spec, cutoff)}"
+            assert hashlib.sha256(pair.encode()).hexdigest() == digest, (text, cutoff)
+
+    @pytest.mark.parametrize("text", MULTI_INDEX)
+    def test_exact_grid_leaves_no_remainder(self, text):
+        # the exact partials floor every term on one common-multiple grid L;
+        # L must be a multiple of every denominator the walk meets, so that
+        # no floor drops anything and the sum scales exactly with L
+        spec = parse_spec(text)
+        dims = spec.family.dims(*spec.args)
+        for box in (1, 2, 7, 40) if dims == 2 else (1, 2, 3, 7):
+            for top in (box, dims * box):
+                grid = oracle._exact_grid(spec, box, top)
+                _, last, tot, rows = oracle._defining_walk(spec, box, top)
+                for p, sl, i, *_ in rows:
+                    for b, c in zip(last[i:], tot[sl]):
+                        assert grid % (p * b * c) == 0, (box, top, p, b, c)
+                got = oracle._defining_sum(spec, box, top, grid)
+                assert oracle._defining_sum(spec, box, top, 3 * grid) == 3 * got, (box, top)
+
+    @given(st.sampled_from(MULTI_INDEX), st.integers(1, 12), st.data())
+    def test_exact_partials_match_unfolded_fractions(self, text, box, data):
+        spec = parse_spec(text)
+        dims = spec.family.dims(*spec.args)
+        top = data.draw(st.integers(box, dims * box))
+        grid = oracle._exact_grid(spec, box, top)
+        got = F(oracle._defining_sum(spec, box, top, grid), grid)
+        assert got == _unfolded_sum(spec, box, top, 1, oracle._exact_div)
+        exact = _unfolded_sum(spec, box, box, 1, oracle._exact_div)
+        assert triangle_partial_exact(spec, box) == exact
+        exact = _unfolded_sum(spec, box, dims * box, 1, oracle._exact_div)
+        assert box_partial_exact(spec, box) == exact
+
+    def test_defining_partials_take_no_fraction_per_term(self, monkeypatch):
+        # only the regrouped walk divides as Fractions; the defining form's
+        # exact partials stay on the integer grid
+        def refuse(x, d):
+            raise AssertionError("per-term Fraction division")
+
+        monkeypatch.setattr(oracle, "_exact_div", refuse)
+        specs = [parse_spec(text) for text in MULTI_INDEX + ["aXL:k=3"]]
+        assert {s.kind for s in specs} == {k for k, f in FAMILIES.items() if f.summand}
+        for spec in specs:
+            assert triangle_partial_exact(spec, 5) > 0
+            assert box_partial_exact(spec, 5) > 0
+            if spec.family.atoms is not None:
+                with pytest.raises(AssertionError, match="per-term"):
+                    diagonal_partial_exact(spec, 5)
 
     @pytest.mark.parametrize(
         "text,box,terms",
