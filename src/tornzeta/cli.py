@@ -36,8 +36,8 @@ def _add_numeric_opts(p: argparse.ArgumentParser) -> None:
         "--nmax",
         type=int,
         default=None,
-        help="most terms a series sums (default 10^6); the diagonal route stops "
-        "at 2^11 at 50 digits and expands the rest",
+        help="most terms a series sums (default 10^6); at 50 digits the diagonal route "
+        "stops at 2^11 and the raw route at index total 256, and each expands the rest",
     )
     p.add_argument("--quad-levels", type=int, default=None, help="max quadrature levels")
     p.add_argument(

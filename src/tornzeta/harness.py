@@ -169,7 +169,8 @@ def paper_full_manifest(digits: int | None = None) -> SuiteManifest:
         _entry("halfint:a", "diagonal", 10**5, 1e-6, d),
         _entry("halfint:b", "diagonal", 10**5, 1e-6, d),
         _entry("halfint:c", "diagonal", 10**5, 1e-6, d),
-        # defining double sums over boxes, covered by the same tail bounds
+        # defining double sums: n_max reaches N_raw (256 at 50 digits), so each
+        # sums its summand over the simplex to N_raw and adds the certified tail
         _entry("S111", "raw", 1500, 1e-6, d),
         _entry("halfint:c", "raw", 1000, 1e-6, d),
     )

@@ -3,7 +3,10 @@
 Three independent routes produce high-precision numeric values for each
 catalog series:
 
-* ``oracle_raw`` sums the defining multi-index form over a box cutoff;
+* ``oracle_raw`` sums the defining multi-index form: once ``n_max``
+  reaches N_raw (``raw_cutoff``, 256 for two indices at 50 digits) over
+  the simplex of index totals <= N_raw, plus the diagonal route's
+  certified tail; below N_raw over the box [origin..n_max]^d;
 * ``oracle_diagonal`` sums the single-index regrouped form (indices
   grouped by their total), walking the row's harmonic atoms as running
   prefix sums.  Once ``n_max`` reaches the cutoff N*
@@ -50,6 +53,8 @@ _TAIL_GUARD_BITS = 32
 _RAW_TERM_CAP = 5000**2
 # the diagonal route's asymptotic cutoff at 50 digits
 _ASYMPTOTIC_CUTOFF = 2**11
+# the most folded tuples (about N^d / d!^2) a raw simplex sums; past it the box stays
+_RAW_TUPLE_BUDGET = 2**16
 
 
 def default_digits() -> int:
@@ -68,10 +73,9 @@ class NumericCfg:
     """Oracle configuration.
 
     digits: working precision (>= 30); n_max: the most terms a series
-    route sums (>= 10): the raw box cutoff, and a ceiling for the diagonal
-    route, which stops at its asymptotic cutoff (2^11 at 50 digits) when
-    n_max reaches it; quad_levels: max tanh-sinh halvings (3..16); method:
-    raw | diagonal | quadrature.
+    route sums (>= 10), a ceiling: the diagonal and raw routes stop at their
+    cutoffs (2^11 and 256 at 50 digits) once n_max reaches them; quad_levels:
+    max tanh-sinh halvings (3..16); method: raw | diagonal | quadrature.
     """
 
     digits: int = field(default_factory=default_digits)
@@ -297,10 +301,10 @@ def _regrouped_sum(spec: SeriesSpec, n_max: int, one: int) -> int:
 # the defining multi-index form
 #
 # A row's ``summand`` is num / (lead(m_1) ... lead(m_{d-1}) last(m_d) total(g))
-# with g = m_1 + ... + m_d.  The fixed-point raw box and the exact triangle
-# and box partials all walk the same tables, built once per call: the
-# factors of each index value and of each total, and the (product, total)
-# of every prefix m_1..m_{d-1}; the last index is one pass along the tables.
+# with g = m_1 + ... + m_d.  The fixed-point raw box or simplex and the
+# exact triangle and box partials all walk the same tables, built once per
+# call: the factors of each index value and of each total, and the (product,
+# total) of every prefix m_1..m_{d-1}; the last index is one pass along them.
 # Where lead and last agree the summand is symmetric (num and total depend
 # on g alone) and the walk folds: it visits only m_1 <= ... <= m_d, each
 # weighted by its d!/prod(run length)! orderings, which share one
@@ -472,8 +476,12 @@ def tail_estimate(spec: SeriesSpec, n_cut: int):
 
 
 def oracle_raw(spec: SeriesSpec, cfg: NumericCfg) -> OracleResult:
-    """Truncated defining-form sum over the box [1..N]^d (or [0..N]^d for
-    the half-odd-denominator families), N = cfg.n_max."""
+    """The defining form from the row's ``summand``: once cfg.n_max reaches
+    N_raw = ``raw_cutoff``, over index totals <= N_raw plus the diagonal
+    route's certified tail from the row's ``atoms`` (an error in the atoms
+    over the head's range shows in the exact diagonal == triangle check,
+    one inside ``asymptotic.py`` hits both routes); else over the box
+    [origin..N]^d, N = cfg.n_max, with the ``tail_estimate`` majorant."""
     fam = spec.family
     dims = fam.dims(*spec.args)
     if cfg.n_max**dims > _RAW_TERM_CAP:
@@ -483,7 +491,29 @@ def oracle_raw(spec: SeriesSpec, cfg: NumericCfg) -> OracleResult:
     if dims == 1:
         # a one-index series is its own regrouping, summed by the regrouped walk
         return _summed(spec, cfg, "raw", partial(_regrouped_sum, spec))
-    return _summed(spec, cfg, "raw", partial(_factored_box, spec))
+    n_raw = raw_cutoff(spec, cfg.digits)
+    if n_raw is None or cfg.n_max < n_raw:
+        return _summed(spec, cfg, "raw", partial(_factored_box, spec))
+    # a folded tuple's term floors once (An's H numerators once more) and its
+    # orderings share it: the head errs by under 3 ulps per ordered tuple
+    ordered = math.comb(n_raw - dims * fam.origin + dims, dims)
+    return _asymptotic(spec, cfg, "raw", n_raw, partial(_defining_sum, spec, n_raw, n_raw), ordered)
+
+
+def raw_cutoff(spec: SeriesSpec, digits: int) -> int | None:
+    """N_raw: the index total through which the raw route sums the defining
+    form before the asymptotic tail takes over: 256 for two indices and 128
+    for more, doubled while below that times digits/100 or 64 (shift + 1),
+    which keeps the expansion's order near digits/2; None (the box stays)
+    for a row without atoms or past ``_RAW_TUPLE_BUDGET``."""
+    fam, args = spec.family, spec.args
+    if fam.atoms is None:
+        return None
+    dims, shift = fam.dims(*args), fam.shift(*args)
+    base = n = 256 if dims == 2 else 128
+    while 100 * n < base * digits or n < 64 * (shift + 1):
+        n *= 2
+    return n if n**dims // math.factorial(dims) ** 2 <= _RAW_TUPLE_BUDGET else None
 
 
 def asymptotic_cutoff(spec: SeriesSpec, digits: int) -> int:
@@ -511,24 +541,31 @@ def oracle_diagonal(spec: SeriesSpec, cfg: NumericCfg) -> OracleResult:
     n_star = asymptotic_cutoff(spec, cfg.digits)
     if cfg.n_max < n_star:
         return _summed(spec, cfg, "diagonal", engine)
-    # imported here, so a run that stays below N* does not load (and, without
-    # cached bytecode, compile) the expansion code
+    return _asymptotic(spec, cfg, "diagonal", n_star, partial(engine, n_star), n_star)
+
+
+def _asymptotic(spec: SeriesSpec, cfg: NumericCfg, method: str, n: int, head, terms: int):
+    """head(one), the fixed-point sum of the ``terms`` terms of index total
+    <= n, plus the certified asymptotic tail past n; ``tail_bound`` allows
+    each term 2^_TAIL_GUARD_BITS ulps of rounding, far more than it takes."""
+    # imported here, so a run that stays below the cutoffs does not load
+    # (and, without cached bytecode, compile) the expansion code
     from . import asymptotic
 
     t0 = time.perf_counter()
     prec = _prec_bits(cfg.digits) + _TAIL_GUARD_BITS
-    head = engine(n_star, 1 << prec)
-    tail, bound = asymptotic.tail(spec, n_star, cfg.digits, prec)
-    bound += n_star << _TAIL_GUARD_BITS
+    acc = head(1 << prec)
+    tail, bound = asymptotic.tail(spec, n, cfg.digits, prec)
+    bound += terms << _TAIL_GUARD_BITS
     with mp.workprec(prec + 64):
-        value = mp.ldexp(mp.mpf(head + tail), -prec)
+        value = mp.ldexp(mp.mpf(acc + tail), -prec)
     with mp.workprec(64):
         # padded so that rounding the integer to 64 bits cannot lower it
         tail_bound = mp.ldexp(mp.mpf(bound + (bound >> 40) + 1), -prec)
     return OracleResult(
         value=value,
-        method="diagonal",
-        n_used=n_star,
+        method=method,
+        n_used=n,
         levels_used=None,
         tail_bound=tail_bound,
         error_estimate=mp.mpf(0),

@@ -45,17 +45,17 @@ class Family:
     gives (num, lead, last, total) of the defining multi-index summand
     num / (lead(m_1) ... lead(m_{d-1}) last(m_d) total(g)), indices from
     ``origin`` and g = m_1 + ... + m_d; num is a constant, or None for
-    H_{g + shift}.  The raw box and the exact triangle and box partials all
-    come from it; a one-index row without it is its own regrouping.
-    ``atoms`` is the summand regrouped by the index total G, from
-    G = ``origin``, as (terms, linear): the sum of coeff * product of
-    harmonic atoms over the terms, divided by the product of (a G + b)
+    H_{g + shift}.  The raw route's box or simplex and the exact triangle
+    and box partials all come from it; a one-index row without it is its
+    own regrouping.  ``atoms`` is the summand regrouped by the index total
+    G, from G = ``origin``, as (terms, linear): the sum of coeff * product
+    of harmonic atoms over the terms, divided by the product of (a G + b)
     over the linear factors, with atoms ``("H", a, b)`` = H_{aG+b},
     ``("O", b)`` = O_{G+b} and ``("E", j)`` = e_j(1, 1/2, ..., 1/(G-1)).
-    The diagonal route's fixed-point walk, the exact diagonal partial and
-    the asymptotic tail (``asymptotic.py``) all come from it.  The two
-    forms are written independently, so their exact partial sums agreeing
-    is a check of the regrouping.  ``tail`` gives (A, c, k, p) of
+    The diagonal walk, the exact diagonal partial and the asymptotic tail
+    (``asymptotic.py``) of the diagonal and raw routes come from it.  The
+    two forms are written independently, so their exact partial sums
+    agreeing is a check of the regrouping.  ``tail`` gives (A, c, k, p) of
     A (ln G + c)^k / G^p, whose integral past a cutoff of at least
     ``shift`` bounds the discarded terms: for every row but oddsq it
     majorizes each term, and oddsq's bound holds by convexity (see its row).

@@ -2,19 +2,22 @@
 
 import math
 import time
+from dataclasses import replace
 from fractions import Fraction as F
 from functools import partial
 
 import pytest
 from mpmath import mp, workdps
 
-from tornzeta import asymptotic, oracle
+from tornzeta import asymptotic, oracle, series
 from tornzeta.closedform import closed_form_of
 from tornzeta.harness import paper_full_manifest, run_suite, verify
 from tornzeta.oracle import (
     NumericCfg,
     diagonal_partial_exact,
     oracle_diagonal,
+    oracle_for,
+    oracle_raw,
     tail_estimate,
     triangle_partial_exact,
     zx_numeric,
@@ -225,14 +228,18 @@ def test_paper_full_diagonal_entries_certify_45_digits():
     diagonal = [d for r, d in zip(reports, digits) if r.oracle.method == "diagonal"]
     assert len(diagonal) == 22
     assert min(diagonal) >= 45
-    assert sum(digits) >= 1250
+    # the raw entries sum the defining form to N_raw and add the same tail
+    raw = [d for r, d in zip(reports, digits) if r.oracle.method == "raw"]
+    assert len(raw) == 2
+    assert min(raw) >= 45
+    assert sum(digits) >= 1390
 
 
 def test_perturbed_closed_forms_fall_outside_every_enclosure():
     for entry in paper_full_manifest(50).entries:
-        if entry.cfg.method != "diagonal":
+        if entry.cfg.method == "quadrature":
             continue
-        res = oracle_diagonal(entry.spec, entry.cfg)
+        res = oracle_for(entry.spec, entry.cfg)
         with workdps(80):
             closed = zx_numeric(closed_form_of(entry.spec), 50)
             for sign in (1, -1):
@@ -266,3 +273,82 @@ def test_three_hundred_digits():
     with workdps(320):
         slack = report.abs_err + report.oracle.tail_bound
         assert -mp.log10(slack / abs(report.closed_numeric)) >= 290
+
+
+RAW_ROUTE_SPECS = ["S111", "halfint:c", "binter", "A3:s=0", "An:n=3,s=2"]
+
+
+def _ordered_tuples(spec, n: int) -> int:
+    # index pairs from the row's origin with total <= n, counted one by one
+    o = spec.family.origin
+    return sum(n - m - o + 1 for m in range(o, n - o + 1))
+
+
+@pytest.mark.parametrize("text", RAW_ROUTE_SPECS)
+def test_raw_head_rounding_within_its_allowance(text):
+    # every floor goes down, so the head lies at or below the exact simplex
+    # partial, by under 3 ulps per ordered tuple; the route carries far more
+    spec = parse_spec(text)
+    n = oracle.raw_cutoff(spec, 50)
+    prec = oracle._prec_bits(50) + oracle._TAIL_GUARD_BITS
+    head = oracle._defining_sum(spec, n, n, 1 << prec)
+    deficit = triangle_partial_exact(spec, n) * (1 << prec) - head
+    ordered = _ordered_tuples(spec, n)
+    assert 0 <= deficit <= 3 * ordered
+    res = oracle_raw(spec, NumericCfg(digits=50, n_max=n, method="raw"))
+    assert res.n_used == n
+    assert res.tail_bound >= mp.ldexp(ordered << oracle._TAIL_GUARD_BITS, -prec)
+
+
+def test_raw_cutoff_boundary():
+    spec = parse_spec("S111")
+    n_raw = oracle.raw_cutoff(spec, 50)
+    assert n_raw == 256
+    # below N_raw the box and its majorant stay
+    below = oracle_raw(spec, NumericCfg(digits=50, n_max=n_raw - 1, method="raw"))
+    assert below.n_used == n_raw - 1
+    assert below.tail_bound == tail_estimate(spec, n_raw - 1)
+    # from N_raw on, n_max is only a ceiling
+    for n_max in (n_raw, 1500, 5000):
+        res = oracle_raw(spec, NumericCfg(digits=50, n_max=n_max, method="raw"))
+        assert res.n_used == n_raw
+        assert res.tail_bound < mp.mpf("1e-52")
+    # tornheim has no atoms, so no tail past the simplex: its box stays
+    tornheim = parse_spec("tornheim:a=1,b=1,c=1")
+    assert oracle.raw_cutoff(tornheim, 50) is None
+    res = oracle_raw(tornheim, NumericCfg(digits=50, n_max=1500, method="raw"))
+    assert res.n_used == 1500
+    assert res.tail_bound == tail_estimate(tornheim, 1500)
+    # the cutoff doubles with the digits and the shift, within its budget
+    assert oracle.raw_cutoff(parse_spec("An:n=4,s=0"), 50) == 128
+    assert oracle.raw_cutoff(parse_spec("An:n=4,s=0"), 101) is None
+    assert oracle.raw_cutoff(spec, 100) == 256
+    assert oracle.raw_cutoff(spec, 200) == 512
+    assert oracle.raw_cutoff(spec, 201) is None
+    assert oracle.raw_cutoff(parse_spec("A3:s=7"), 50) == 512
+    assert oracle.raw_cutoff(parse_spec("A3:s=8"), 50) is None
+
+
+def test_raw_route_fails_on_a_wrong_summand(monkeypatch):
+    # the head comes from ``summand`` and the tail from ``atoms``, so a wrong
+    # total factor fails the raw route while the diagonal route still passes
+    fam = series.FAMILIES["S111"]
+    num, lead, last, _ = fam.summand()
+    wrong = replace(fam, summand=lambda: (num, lead, last, lambda g: g + 1))
+    monkeypatch.setitem(series.FAMILIES, "S111", wrong)
+    spec = parse_spec("S111")
+    raw = verify(spec, NumericCfg(digits=50, n_max=1500, method="raw"), 1e-6)
+    assert raw.oracle.n_used == 256
+    assert not raw.passed
+    diagonal = verify(spec, NumericCfg(digits=50), 1e-6)
+    assert diagonal.passed, diagonal.reason
+
+
+@pytest.mark.parametrize("text", ["S111", "halfint:c"])
+def test_raw_route_at_two_hundred_digits(text):
+    spec = parse_spec(text)
+    res = oracle_raw(spec, NumericCfg(digits=200, n_max=1000, method="raw"))
+    assert res.n_used == 512
+    with workdps(260):
+        assert abs(res.value - _reference(closed_form_of(spec))) <= res.tail_bound
+        assert res.tail_bound < mp.mpf("1e-200")
