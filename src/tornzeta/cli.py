@@ -36,8 +36,9 @@ def _add_numeric_opts(p: argparse.ArgumentParser) -> None:
         "--nmax",
         type=int,
         default=None,
-        help="most terms a series sums (default 10^6); at 50 digits the diagonal route "
-        "stops at 2^11 and the raw route at index total 256, and each expands the rest",
+        help="most terms a series sums (default 10^6); the diagonal route stops at N* (2^11 "
+        "at 50 digits), the raw route at raw_cutoff (256 for two indices at 50); each expands "
+        "the rest",
     )
     p.add_argument("--quad-levels", type=int, default=None, help="max quadrature levels")
     p.add_argument(

@@ -73,9 +73,9 @@ class NumericCfg:
     """Oracle configuration.
 
     digits: working precision (>= 30); n_max: the most terms a series
-    route sums (>= 10), a ceiling: the diagonal and raw routes stop at their
-    cutoffs (2^11 and 256 at 50 digits) once n_max reaches them; quad_levels:
-    max tanh-sinh halvings (3..16); method: raw | diagonal | quadrature.
+    route sums (>= 10), a ceiling: the diagonal route stops at N* (2^11 at 50
+    digits), the raw route at ``raw_cutoff`` (256 for two indices at 50);
+    quad_levels: max tanh-sinh halvings (3..16); method: raw|diagonal|quadrature.
     """
 
     digits: int = field(default_factory=default_digits)

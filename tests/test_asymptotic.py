@@ -275,13 +275,30 @@ def test_three_hundred_digits():
         assert -mp.log10(slack / abs(report.closed_numeric)) >= 290
 
 
-RAW_ROUTE_SPECS = ["S111", "halfint:c", "binter", "A3:s=0", "An:n=3,s=2"]
+RAW_ROUTE_SPECS = [
+    "S111",
+    "halfint:c",
+    "binter",
+    "A3:s=0",
+    "An:n=3,s=2",
+    "An:n=4,s=0",
+    "An:n=4,s=1",
+]
 
 
 def _ordered_tuples(spec, n: int) -> int:
-    # index pairs from the row's origin with total <= n, counted one by one
-    o = spec.family.origin
-    return sum(n - m - o + 1 for m in range(o, n - o + 1))
+    # index tuples from the row's origin with total <= n, counted index by
+    # index; the route's allowance uses the closed count C(n - d o + d, d)
+    o, dims = spec.family.origin, spec.family.dims(*spec.args)
+
+    def count(d: int, budget: int) -> int:
+        if d == 1:
+            return max(budget - o + 1, 0)
+        return sum(count(d - 1, budget - m) for m in range(o, budget + 1))
+
+    tuples = count(dims, n)
+    assert tuples == math.comb(n - dims * o + dims, dims)
+    return tuples
 
 
 @pytest.mark.parametrize("text", RAW_ROUTE_SPECS)
@@ -342,6 +359,18 @@ def test_raw_route_fails_on_a_wrong_summand(monkeypatch):
     assert not raw.passed
     diagonal = verify(spec, NumericCfg(digits=50), 1e-6)
     assert diagonal.passed, diagonal.reason
+
+
+@pytest.mark.parametrize("digits", [50, 100])
+@pytest.mark.parametrize("text", ["An:n=4,s=0", "An:n=4,s=1"])
+def test_raw_route_on_three_indices_encloses_the_closed_form(text, digits):
+    # the three-index rows take the simplex at N_raw = 128 through 100 digits
+    spec = parse_spec(text)
+    res = oracle_raw(spec, NumericCfg(digits=digits, n_max=128, method="raw"))
+    assert res.n_used == 128
+    with workdps(digits + 40):
+        assert abs(res.value - _reference(closed_form_of(spec))) <= res.tail_bound
+        assert res.tail_bound < mp.mpf(10) ** -digits
 
 
 @pytest.mark.parametrize("text", ["S111", "halfint:c"])
