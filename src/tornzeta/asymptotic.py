@@ -356,7 +356,9 @@ def _log_power_row(i: int, deg: int, n: int, prec: int) -> tuple[tuple[int, ...]
 def order(spec: SeriesSpec, n: int, digits: int) -> int:
     """K: an order at which the atoms' remainders past cutoff n fall below
     10^-(digits+6).  The harmonic atoms drop about 4 (K+1)! / (2 pi n)^(K+1),
-    the shifted reciprocals ((shift + 2)/n)^(K+1)."""
+    the shifted reciprocals ((shift + 2)/n)^(K+1).  The harmonic remainder
+    stops falling once K+2 > 2 pi n; a cutoff that has not met the target
+    by then never will, and raises ValueError."""
     target = -(digits + 6) * math.log(10)
     ratio = math.log((spec.family.shift(*spec.args) + 2) / n)
     k = 8
@@ -364,6 +366,8 @@ def order(spec: SeriesSpec, n: int, digits: int) -> int:
         harmonic = math.log(4) + math.lgamma(k + 2) - (k + 1) * math.log(2 * math.pi * n)
         if max(harmonic, (k + 1) * ratio) <= target:
             return k
+        if k + 2 > 2 * math.pi * n:
+            raise ValueError(f"cutoff {n} is too low for {digits} digits")
         k += 1
 
 

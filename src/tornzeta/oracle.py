@@ -31,7 +31,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, partial, reduce
+from functools import cache, lru_cache, partial, reduce
 from itertools import accumulate, count, islice, repeat
 from operator import add, floordiv, mul, rshift
 from typing import TYPE_CHECKING
@@ -593,18 +593,69 @@ def _summed(spec: SeriesSpec, cfg: NumericCfg, method: str, engine) -> OracleRes
     )
 
 
-def _tanh_sinh_node(w):
-    """(t, 1-t, -ln t, -ln(1-t)) at t = (1 + tanh w)/2 for w > 0.
+# tanh-sinh levels through the default quad_levels keep each node's E and
+# log1p(E) for reuse, keyed by (digits, level); deeper levels stream them
+_TABLE_LEVELS = 10
+_TABLE_PRECISIONS = 4
 
-    With E = exp(-2w) < 1: t = 1/(1+E), 1-t = E*t, -ln t = log1p(E) and
-    -ln(1-t) = 2w + log1p(E).  None of the four forms cancels, so the
-    tail where t rounds to 1 keeps full relative accuracy in 1-t and both
-    logs, at one exp and one log1p per node.
+
+def _tanh_sinh_node(w, e, lt):
+    """(t, 1-t, -ln t, -ln(1-t)) at t = (1 + tanh w)/2 for w > 0, from
+    E = exp(-2w) and lt = log1p(E).
+
+    t = 1/(1+E), 1-t = E*t, -ln t = log1p(E) and -ln(1-t) = 2w + log1p(E).
+    None of the four forms cancels, so the tail where t rounds to 1 keeps
+    full relative accuracy in 1-t and both logs, from one exp and one
+    log1p per node (``_level_exps``).
     """
-    e = mp.exp(-2 * w)
     t = 1 / (1 + e)
-    lt = mp.log1p(e)
     return t, e * t, lt, 2 * w + lt
+
+
+def _level_abscissae(digits: int, level: int):
+    """(e^u, e^-u, w = (pi/2) sinh u) at the nodes u = j*h, h = 2^-level, of
+    one tanh-sinh level, u <= u_max: j steps by 1 at level 0 and over the
+    odd j after it, so e^u advances by one multiplication with exp(stride*h).
+    Runs at the caller's working precision."""
+    u_max = math.log(math.log(10) * (digits + 25) * 2 / math.pi) + 1.0
+    quarter_pi = mp.pi / 4
+    h = mp.ldexp(1, -level)
+    stride = 2 if level else 1
+    eu = mp.exp(h)
+    step = mp.exp(stride * h)
+    # j*h <= u_max, exactly: h is a power of two
+    for _ in range(1, math.floor(math.ldexp(u_max, level)) + 1, stride):
+        emu = 1 / eu
+        yield eu, emu, quarter_pi * (eu - emu)
+        eu *= step
+
+
+def _level_exps(digits: int, level: int):
+    """E = exp(-2w) and log1p(E) at each node of ``_level_abscissae``."""
+    for _, _, w in _level_abscissae(digits, level):
+        e = mp.exp(-2 * w)
+        yield e, mp.log1p(e)
+
+
+@lru_cache(maxsize=_TABLE_PRECISIONS * (_TABLE_LEVELS + 1))
+def _exp_table(digits: int, level: int) -> tuple[int, ...]:
+    """``_level_exps`` at quadrature's digits + 15, flat as the mantissa and
+    exponent of E and of log1p(E) per node (both positive): about 60% of
+    the memory of the mpf values they rebuild."""
+    with mp.workdps(digits + 15):
+        return tuple(x for pair in _level_exps(digits, level) for v in pair for x in v._mpf_[1:3])
+
+
+def _node_exps(digits: int, level: int):
+    """``_level_exps``, from the shared table through _TABLE_LEVELS."""
+    if level > _TABLE_LEVELS:
+        return _level_exps(digits, level)
+    make = mp.make_mpf
+    parts = iter(_exp_table(digits, level))
+    return (
+        (make((0, em, ex, em.bit_length())), make((0, lm, lx, lm.bit_length())))
+        for em, ex, lm, lx in zip(parts, parts, parts, parts)
+    )
 
 
 def oracle_quadrature(spec: SeriesSpec, cfg: NumericCfg) -> OracleResult:
@@ -618,14 +669,21 @@ def oracle_quadrature(spec: SeriesSpec, cfg: NumericCfg) -> OracleResult:
     Levels halve the step and reuse prior nodes; the level-to-level
     difference is the reported error estimate.
 
-    Within a level the nodes are u = j*h with j stepping by 1 at level 0
-    and over the odd j after it, so e^u advances by one multiplication
-    with exp(stride*h), computed once per level, and sinh u and cosh u
-    follow from e^u and 1/e^u.  Each multiplication adds at most an ulp of
-    relative drift to e^u.  A level takes about u_max*2^(L-1) steps,
-    under 2^11 for the levels that 300 digits need and under 2^18 even at
-    level 16, against the 15 guard digits (about 50 bits) of the working
-    precision.
+    Within a level the nodes are u = j*h (``_level_abscissae``) and e^u
+    advances by one multiplication, so sinh u and cosh u follow from e^u
+    and 1/e^u.  Each multiplication adds at most an ulp of relative drift
+    to e^u.  A level takes about u_max*2^(L-1) steps, under 2^11 for the
+    levels that 300 digits need and under 2^18 even at level 16, against
+    the 15 guard digits (about 50 bits) of the working precision.
+
+    A node's exp and log1p depend on (digits, level) alone, never on n or
+    s, so levels 0 through 10 (the default quad_levels) take them from a
+    table shared by every call at that precision (``_exp_table``, an LRU
+    of 4 precisions x 11 levels kept as ints: about 1.1 MB for 100, 200
+    and 300 digits through levels 6, 7 and 8, 4.2 MB for 1000 digits
+    through level 9).  Deeper levels compute them as they go and keep
+    nothing.  Every other quantity is computed per call, so a warm table
+    gives the same bits as a cold one.
     """
     if not spec.family.quadrature:
         raise ValueError(f"quadrature covers the A-family only, not {spec}")
@@ -634,36 +692,29 @@ def oracle_quadrature(spec: SeriesSpec, cfg: NumericCfg) -> OracleResult:
     with mp.workdps(cfg.digits + 15):
         pi_ = +mp.pi
         half_pi = pi_ / 2
-        quarter_pi = pi_ / 4
         target = mp.mpf(10) ** (-(cfg.digits + 5))
-        u_max = math.log(math.log(10) * (cfg.digits + 25) * 2 / math.pi) + 1.0
 
-        def level_sum(h, stride):
-            # folded +-u contributions over u = j*h for j = 1, 1+stride, ...;
+        def level_sum(level):
+            # folded +-u contributions over the level's nodes u > 0;
             # t and 1-t swap under u -> -u
             acc = mp.mpf(0)
-            eu = mp.exp(h)
-            step = mp.exp(stride * h)
-            j = 1
-            while j * h <= u_max:
-                emu = 1 / eu
-                t, omt, lt, lo = _tanh_sinh_node(quarter_pi * (eu - emu))
+            nodes = zip(_level_abscissae(cfg.digits, level), _node_exps(cfg.digits, level))
+            for (eu, emu, w), exps in nodes:
+                t, omt, lt, lo = _tanh_sinh_node(w, *exps)
                 f = t * omt**s * lt**n + omt * t**s * lo**n
                 acc += half_pi * (eu + emu) * f
-                eu *= step
-                j += stride
             return acc
 
         half = mp.mpf(1) / 2
         h = mp.mpf(1)
         total = pi_ * half ** (s + 1) * mp.log(2) ** n  # u = 0 node
-        value = h * (total + level_sum(h, 1))
+        value = h * (total + level_sum(0))
         estimates: list = []
         converged = False
         levels = 0
         for level in range(1, cfg.quad_levels + 1):
             h = h / 2
-            new_value = value / 2 + h * level_sum(h, 2)
+            new_value = value / 2 + h * level_sum(level)
             est = abs(new_value - value)
             estimates.append(est)
             value = new_value

@@ -132,7 +132,6 @@ FAMILIES: dict[str, Family] = {
             fixed=(2,),
             rule="k >= 0",
             closed=lambda n, k: closedform.eval_aXL(k),
-            quadrature=False,
         ),
         Family(
             kind="S111",

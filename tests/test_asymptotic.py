@@ -202,6 +202,15 @@ def test_cutoff_routes_by_n_max():
         asymptotic.tail(parse_spec("A3:s=5"), 50, 50, 300)
 
 
+def test_order_raises_where_no_order_reaches_the_target():
+    # at cutoff 50 the harmonic remainder bottoms out near exp(-2 pi 50),
+    # far above 10^-506: the search over orders must stop, not spin
+    with pytest.raises(ValueError, match="too low for 500 digits"):
+        asymptotic.order(parse_spec("S111"), 50, 500)
+    with pytest.raises(ValueError, match="too low"):
+        asymptotic.tail(parse_spec("S111"), 50, 500, 1700)
+
+
 def test_constants_come_from_mpmath(monkeypatch):
     def refuse(*args):
         raise AssertionError("the oracle called the evaluator's constants")

@@ -1,10 +1,18 @@
+import math
+from itertools import islice
+
 import pytest
 from mpmath import mp, workdps
 
 from tornzeta.closedform import closed_form_of
 from tornzeta.oracle import (
+    _TABLE_LEVELS,
+    _TABLE_PRECISIONS,
     NumericCfg,
     OracleError,
+    _exp_table,
+    _level_abscissae,
+    _node_exps,
     _tanh_sinh_node,
     oracle_quadrature,
     zx_numeric,
@@ -13,7 +21,11 @@ from tornzeta.series import parse_spec
 
 
 class TestAccuracy:
-    @pytest.mark.parametrize("text", ["A3:s=0", "A3:s=1", "A3:s=20", "An:n=2,s=0", "An:n=5,s=4"])
+    @pytest.mark.parametrize(
+        "text",
+        ["A3:s=0", "A3:s=1", "A3:s=20", "An:n=2,s=0", "An:n=5,s=4"]
+        + [f"aXL:k={k}" for k in (0, 1, 7, 20)],
+    )
     def test_matches_closed_form(self, text):
         spec = parse_spec(text)
         res = oracle_quadrature(spec, NumericCfg(digits=50))
@@ -92,12 +104,17 @@ class TestHighPrecision:
 
 class TestNodeQuantities:
     # u = 2^-8 is the first node at level 8, u = 2 sits mid-range, and at
-    # u = 5 the node t = (1 + tanh w)/2 rounds to 1 at the working precision
+    # u = 5 the node t = (1 + tanh w)/2 rounds to 1 at the working precision;
+    # each is taken from the level walk and table that 50-digit quadrature
+    # runs on: an integer u is node u - 1 of level 0, u = 2^-L node 0 of L
     @pytest.mark.parametrize("u,t_is_one", [(2.0**-8, False), (2.0, False), (5.0, True)])
     def test_against_direct_logs(self, u, t_is_one):
+        level, index = (0, int(u) - 1) if u >= 1 else (1 - math.frexp(u)[1], 0)
         with workdps(65):
-            w = mp.pi / 2 * mp.sinh(u)
-            got = _tanh_sinh_node(w)
+            nodes = zip(_level_abscissae(50, level), _node_exps(50, level))
+            (_, _, w), exps = next(islice(nodes, index, None))
+            assert abs(w - mp.pi / 2 * mp.sinh(u)) <= mp.mpf(10) ** -62 * w
+            got = _tanh_sinh_node(w, *exps)
             assert (got[0] == 1) == t_is_one
         with workdps(400):
             t = (1 + mp.tanh(w)) / 2
@@ -105,3 +122,39 @@ class TestNodeQuantities:
             want = (t, omt, -mp.log(t), -mp.log(omt))
             for g, r in zip(got, want):
                 assert abs(g - r) <= mp.mpf(10) ** -62 * abs(r)
+
+
+def _bits(res):
+    return res.value._mpf_, res.levels_used, [e._mpf_ for e in res.level_estimates]
+
+
+class TestNodeTable:
+    def test_warm_and_cold_tables_agree(self):
+        # interleaved precisions reuse and evict table levels; every result
+        # must be the bits of a run that builds its tables from scratch
+        runs = [("A3:s=0", 200), ("A3:s=0", 60), ("A3:s=0", 200), ("A3:s=0", 300), ("An:n=5,s=3", 200)]
+        _exp_table.cache_clear()
+        warm = [oracle_quadrature(parse_spec(text), NumericCfg(digits=d)) for text, d in runs]
+        assert _exp_table.cache_info().hits > 0
+        for (text, d), res in zip(runs, warm):
+            _exp_table.cache_clear()
+            cold = oracle_quadrature(parse_spec(text), NumericCfg(digits=d))
+            assert _bits(res) == _bits(cold)
+
+    def test_levels_past_the_cap_are_not_kept(self):
+        _exp_table.cache_clear()
+        with workdps(45):
+            assert sum(1 for _ in _node_exps(30, _TABLE_LEVELS + 1)) > 5000
+            assert _exp_table.cache_info().currsize == 0
+            next(_node_exps(30, _TABLE_LEVELS))
+        assert _exp_table.cache_info().currsize == 1
+
+    def test_precisions_kept_are_capped(self):
+        # each precision below fills levels 0..5; eight of them (48
+        # entries) overflow the table, which keeps the most recent 44
+        maxsize = _TABLE_PRECISIONS * (_TABLE_LEVELS + 1)
+        assert _exp_table.cache_info().maxsize == maxsize
+        _exp_table.cache_clear()
+        for digits in range(30, 38):
+            oracle_quadrature(parse_spec("A3:s=0"), NumericCfg(digits=digits))
+        assert _exp_table.cache_info().currsize == maxsize
