@@ -46,6 +46,10 @@ class TestExactPartialSpots:
         assert diagonal_partial_exact(parse_spec("S111"), 2) == F(1, 2)
         assert diagonal_partial_exact(parse_spec("baseT:1"), 0) == F(1)
 
+    def test_tornheim_has_no_diagonal_partial(self):
+        with pytest.raises(ValueError, match="no regrouped"):
+            diagonal_partial_exact(parse_spec("tornheim:a=1,b=1,c=2"), 5)
+
 
 REGROUPINGS = [
     ("A3:s=0", 40),
@@ -55,6 +59,7 @@ REGROUPINGS = [
     ("An:n=4,s=0", 25),
     ("An:n=5,s=2", 16),
     ("An:n=6,s=1", 14),
+    ("An:n=8,s=0", 10),
     ("S111", 40),
     ("baseT:1", 40),
     ("baseT:2", 40),
@@ -350,6 +355,10 @@ MULTI_INDEX = [
 ]
 
 
+def _frac_div(x, d):
+    return F(x) / d
+
+
 def _unfolded_sum(spec, hi: int, top: int, one, div):
     """The defining form summed over every ordered index tuple in
     origin..hi with total <= top, one div(num * one, den) per tuple, with
@@ -429,9 +438,9 @@ class TestSymmetricFold:
                 for top in (box, dims * box):
                     got = oracle._defining_sum(spec, box, top, one)
                     assert got == _unfolded_sum(spec, box, top, one, floordiv), (box, digits, top)
-            exact = _unfolded_sum(spec, box, box, 1, oracle._exact_div)
+            exact = _unfolded_sum(spec, box, box, 1, _frac_div)
             assert triangle_partial_exact(spec, box) == exact, box
-            exact = _unfolded_sum(spec, box, dims * box, 1, oracle._exact_div)
+            exact = _unfolded_sum(spec, box, dims * box, 1, _frac_div)
             assert box_partial_exact(spec, box) == exact, box
 
     def test_exact_sound_partials_pinned(self):
@@ -464,27 +473,44 @@ class TestSymmetricFold:
         top = data.draw(st.integers(box, dims * box))
         grid = oracle._exact_grid(spec, box, top)
         got = F(oracle._defining_sum(spec, box, top, grid), grid)
-        assert got == _unfolded_sum(spec, box, top, 1, oracle._exact_div)
-        exact = _unfolded_sum(spec, box, box, 1, oracle._exact_div)
+        assert got == _unfolded_sum(spec, box, top, 1, _frac_div)
+        exact = _unfolded_sum(spec, box, box, 1, _frac_div)
         assert triangle_partial_exact(spec, box) == exact
-        exact = _unfolded_sum(spec, box, dims * box, 1, oracle._exact_div)
+        exact = _unfolded_sum(spec, box, dims * box, 1, _frac_div)
         assert box_partial_exact(spec, box) == exact
 
-    def test_defining_partials_take_no_fraction_per_term(self, monkeypatch):
-        # only the regrouped walk divides as Fractions; the defining form's
-        # exact partials stay on the integer grid
-        def refuse(x, d):
-            raise AssertionError("per-term Fraction division")
+    @pytest.mark.parametrize("text", DIAG_FAMILIES + ["A3:s=20", "An:n=8,s=0"])
+    def test_regrouped_grid_leaves_no_remainder(self, text):
+        # the exact diagonal partial walks on the common multiple L of its
+        # atoms and linear factors (e_6 in An:n=8 puts lcm(1..N)^7 in it);
+        # no floor may drop anything, so the sum scales exactly with L
+        spec = parse_spec(text)
+        origin = spec.family.origin
+        for cutoff in (origin, origin + 1, 7, 40):
+            grid = oracle._regrouped_grid(spec, cutoff)
+            got = oracle._regrouped_sum(spec, cutoff, grid)
+            assert oracle._regrouped_sum(spec, cutoff, 3 * grid) == 3 * got, cutoff
 
-        monkeypatch.setattr(oracle, "_exact_div", refuse)
-        specs = [parse_spec(text) for text in MULTI_INDEX + ["aXL:k=3"]]
-        assert {s.kind for s in specs} == {k for k, f in FAMILIES.items() if f.summand}
+    def test_exact_partials_build_one_fraction_per_call(self, monkeypatch):
+        # every exact partial sums on an integer grid and builds one Fraction
+        # at the end; a walk dividing as Fractions would build one per term
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return F(*args)
+
+        monkeypatch.setattr(oracle, "Fraction", counting)
+        specs = [parse_spec(text) for text in MULTI_INDEX + ["aXL:k=3", "ln", "on", "oddsq"]]
+        assert {s.kind for s in specs} >= {k for k, f in FAMILIES.items() if f.summand}
         for spec in specs:
-            assert triangle_partial_exact(spec, 5) > 0
-            assert box_partial_exact(spec, 5) > 0
+            partials = [triangle_partial_exact, box_partial_exact]
             if spec.family.atoms is not None:
-                with pytest.raises(AssertionError, match="per-term"):
-                    diagonal_partial_exact(spec, 5)
+                partials.append(diagonal_partial_exact)
+            for partial_exact in partials:
+                built.clear()
+                assert partial_exact(spec, 5) > 0
+                assert len(built) == 1, (str(spec), partial_exact.__name__, len(built))
 
     @pytest.mark.parametrize(
         "text,box,terms",
