@@ -36,8 +36,8 @@ def _add_numeric_opts(p: argparse.ArgumentParser) -> None:
         "--nmax",
         type=int,
         default=None,
-        help="most terms a series sums (default 10^6); the diagonal route stops at N* (2^11 "
-        "at 50 digits), the raw route at raw_cutoff (256 for two indices at 50); each expands "
+        help="most terms a series sums (default 10^6); the diagonal route stops at N* "
+        "(oracle.asymptotic_cutoff), the raw route at N_raw (oracle.raw_cutoff); each expands "
         "the rest",
     )
     p.add_argument("--quad-levels", type=int, default=None, help="max quadrature levels")
@@ -99,8 +99,12 @@ def _cmd_suite(args) -> int:
     if args.out == "-":
         emit(reports, args.format, sys.stdout)
     else:
-        with open(args.out, "w", newline="") as sink:
-            emit(reports, args.format, sink)
+        try:
+            with open(args.out, "w", newline="") as sink:
+                emit(reports, args.format, sink)
+        except (OSError, RuntimeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         npass = sum(r.passed for r in reports)
         print(f"{npass}/{len(reports)} identities verified -> {args.out}")
     return 0 if all(r.passed for r in reports) else 1

@@ -53,10 +53,10 @@ def verify(spec: SeriesSpec, cfg: NumericCfg, tol: float) -> EvalReport:
 
     Never raises on a numeric mismatch or an oracle breakdown; those come
     back as passed=False with a reason.  Invalid usage (a spec with no
-    closed form, tol <= 0) still raises, since no comparison is defined.
+    closed form, a tol outside (0, inf)) still raises: no comparison is defined.
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < float("inf"):
+        raise ValueError(f"tolerance must be > 0 and finite, got {tol}")
     closed = closed_form_of(spec)
     closed_num = zx_numeric(closed, cfg.digits)
     # a note here means the oracle broke down; it fails the report
@@ -106,8 +106,8 @@ class SuiteManifest:
         if not self.entries:
             raise ValueError("a suite manifest needs at least one entry")
         for e in self.entries:
-            if e.tol <= 0:
-                raise ValueError(f"entry {e.spec}: tolerance must be positive, got {e.tol}")
+            if not 0 < e.tol < float("inf"):
+                raise ValueError(f"entry {e.spec}: tolerance must be > 0 and finite, got {e.tol}")
             if e.spec.family.closed is None:
                 raise ValueError(
                     f"entry {e.spec}: oracle-only family has no closed form to verify"
@@ -169,8 +169,8 @@ def paper_full_manifest(digits: int | None = None) -> SuiteManifest:
         _entry("halfint:a", "diagonal", 10**5, 1e-6, d),
         _entry("halfint:b", "diagonal", 10**5, 1e-6, d),
         _entry("halfint:c", "diagonal", 10**5, 1e-6, d),
-        # defining double sums: n_max reaches N_raw (256 at 50 digits), so each
-        # sums its summand over the simplex to N_raw and adds the certified tail
+        # defining double sums: n_max reaches N_raw (``oracle.raw_cutoff``), so
+        # each sums its summand over the simplex to N_raw and adds the certified tail
         _entry("S111", "raw", 1500, 1e-6, d),
         _entry("halfint:c", "raw", 1000, 1e-6, d),
     )

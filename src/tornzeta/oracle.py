@@ -4,15 +4,16 @@ Three independent routes produce high-precision numeric values for each
 catalog series:
 
 * ``oracle_raw`` sums the defining multi-index form: once ``n_max``
-  reaches N_raw (``raw_cutoff``, 256 for two indices at 50 digits) over
-  the simplex of index totals <= N_raw, plus the diagonal route's
-  certified tail; below N_raw over the box [origin..n_max]^d;
+  reaches N_raw (``raw_cutoff``) over the simplex of index totals <= N_raw,
+  plus the diagonal route's certified tail; below N_raw over the box
+  [origin..n_max]^d.  A one-index series is its own regrouping, so its raw
+  route is the diagonal route;
 * ``oracle_diagonal`` sums the single-index regrouped form (indices
   grouped by their total), walking the row's harmonic atoms as running
-  prefix sums.  Once ``n_max`` reaches the cutoff N*
-  (``asymptotic_cutoff``, 2^11 at 50 digits) it sums N* terms and adds
-  the certified asymptotic tail of ``asymptotic.py``; below N* it sums
-  n_max terms and bounds the rest by the ``tail_estimate`` majorant;
+  prefix sums.  Once ``n_max`` reaches the cutoff N* (``asymptotic_cutoff``)
+  it sums N* terms and adds the certified asymptotic tail of
+  ``asymptotic.py``; below N* it sums n_max terms and bounds the rest by
+  the ``tail_estimate`` majorant;
 * ``oracle_quadrature`` integrates the log-power integral representation
   of the A-family with tanh-sinh nodes.
 
@@ -51,8 +52,6 @@ _GUARD_BITS = 64
 _TAIL_GUARD_BITS = 32
 # a raw box of cutoff N over d indices sums N^d terms; refuse runaway requests
 _RAW_TERM_CAP = 5000**2
-# the diagonal route's asymptotic cutoff at 50 digits
-_ASYMPTOTIC_CUTOFF = 2**11
 # the most folded tuples (about N^d / d!^2) a raw simplex sums; past it the box stays
 _RAW_TUPLE_BUDGET = 2**16
 
@@ -73,8 +72,8 @@ class NumericCfg:
     """Oracle configuration.
 
     digits: working precision (>= 30); n_max: the most terms a series
-    route sums (>= 10), a ceiling: the diagonal route stops at N* (2^11 at 50
-    digits), the raw route at ``raw_cutoff`` (256 for two indices at 50);
+    route sums (>= 10), a ceiling: the diagonal route stops at N*
+    (``asymptotic_cutoff``), the raw route at N_raw (``raw_cutoff``);
     quad_levels: max tanh-sinh halvings (3..16); method: raw|diagonal|quadrature.
     """
 
@@ -363,10 +362,6 @@ def _defining_sum(spec: SeriesSpec, hi: int, top: int, one: int) -> int:
     return acc
 
 
-def _factored_box(spec: SeriesSpec, box: int, one: int) -> int:
-    return _defining_sum(spec, box, spec.family.dims(*spec.args) * box, one)
-
-
 # ---------------------------------------------------------------------------
 # exact (rational) partial sums
 #
@@ -479,23 +474,22 @@ def oracle_raw(spec: SeriesSpec, cfg: NumericCfg) -> OracleResult:
     route's certified tail from the row's ``atoms`` (an error in the atoms
     over the head's range shows in the exact diagonal == triangle check,
     one inside ``asymptotic.py`` hits both routes); else over the box
-    [origin..N]^d, N = cfg.n_max, with the ``tail_estimate`` majorant."""
-    fam = spec.family
-    dims = fam.dims(*spec.args)
+    [origin..N]^d, N = cfg.n_max, with the ``tail_estimate`` majorant.
+    A one-index series is its own regrouping: the diagonal route."""
+    dims = spec.family.dims(*spec.args)
+    if dims == 1:
+        return _diagonal(spec, cfg, "raw")
     if cfg.n_max**dims > _RAW_TERM_CAP:
         raise ValueError(
             f"raw box {cfg.n_max}^{dims} is out of reach; cap {_RAW_TERM_CAP} terms (use diagonal)"
         )
-    if dims == 1:
-        # a one-index series is its own regrouping, summed by the regrouped walk
-        return _summed(spec, cfg, "raw", partial(_regrouped_sum, spec))
     n_raw = raw_cutoff(spec, cfg.digits)
     if n_raw is None or cfg.n_max < n_raw:
-        return _summed(spec, cfg, "raw", partial(_factored_box, spec))
+        return _series(spec, cfg, "raw", lambda n, one: _defining_sum(spec, n, dims * n, one))
     # a folded tuple's term floors once (An's H numerators once more) and its
     # orderings share it: the head errs by under 3 ulps per ordered tuple
-    ordered = math.comb(n_raw - dims * fam.origin + dims, dims)
-    return _asymptotic(spec, cfg, "raw", n_raw, partial(_defining_sum, spec, n_raw, n_raw), ordered)
+    ordered = math.comb(n_raw - dims * spec.family.origin + dims, dims)
+    return _series(spec, cfg, "raw", lambda n, one: _defining_sum(spec, n, n, one), n_raw, ordered)
 
 
 def raw_cutoff(spec: SeriesSpec, digits: int) -> int | None:
@@ -519,7 +513,7 @@ def asymptotic_cutoff(spec: SeriesSpec, digits: int) -> int:
     takes over.  2^11 at 50 digits, doubled while it is below 40 digits or
     64 (shift + 1), which keeps the expansion's order near digits/2."""
     shift = spec.family.shift(*spec.args)
-    n = _ASYMPTOTIC_CUTOFF
+    n = 2**11
     while n < 40 * digits or n < 64 * (shift + 1):
         n *= 2
     return n
@@ -535,31 +529,43 @@ def oracle_diagonal(spec: SeriesSpec, cfg: NumericCfg) -> OracleResult:
     S_N*.  Below N*, the first n_max terms are summed and ``tail_estimate``
     bounds what is left.
     """
-    engine = partial(_regrouped_sum, spec)
+    return _diagonal(spec, cfg, "diagonal")
+
+
+def _diagonal(spec: SeriesSpec, cfg: NumericCfg, method: str) -> OracleResult:
+    # also oracle_raw's one-index route, kept off the traced oracle_diagonal
     n_star = asymptotic_cutoff(spec, cfg.digits)
-    if cfg.n_max < n_star:
-        return _summed(spec, cfg, "diagonal", engine)
-    return _asymptotic(spec, cfg, "diagonal", n_star, partial(engine, n_star), n_star)
+    cutoff = None if cfg.n_max < n_star else n_star
+    return _series(spec, cfg, method, partial(_regrouped_sum, spec), cutoff, n_star)
 
 
-def _asymptotic(spec: SeriesSpec, cfg: NumericCfg, method: str, n: int, head, terms: int):
-    """head(one), the fixed-point sum of the ``terms`` terms of index total
-    <= n, plus the certified asymptotic tail past n; ``tail_bound`` allows
-    each term 2^_TAIL_GUARD_BITS ulps of rounding, far more than it takes."""
-    # imported here, so a run that stays below the cutoffs does not load
-    # (and, without cached bytecode, compile) the expansion code
-    from . import asymptotic
-
+def _series(spec: SeriesSpec, cfg: NumericCfg, method: str, head, cutoff=None, allowance=0):
+    """head(n, one), a fixed-point engine's sum through n on the grid ONE, plus
+    the tail past n: without a cutoff n = cfg.n_max and ``tail_estimate``
+    bounds the tail; at one, n = cutoff on a grid _TAIL_GUARD_BITS finer, the
+    certified asymptotic tail is added and ``tail_bound`` gives each of the
+    ``allowance`` summed terms 2^_TAIL_GUARD_BITS ulps, far more than one takes."""
     t0 = time.perf_counter()
-    prec = _prec_bits(cfg.digits) + _TAIL_GUARD_BITS
-    acc = head(1 << prec)
-    tail, bound = asymptotic.tail(spec, n, cfg.digits, prec)
-    bound += terms << _TAIL_GUARD_BITS
-    with mp.workprec(prec + 64):
-        value = mp.ldexp(mp.mpf(acc + tail), -prec)
-    with mp.workprec(64):
-        # padded so that rounding the integer to 64 bits cannot lower it
-        tail_bound = mp.ldexp(mp.mpf(bound + (bound >> 40) + 1), -prec)
+    if cutoff is None:
+        n, prec = cfg.n_max, _prec_bits(cfg.digits)
+        acc = head(n, 1 << prec)
+        tail_bound = tail_estimate(spec, n)
+        with mp.workdps(cfg.digits + 10):
+            value = mp.mpf(acc) / mp.mpf(1 << prec)
+    else:
+        # imported here, so a run that stays below the cutoffs does not load
+        # (and, without cached bytecode, compile) the expansion code
+        from . import asymptotic
+
+        n, prec = cutoff, _prec_bits(cfg.digits) + _TAIL_GUARD_BITS
+        acc = head(n, 1 << prec)
+        tail, bound = asymptotic.tail(spec, n, cfg.digits, prec)
+        bound += allowance << _TAIL_GUARD_BITS
+        with mp.workprec(prec + 64):
+            value = mp.ldexp(mp.mpf(acc + tail), -prec)
+        with mp.workprec(64):
+            # padded so that rounding the integer to 64 bits cannot lower it
+            tail_bound = mp.ldexp(mp.mpf(bound + (bound >> 40) + 1), -prec)
     return OracleResult(
         value=value,
         method=method,
@@ -567,26 +573,6 @@ def _asymptotic(spec: SeriesSpec, cfg: NumericCfg, method: str, n: int, head, te
         levels_used=None,
         tail_bound=tail_bound,
         error_estimate=mp.mpf(0),
-        elapsed=time.perf_counter() - t0,
-    )
-
-
-def _summed(spec: SeriesSpec, cfg: NumericCfg, method: str, engine) -> OracleResult:
-    # one fixed-point engine(n_max, one) run, with the certified tail past n_max
-    t0 = time.perf_counter()
-    prec = _prec_bits(cfg.digits)
-    acc = engine(cfg.n_max, 1 << prec)
-    tail = tail_estimate(spec, cfg.n_max)
-    with mp.workdps(cfg.digits + 10):
-        value = mp.mpf(acc) / mp.mpf(1 << prec)
-        zero = mp.mpf(0)
-    return OracleResult(
-        value=value,
-        method=method,
-        n_used=cfg.n_max,
-        levels_used=None,
-        tail_bound=tail,
-        error_estimate=zero,
         elapsed=time.perf_counter() - t0,
     )
 

@@ -86,6 +86,12 @@ class TestVerify:
         assert "FAIL" in out
         assert "0/1 identities verified" in out
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tolerance_is_usage_error(self, tol, capsys):
+        # nan would fail every check and inf pass every one
+        assert main(["verify", "S111", "--nmax", "20", "--tol", tol]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_no_closed_form_is_usage_error(self, capsys):
         assert main(["verify", "tornheim:a=1,b=1,c=1"]) == 2
         assert "no closed form" in capsys.readouterr().err
@@ -103,6 +109,22 @@ class TestSuite:
         assert main(["suite", "--preset", "smoke", "--format", "csv", "--out", str(target)]) == 0
         assert "6/6 identities verified" in capsys.readouterr().out
         assert target.read_text().startswith("spec,params,closed_form")
+
+    def test_unwritable_out_is_an_error(self, tmp_path, capsys):
+        # exit 1 means a failed identity; a report that was not written is exit 2
+        target = tmp_path / "missing" / "r.json"
+        assert main(["suite", "--preset", "smoke", "--format", "json", "--out", str(target)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not target.exists()
+
+    def test_failed_emit_is_an_error(self, tmp_path, capsys, monkeypatch):
+        def broken(reports, format, sink):
+            raise RuntimeError(f"could not write {format} report")
+
+        monkeypatch.setattr("tornzeta.cli.emit", broken)
+        out = str(tmp_path / "r.json")
+        assert main(["suite", "--preset", "smoke", "--format", "json", "--out", out]) == 2
+        assert "error: could not write json report" in capsys.readouterr().err
 
     def test_parallel_matches_serial(self, capsys):
         assert main(["suite", "--preset", "smoke", "--format", "csv"]) == 0

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -53,6 +54,15 @@ class TestVerify:
             verify(parse_spec("on"), cfg, -1e-6)
         with pytest.raises(ValueError, match="no closed form"):
             verify(SeriesSpec("TornheimRaw", a=2, b=1, c=1), cfg, 1e-6)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    def test_non_finite_tolerance_raises(self, tol):
+        # nan compares false with everything and inf passes any error
+        with pytest.raises(ValueError, match="finite"):
+            verify(parse_spec("on"), NumericCfg(n_max=100), tol)
+        good = smoke_manifest().entries[0]
+        with pytest.raises(ValueError, match="finite"):
+            SuiteManifest("bad", (SuiteEntry(good.spec, good.cfg, tol),))
 
     def test_mismatch_reports_instead_of_raising(self, monkeypatch):
         # with the truncation slack forced to zero a short sum cannot reach
@@ -205,6 +215,18 @@ class TestEmission:
         c = render_reports(run_suite(man), "csv")
         d = render_reports(run_suite(man), "csv")
         assert c == d
+
+    def test_paper_full_report_bytes_pinned(self):
+        # the paper-full preset at 50 digits, rendered three ways; these
+        # digests change only when a route or a rendering is meant to move
+        reports = run_suite(paper_full_manifest(50))
+        want = {
+            "json": "1aa29413edef6e8fc5dfb2c5744c98ea287b6ff8d256b42f2dd59d742833d3a4",
+            "csv": "c63f66793e2ee8dfee0b554a1628273c0faa07a570684e8a6706a2317f8c7f0a",
+            "text": "0dd042986508d4c457e7946d934498d1e589977dddc6e2be5bde092d77042dc3",
+        }
+        got = {f: hashlib.sha256(render_reports(reports, f).encode()).hexdigest() for f in want}
+        assert got == want
 
     def test_emit_writes_sink(self):
         reports = _tiny_reports()

@@ -302,16 +302,15 @@ class TestFixedPointEngines:
         assert abs(got - WALK_PINNED[text, cutoff]) <= slack
 
     def test_one_index_raw_walk_holds_bounded_memory(self):
-        # every stage of the walk is an iterator, so a long one-index raw sum
+        # every stage of the walk is an iterator, so a long regrouped sum
         # holds a handful of values rather than a list of every partial sum
         spec = parse_spec("ln")
         tracemalloc.start()
         try:
-            res = oracle_raw(spec, NumericCfg(digits=50, n_max=2 * 10**5, method="raw"))
+            oracle._regrouped_sum(spec, 2 * 10**5, 1 << oracle._prec_bits(50))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert res.n_used == 2 * 10**5
         assert peak < 2 * 2**20, peak
 
     def test_rounding_is_downward(self):
@@ -667,8 +666,23 @@ class TestConfigAndGuards:
         with pytest.raises(ValueError, match="out of reach"):
             oracle_raw(parse_spec("An:n=12,s=0"), NumericCfg(n_max=10, method="raw"))
         # the 1-dim families have no box blowup and take large cutoffs
-        res = oracle_raw(parse_spec("aXL:k=0"), NumericCfg(n_max=20000, method="raw"))
-        assert res.n_used == 20000
+        spec, cfg = parse_spec("aXL:k=0"), NumericCfg(n_max=20000, method="raw")
+        assert oracle_raw(spec, cfg).n_used == oracle.asymptotic_cutoff(spec, cfg.digits)
+
+    @pytest.mark.parametrize("text", ["ln", "on", "evenodd", "oddsq", "aXL:k=0", "An:n=2,s=3"])
+    @pytest.mark.parametrize("at", ["100", "N*-1", "N*", "10^5"])
+    def test_one_index_raw_is_the_diagonal_route(self, text, at):
+        # a one-index series is its own regrouping: below N* and past it the
+        # raw route gives the diagonal route's value, terms and bound
+        spec = parse_spec(text)
+        n_star = oracle.asymptotic_cutoff(spec, 50)
+        n_max = {"100": 100, "N*-1": n_star - 1, "N*": n_star, "10^5": 10**5}[at]
+        raw = oracle_raw(spec, NumericCfg(digits=50, n_max=n_max, method="raw"))
+        diag = oracle_diagonal(spec, NumericCfg(digits=50, n_max=n_max, method="diagonal"))
+        assert raw.method == "raw"
+        assert raw.n_used == diag.n_used == min(n_max, n_star)
+        assert raw.value._mpf_ == diag.value._mpf_
+        assert raw.tail_bound._mpf_ == diag.tail_bound._mpf_
 
     def test_quadrature_family_guard(self):
         with pytest.raises(ValueError, match="A-family"):
