@@ -10,11 +10,6 @@ from .closedform import (
     alt_binomial_sides,
     eval_An,
     eval_aXL,
-    eval_aux,
-    eval_base_T,
-    eval_halfint,
-    eval_ln_series,
-    eval_on_series,
 )
 from .exact import Rat, bernoulli, binomial, harmonic, harmonic_gen, odd_harmonic
 from .harness import (

@@ -95,16 +95,24 @@ def _cmd_verify(args) -> int:
 
 def _cmd_suite(args) -> int:
     manifest = PRESETS[args.preset](args.digits)
-    reports = _run_suite(manifest, parallel=args.parallel)
     if args.out == "-":
+        reports = _run_suite(manifest, parallel=args.parallel)
         emit(reports, args.format, sys.stdout)
     else:
         try:
-            with open(args.out, "w", newline="") as sink:
-                emit(reports, args.format, sink)
-        except (OSError, RuntimeError) as exc:
+            # opened before the suite runs, so a bad --out costs none of its work
+            sink = open(args.out, "w", newline="")
+        except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        with sink:
+            reports = _run_suite(manifest, parallel=args.parallel)
+            try:
+                emit(reports, args.format, sink)
+                sink.close()  # flushes, so a failed write is caught here too
+            except (OSError, RuntimeError) as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
         npass = sum(r.passed for r in reports)
         print(f"{npass}/{len(reports)} identities verified -> {args.out}")
     return 0 if all(r.passed for r in reports) else 1

@@ -114,10 +114,10 @@ class SuiteManifest:
                 )
 
 
-def _entry(text: str, method: str, n_max: int, tol: float, digits: int) -> SuiteEntry:
+def _entry(text: str, method: str, tol: float, digits: int, **cfg) -> SuiteEntry:
     return SuiteEntry(
         parse_spec(text),
-        NumericCfg(digits=digits, n_max=n_max, method=method),
+        NumericCfg(digits=digits, method=method, **cfg),
         tol,
     )
 
@@ -127,12 +127,12 @@ def smoke_manifest(digits: int | None = None) -> SuiteManifest:
     d = default_digits() if digits is None else digits
     n = 10**4
     entries = (
-        _entry("A3:s=0", "diagonal", n, 1e-6, d),
-        _entry("An:n=2,s=0", "diagonal", n, 1e-6, d),
-        _entry("aXL:k=1", "diagonal", n, 1e-6, d),
-        _entry("ln", "diagonal", n, 1e-6, d),
-        _entry("on", "diagonal", n, 1e-6, d),
-        _entry("halfint:c", "diagonal", n, 1e-6, d),
+        _entry("A3:s=0", "diagonal", 1e-6, d, n_max=n),
+        _entry("An:n=2,s=0", "diagonal", 1e-6, d, n_max=n),
+        _entry("aXL:k=1", "diagonal", 1e-6, d, n_max=n),
+        _entry("ln", "diagonal", 1e-6, d, n_max=n),
+        _entry("on", "diagonal", 1e-6, d, n_max=n),
+        _entry("halfint:c", "diagonal", 1e-6, d, n_max=n),
     )
     return SuiteManifest("smoke", entries)
 
@@ -142,37 +142,38 @@ def paper_full_manifest(digits: int | None = None) -> SuiteManifest:
     d = default_digits() if digits is None else digits
     entries = (
         # quadrature on the integral representations
-        _entry("A3:s=0", "quadrature", 10**6, 1e-8, d),
-        _entry("An:n=2,s=0", "quadrature", 10**6, 1e-10, d),
-        _entry("An:n=4,s=0", "quadrature", 10**6, 1e-10, d),
-        _entry("An:n=5,s=3", "quadrature", 10**6, 1e-10, d),
-        # regrouped single-index summation
-        _entry("A3:s=0", "diagonal", 10**6, 1e-6, d),
-        _entry("A3:s=1", "diagonal", 2 * 10**5, 1e-6, d),
-        _entry("A3:s=2", "diagonal", 2 * 10**5, 1e-6, d),
-        _entry("A3:s=20", "diagonal", 2 * 10**5, 1e-6, d),
-        _entry("An:n=2,s=2", "diagonal", 2 * 10**5, 1e-6, d),
-        _entry("An:n=6,s=1", "diagonal", 10**5, 1e-6, d),
-        _entry("aXL:k=0", "diagonal", 10**6, 1e-6, d),
-        _entry("aXL:k=1", "diagonal", 2 * 10**5, 1e-6, d),
-        _entry("aXL:k=3", "diagonal", 2 * 10**5, 1e-6, d),
-        _entry("aXL:k=10", "diagonal", 2 * 10**5, 1e-6, d),
-        _entry("S111", "diagonal", 10**6, 1e-6, d),
-        _entry("ln", "diagonal", 10**6, 1e-8, d),
-        _entry("on", "diagonal", 10**6, 1e-8, d),
-        _entry("evenodd", "diagonal", 10**6, 1e-8, d),
-        _entry("oddsq", "diagonal", 10**6, 1e-8, d),
-        _entry("binter", "diagonal", 10**6, 1e-8, d),
-        _entry("baseT:1", "diagonal", 10**6, 1e-8, d),
-        _entry("baseT:2", "diagonal", 10**6, 1e-8, d),
-        _entry("baseT:3", "diagonal", 10**6, 1e-8, d),
-        _entry("halfint:a", "diagonal", 10**5, 1e-6, d),
-        _entry("halfint:b", "diagonal", 10**5, 1e-6, d),
-        _entry("halfint:c", "diagonal", 10**5, 1e-6, d),
+        _entry("A3:s=0", "quadrature", 1e-8, d),
+        _entry("An:n=2,s=0", "quadrature", 1e-10, d),
+        _entry("An:n=4,s=0", "quadrature", 1e-10, d),
+        _entry("An:n=5,s=3", "quadrature", 1e-10, d),
+        # regrouped single-index summation; each stops at N* (``oracle.asymptotic_cutoff``),
+        # which stays below the default n_max up to 13107 digits
+        _entry("A3:s=0", "diagonal", 1e-6, d),
+        _entry("A3:s=1", "diagonal", 1e-6, d),
+        _entry("A3:s=2", "diagonal", 1e-6, d),
+        _entry("A3:s=20", "diagonal", 1e-6, d),
+        _entry("An:n=2,s=2", "diagonal", 1e-6, d),
+        _entry("An:n=6,s=1", "diagonal", 1e-6, d),
+        _entry("aXL:k=0", "diagonal", 1e-6, d),
+        _entry("aXL:k=1", "diagonal", 1e-6, d),
+        _entry("aXL:k=3", "diagonal", 1e-6, d),
+        _entry("aXL:k=10", "diagonal", 1e-6, d),
+        _entry("S111", "diagonal", 1e-6, d),
+        _entry("ln", "diagonal", 1e-8, d),
+        _entry("on", "diagonal", 1e-8, d),
+        _entry("evenodd", "diagonal", 1e-8, d),
+        _entry("oddsq", "diagonal", 1e-8, d),
+        _entry("binter", "diagonal", 1e-8, d),
+        _entry("baseT:1", "diagonal", 1e-8, d),
+        _entry("baseT:2", "diagonal", 1e-8, d),
+        _entry("baseT:3", "diagonal", 1e-8, d),
+        _entry("halfint:a", "diagonal", 1e-6, d),
+        _entry("halfint:b", "diagonal", 1e-6, d),
+        _entry("halfint:c", "diagonal", 1e-6, d),
         # defining double sums: n_max reaches N_raw (``oracle.raw_cutoff``), so
         # each sums its summand over the simplex to N_raw and adds the certified tail
-        _entry("S111", "raw", 1500, 1e-6, d),
-        _entry("halfint:c", "raw", 1000, 1e-6, d),
+        _entry("S111", "raw", 1e-6, d, n_max=1500),
+        _entry("halfint:c", "raw", 1e-6, d, n_max=1000),
     )
     return SuiteManifest("paper-full", entries)
 

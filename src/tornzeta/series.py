@@ -7,21 +7,22 @@ command line and echoed in reports, e.g. ``A3:s=2``, ``An:n=4,s=0``,
 
 Everything the package knows about a family lives in its row of
 ``FAMILIES``: the parameter schema, the closed form, the defining summand,
-the regrouped term as harmonic atoms, and the tail majorant.  The
-closed-form evaluators and the oracles look the row up through
-``SeriesSpec.family``; adding a family means adding one row.
+the regrouped term as harmonic atoms, and the tail majorant.  A fixed
+closed form is written in its row; the A family's, which take an
+algorithm, come from ``closedform``.  ``closedform.closed_form_of`` and the
+oracles look the row up through ``SeriesSpec.family``; adding a family
+means adding one row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from functools import partial
 from math import factorial, prod
 from typing import Callable
 
 from . import closedform
-from .zexpr import ZExpr
+from .zexpr import LN2, UNIT, ZExpr
 
 
 def _const(value):
@@ -85,9 +86,18 @@ def _single_sum(kind, token, closed, atoms, tail) -> Family:
     )
 
 
+# T_j = sum_{m,n>=0} 1/((2m+1)(2n+1)(2m+2n+j)), the base T-sums
+_BASE_T = {1: ZExpr.zeta(2), 2: ZExpr.zeta(3, Fraction(7, 8)), 3: ZExpr.zeta(2, Fraction(1, 2))}
+
 # half-integer variant -> k of its outer factors (m+n+k/2); with the inner
 # (m+1/2)(n+1/2) each factor contributes a 2 once the halves are cleared
 _HALF_FACTORS = {"a": (1, 2), "b": (2, 3), "c": (1, 2, 3)}
+
+# closed forms from the T-sums: a = 16(T1 - T2) and b = 16(T2 - T3) by partial
+# fractions in the outer factors; c telescopes across the unit gap between them,
+# c = a - b.  Tests hold all three to the published combinations of zeta(2), zeta(3).
+_HALF_CLOSED = {"a": 16 * (_BASE_T[1] - _BASE_T[2]), "b": 16 * (_BASE_T[2] - _BASE_T[3])}
+_HALF_CLOSED["c"] = _HALF_CLOSED["a"] - _HALF_CLOSED["b"]
 
 
 def _halfint_summand(v: str) -> tuple:
@@ -144,7 +154,7 @@ FAMILIES: dict[str, Family] = {
         _single_sum(
             "LnSeries",
             "ln",
-            closedform.eval_ln_series,
+            lambda: ZExpr([(UNIT, 4), (LN2, -2)]) - ZExpr.zeta(2),
             (((2, (("H", 2, 1),)), (-1, (("H", 1, 0),))), ((2, 0), (2, 1))),
             # 2 H_{2m+1} - H_m <= ln m + 3.2
             (Fraction(1, 4), 3.2, 1, 2),
@@ -152,7 +162,7 @@ FAMILIES: dict[str, Family] = {
         _single_sum(
             "OnSeries",
             "on",
-            closedform.eval_on_series,
+            lambda: ZExpr.zeta(2, Fraction(1, 4)),
             (((1, (("O", 0),)),), ((2, 0), (2, 1))),
             # O_m <= (ln m + 3.4)/2
             (Fraction(1, 8), 3.4, 1, 2),
@@ -162,9 +172,9 @@ FAMILIES: dict[str, Family] = {
             token="baseT",
             params=("j",),
             bare=True,
-            valid=lambda j: j in (1, 2, 3),
+            valid=lambda j: j in _BASE_T,
             rule="j in 1..3",
-            closed=closedform.eval_base_T,
+            closed=lambda j: _BASE_T[j],
             origin=0,
             summand=lambda j: (1, _odd, _odd, lambda g: 2 * g + j),
             atoms=lambda j: (((1, (("O", 1),)),), ((1, 1), (2, j))),
@@ -177,7 +187,7 @@ FAMILIES: dict[str, Family] = {
             bare=True,
             valid=lambda v: v in _HALF_FACTORS,
             rule="variant a, b or c",
-            closed=closedform.eval_halfint,
+            closed=lambda v: _HALF_CLOSED[v],
             origin=0,
             summand=_halfint_summand,
             atoms=_halfint_atoms,
@@ -186,14 +196,14 @@ FAMILIES: dict[str, Family] = {
         _single_sum(
             "EvenOddAux",
             "evenodd",
-            partial(closedform.eval_aux, "EvenOddAux"),
+            lambda: ZExpr([(UNIT, 1), (LN2, -1)]),
             (((1, ()),), ((2, 0), (2, 1))),
             (Fraction(1, 4), 0.0, 0, 2),
         ),
         _single_sum(
             "OddSquares",
             "oddsq",
-            partial(closedform.eval_aux, "OddSquares"),
+            lambda: ZExpr.zeta(2, Fraction(3, 4)),
             (((1, ()),), ((2, -1), (2, -1))),
             # 1/(4G^2) lies below the term 1/(2G-1)^2 (ratio 1.108 at G = 10), but
             # the tail past N is at most the integral of the convex (2x-1)^-2 from
@@ -204,7 +214,8 @@ FAMILIES: dict[str, Family] = {
         Family(
             kind="BInter",
             token="binter",
-            closed=partial(closedform.eval_aux, "BInter"),
+            # the proof's intermediate B = A - (3/2) zeta(2) + 1 with A = zeta(2)
+            closed=lambda: ZExpr.rational(1) - ZExpr.zeta(2, Fraction(1, 2)),
             summand=_const((1, _odd, _const(1), lambda g: (g + 1) * (2 * g + 1))),
             atoms=_const((((1, (("O", 0),)), (-1, ())), ((1, 1), (2, 1)))),
             # O_G - 1 <= (ln G + 1.4)/2

@@ -11,7 +11,7 @@ from fractions import Fraction as F
 
 from mpmath import mp, workdps
 
-from tornzeta.closedform import closed_form_of, alt_binomial_sides, eval_An, eval_halfint
+from tornzeta.closedform import closed_form_of, alt_binomial_sides, eval_An
 from tornzeta.harness import paper_full_manifest, render_reports, run_suite, smoke_manifest, verify
 from tornzeta.oracle import (
     NumericCfg,
@@ -123,7 +123,8 @@ def test_criterion_07_half_odd_denominator_sums_and_difference_identity():
         with workdps(60):
             assert report.abs_err <= mp.mpf("1e-6")
             assert abs(report.closed_numeric - mp.mpf(literal)) < 1e-6
-    assert eval_halfint("c") == eval_halfint("a") - eval_halfint("b")
+    halfint = {v: closed_form_of(parse_spec(f"halfint:{v}")) for v in "abc"}
+    assert halfint["c"] == halfint["a"] - halfint["b"]
 
 
 def test_criterion_08_base_t_sums_and_intermediate_b():

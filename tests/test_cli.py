@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import tornzeta.harness
 from tornzeta.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -116,6 +117,23 @@ class TestSuite:
         assert main(["suite", "--preset", "smoke", "--format", "json", "--out", str(target)]) == 2
         assert "error:" in capsys.readouterr().err
         assert not target.exists()
+
+    def test_bad_out_fails_before_the_suite_runs(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        real = tornzeta.harness.verify
+
+        def counted(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr("tornzeta.harness.verify", counted)
+        target = tmp_path / "missing" / "r.json"
+        assert main(["suite", "--preset", "smoke", "--format", "json", "--out", str(target)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert calls == []
+        # the counter does see a run that has somewhere to write
+        assert main(["suite", "--preset", "smoke", "--out", str(tmp_path / "r.txt")]) == 0
+        assert len(calls) == 6
 
     def test_failed_emit_is_an_error(self, tmp_path, capsys, monkeypatch):
         def broken(reports, format, sink):

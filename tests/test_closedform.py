@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as F
 from math import factorial
 
@@ -10,11 +11,6 @@ from tornzeta.closedform import (
     alt_binomial_sides,
     eval_An,
     eval_aXL,
-    eval_aux,
-    eval_base_T,
-    eval_halfint,
-    eval_ln_series,
-    eval_on_series,
     ln_series_via_b_path,
     on_series_via_b_path,
 )
@@ -22,6 +18,10 @@ from tornzeta.exact import harmonic, harmonic_gen
 from tornzeta.oracle import zx_numeric
 from tornzeta.series import SeriesSpec, parse_spec
 from tornzeta.zexpr import LN2, UNIT, ZExpr, zeta_sym
+
+
+def _closed(text: str) -> ZExpr:
+    return closed_form_of(parse_spec(text))
 
 
 class TestA3:
@@ -106,21 +106,27 @@ class TestAXL:
 class TestLogAndOddSeries:
     def test_ln_series_form(self):
         want = ZExpr([(UNIT, F(4)), (LN2, F(-2)), (zeta_sym(2), F(-1))])
-        assert eval_ln_series() == want
+        assert _closed("ln") == want
 
     def test_on_series_form(self):
-        assert eval_on_series() == ZExpr.zeta(2, F(1, 4))
+        assert _closed("on") == ZExpr.zeta(2, F(1, 4))
 
     def test_numeric_spots(self):
         with workdps(40):
-            ln_v = zx_numeric(eval_ln_series(), 35)
-            on_v = zx_numeric(eval_on_series(), 35)
+            ln_v = zx_numeric(_closed("ln"), 35)
+            on_v = zx_numeric(_closed("on"), 35)
             assert abs(ln_v - mp.mpf("0.96877157")) < 1e-8
             assert abs(on_v - mp.mpf("0.41123352")) < 1e-8
 
     def test_both_derivation_paths_agree(self):
-        assert ln_series_via_b_path() == eval_ln_series()
-        assert on_series_via_b_path() == eval_on_series()
+        assert ln_series_via_b_path() == _closed("ln")
+        assert on_series_via_b_path() == _closed("on")
+
+    def test_binter_row_is_the_proofs_b(self):
+        # B = A - (3/2) zeta(2) + 1 with A = zeta(2), as the proof writes it
+        assert _closed("binter") == ZExpr.zeta(2) - ZExpr.zeta(2, F(3, 2)) + ZExpr.rational(1)
+        # and the rows recombine along the proof's path into the ln-series
+        assert 2 * (_closed("binter") + _closed("evenodd")) == ln_series_via_b_path()
 
 
 _HALFINT_LITERAL = {
@@ -132,41 +138,35 @@ _HALFINT_LITERAL = {
 
 class TestBaseTAndHalfInt:
     def test_base_t(self):
-        assert eval_base_T(1) == ZExpr.zeta(2)
-        assert eval_base_T(2) == ZExpr.zeta(3, F(7, 8))
-        assert eval_base_T(3) == ZExpr.zeta(2, F(1, 2))
-        with pytest.raises(ValueError):
-            eval_base_T(4)
+        assert _closed("baseT:1") == ZExpr.zeta(2)
+        assert _closed("baseT:2") == ZExpr.zeta(3, F(7, 8))
+        assert _closed("baseT:3") == ZExpr.zeta(2, F(1, 2))
 
     def test_halfint_values(self):
-        assert eval_halfint("a") == ZExpr([(zeta_sym(2), F(16)), (zeta_sym(3), F(-14))])
-        assert eval_halfint("b") == ZExpr([(zeta_sym(2), F(-8)), (zeta_sym(3), F(14))])
-        assert eval_halfint("c") == ZExpr([(zeta_sym(2), F(24)), (zeta_sym(3), F(-28))])
-        with pytest.raises(ValueError):
-            eval_halfint("x")
+        assert _closed("halfint:a") == ZExpr([(zeta_sym(2), F(16)), (zeta_sym(3), F(-14))])
+        assert _closed("halfint:b") == ZExpr([(zeta_sym(2), F(-8)), (zeta_sym(3), F(14))])
+        assert _closed("halfint:c") == ZExpr([(zeta_sym(2), F(24)), (zeta_sym(3), F(-28))])
 
     def test_difference_identity(self):
-        assert eval_halfint("c") == eval_halfint("a") - eval_halfint("b")
+        assert _closed("halfint:c") == _closed("halfint:a") - _closed("halfint:b")
 
     @pytest.mark.parametrize("v", ["a", "b", "c"])
     def test_derived_matches_known_literal(self, v):
         # the published combinations, kept apart from the T-sum derivation
-        assert eval_halfint(v) == _HALFINT_LITERAL[v]
+        assert _closed(f"halfint:{v}") == _HALFINT_LITERAL[v]
 
     def test_numeric_spots(self):
         with workdps(40):
             for v, want in (("a", "9.4901484"), ("b", "3.6693241"), ("c", "5.8208243")):
-                got = zx_numeric(eval_halfint(v), 35)
+                got = zx_numeric(_closed(f"halfint:{v}"), 35)
                 assert abs(got - mp.mpf(want)) < 1e-7
 
 
 class TestAux:
     def test_values(self):
-        assert eval_aux("EvenOddAux") == ZExpr([(UNIT, F(1)), (LN2, F(-1))])
-        assert eval_aux("OddSquares") == ZExpr.zeta(2, F(3, 4))
-        assert eval_aux("BInter") == ZExpr([(UNIT, F(1)), (zeta_sym(2), F(-1, 2))])
-        with pytest.raises(ValueError):
-            eval_aux("S111")
+        assert _closed("evenodd") == ZExpr([(UNIT, F(1)), (LN2, F(-1))])
+        assert _closed("oddsq") == ZExpr.zeta(2, F(3, 4))
+        assert _closed("binter") == ZExpr([(UNIT, F(1)), (zeta_sym(2), F(-1, 2))])
 
 
 class TestDispatch:
@@ -178,13 +178,13 @@ class TestDispatch:
             ("An:n=4,s=0", ZExpr.zeta(5, F(24))),
             ("aXL:k=1", ZExpr.rational(F(2))),
             ("S111", ZExpr.zeta(3, F(2))),
-            ("ln", eval_ln_series()),
+            ("ln", ZExpr([(UNIT, F(4)), (LN2, F(-2)), (zeta_sym(2), F(-1))])),
             ("on", ZExpr.zeta(2, F(1, 4))),
             ("baseT:2", ZExpr.zeta(3, F(7, 8))),
-            ("halfint:c", eval_halfint("c")),
-            ("evenodd", eval_aux("EvenOddAux")),
+            ("halfint:c", _HALFINT_LITERAL["c"]),
+            ("evenodd", ZExpr([(UNIT, F(1)), (LN2, F(-1))])),
             ("oddsq", ZExpr.zeta(2, F(3, 4))),
-            ("binter", eval_aux("BInter")),
+            ("binter", ZExpr([(UNIT, F(1)), (zeta_sym(2), F(-1, 2))])),
         ],
     )
     def test_catalog(self, text, want):
@@ -194,3 +194,25 @@ class TestDispatch:
         spec = SeriesSpec("TornheimRaw", a=2, b=1, c=1)
         with pytest.raises(ValueError, match="no closed form"):
             closed_form_of(spec)
+
+
+# every closed form the catalog serves, in a fixed order
+_PINNED_SPECS = (
+    [f"A3:s={s}" for s in range(21)]
+    + [f"An:n={n},s={s}" for n in range(2, 9) for s in range(7)]
+    + [f"aXL:k={k}" for k in range(21)]
+    + ["S111", "ln", "on", "evenodd", "oddsq", "binter"]
+    + [f"baseT:{j}" for j in (1, 2, 3)]
+    + [f"halfint:{v}" for v in "abc"]
+)
+
+
+def test_closed_forms_pinned():
+    # exact form, rendering and 60-digit value of all 103 specs, hashed; a change
+    # to any closed form, however it is reached, changes the digest
+    digest = hashlib.sha256()
+    for text in _PINNED_SPECS:
+        c = _closed(text)
+        digest.update(f"{text}|{c.render()}|{zx_numeric(c, 60)._mpf_}\n".encode())
+    assert len(_PINNED_SPECS) == 103
+    assert digest.hexdigest() == "d440d880c6dc9d8cd6a5f60ea68e2346420a336367099e5071a8e9a11acd1534"

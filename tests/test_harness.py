@@ -18,7 +18,7 @@ from tornzeta.harness import (
     smoke_manifest,
     verify,
 )
-from tornzeta.oracle import NumericCfg
+from tornzeta.oracle import NumericCfg, asymptotic_cutoff
 from tornzeta.series import KINDS, SeriesSpec, parse_spec
 
 
@@ -113,6 +113,13 @@ class TestManifests:
         assert {e.spec.variant for e in man.entries if e.spec.kind == "HalfInt"} == {"a", "b", "c"}
         assert {e.spec.j for e in man.entries if e.spec.kind == "BaseT"} == {1, 2, 3}
         assert {e.cfg.method for e in man.entries} == {"quadrature", "diagonal", "raw"}
+
+    @pytest.mark.parametrize("digits", [50, 1000, 2000, 3300])
+    def test_paper_full_diagonal_ceiling_reaches_n_star(self, digits):
+        # an n_max below N* silently drops the entry from the expansion to the majorant
+        for e in paper_full_manifest(digits).entries:
+            if e.cfg.method == "diagonal":
+                assert e.cfg.n_max >= asymptotic_cutoff(e.spec, digits), str(e.spec)
 
     def test_digits_override(self):
         man = smoke_manifest(digits=42)

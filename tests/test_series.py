@@ -1,7 +1,11 @@
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
-from tornzeta.series import KINDS, SeriesSpec, parse_spec
+import tornzeta
+from tornzeta.series import FAMILIES, KINDS, SeriesSpec, parse_spec
 
 
 ROUND_TRIPS = [
@@ -114,6 +118,24 @@ def test_kinds_catalog():
         "BInter",
         "TornheimRaw",
     }
+
+
+_FAMILY_NAMES = {name for f in FAMILIES.values() for name in (f.kind, f.token)}
+
+
+# harness.py is left out: its manifests name specs
+@pytest.mark.parametrize(
+    "module", ["closedform.py", "oracle.py", "asymptotic.py", "cli.py", "zexpr.py", "exact.py"]
+)
+def test_family_names_only_in_the_catalog(module):
+    # a family kind or token spelled outside its FAMILIES row is a second dispatch on it
+    tree = ast.parse((Path(tornzeta.__file__).parent / module).read_text())
+    named = {
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in _FAMILY_NAMES
+    }
+    assert not named, f"{module} names families {sorted(named)}"
 
 
 _SPECS = st.one_of(
