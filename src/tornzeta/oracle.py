@@ -27,9 +27,11 @@ used here.
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import time
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache, partial, reduce
@@ -38,6 +40,7 @@ from operator import add, floordiv, mul, rshift
 from typing import TYPE_CHECKING
 
 from mpmath import mp
+from mpmath.libmp import fzero, mpf_add, mpf_mul, mpf_pow_int, round_nearest
 
 from .exact import bernoulli
 from .zexpr import ZExpr
@@ -577,32 +580,26 @@ def _series(spec: SeriesSpec, cfg: NumericCfg, method: str, head, cutoff=None, a
     )
 
 
-# tanh-sinh levels through the default quad_levels keep each node's E and
-# log1p(E) for reuse, keyed by (digits, level); deeper levels stream them
+# tanh-sinh levels through the default quad_levels keep every per-node
+# quantity for reuse, keyed by (digits, level); deeper levels stream them
 _TABLE_LEVELS = 10
 _TABLE_PRECISIONS = 4
 
 
-def _tanh_sinh_node(w, e, lt):
-    """(t, 1-t, -ln t, -ln(1-t)) at t = (1 + tanh w)/2 for w > 0, from
-    E = exp(-2w) and lt = log1p(E).
+def _level_nodes(digits: int, level: int):
+    """(weight, t, 1-t, -ln t, -ln(1-t)) as raw mpf tuples at the nodes
+    u = j*h, h = 2^-level, of one tanh-sinh level, u <= u_max, at the
+    caller's working precision.  t = (1 + tanh w)/2, w = (pi/2) sinh u, and
+    the weight is (pi/2) cosh u without its factor h.
 
-    t = 1/(1+E), 1-t = E*t, -ln t = log1p(E) and -ln(1-t) = 2w + log1p(E).
-    None of the four forms cancels, so the tail where t rounds to 1 keeps
-    full relative accuracy in 1-t and both logs, from one exp and one
-    log1p per node (``_level_exps``).
+    j steps by 1 at level 0 and over the odd j after it, so e^u advances by
+    one multiplication with exp(stride*h) and sinh u, cosh u follow from e^u
+    and 1/e^u.  From E = exp(-2w): t = 1/(1+E), 1-t = E*t, -ln t = log1p(E)
+    and -ln(1-t) = 2w + log1p(E).  None of these forms cancels, so the tail
+    where t rounds to 1 keeps full relative accuracy in 1-t and both logs.
     """
-    t = 1 / (1 + e)
-    return t, e * t, lt, 2 * w + lt
-
-
-def _level_abscissae(digits: int, level: int):
-    """(e^u, e^-u, w = (pi/2) sinh u) at the nodes u = j*h, h = 2^-level, of
-    one tanh-sinh level, u <= u_max: j steps by 1 at level 0 and over the
-    odd j after it, so e^u advances by one multiplication with exp(stride*h).
-    Runs at the caller's working precision."""
     u_max = math.log(math.log(10) * (digits + 25) * 2 / math.pi) + 1.0
-    quarter_pi = mp.pi / 4
+    half_pi, quarter_pi = mp.pi / 2, mp.pi / 4
     h = mp.ldexp(1, -level)
     stride = 2 if level else 1
     eu = mp.exp(h)
@@ -610,36 +607,42 @@ def _level_abscissae(digits: int, level: int):
     # j*h <= u_max, exactly: h is a power of two
     for _ in range(1, math.floor(math.ldexp(u_max, level)) + 1, stride):
         emu = 1 / eu
-        yield eu, emu, quarter_pi * (eu - emu)
+        w = quarter_pi * (eu - emu)
+        e = mp.exp(-2 * w)
+        lt = mp.log1p(e)
+        t = 1 / (1 + e)
+        yield tuple(v._mpf_ for v in (half_pi * (eu + emu), t, e * t, lt, 2 * w + lt))
         eu *= step
 
 
-def _level_exps(digits: int, level: int):
-    """E = exp(-2w) and log1p(E) at each node of ``_level_abscissae``."""
-    for _, _, w in _level_abscissae(digits, level):
-        e = mp.exp(-2 * w)
-        yield e, mp.log1p(e)
-
-
 @lru_cache(maxsize=_TABLE_PRECISIONS * (_TABLE_LEVELS + 1))
-def _exp_table(digits: int, level: int) -> tuple[int, ...]:
-    """``_level_exps`` at quadrature's digits + 15, flat as the mantissa and
-    exponent of E and of log1p(E) per node (both positive): about 60% of
-    the memory of the mpf values they rebuild."""
+def _node_table(digits: int, level: int) -> tuple[bytes, array]:
+    """``_level_nodes`` at quadrature's digits + 15, stored densely: every
+    value is positive, so one blob of fixed-width little-endian mantissas
+    and an array of exponents, (prec/8 + 8) bytes per value."""
     with mp.workdps(digits + 15):
-        return tuple(x for pair in _level_exps(digits, level) for v in pair for x in v._mpf_[1:3])
+        width = (mp.prec + 7) // 8
+        mans, exps = io.BytesIO(), array("q")
+        for row in _level_nodes(digits, level):
+            for _, man, exp, _ in row:
+                mans.write(man.to_bytes(width, "little"))
+                exps.append(exp)
+    # getvalue() hands over the BytesIO buffer uncopied, so a build holds
+    # one blob at a time; array(exps) drops the append slack
+    return mans.getvalue(), array("q", exps)
 
 
-def _node_exps(digits: int, level: int):
-    """``_level_exps``, from the shared table through _TABLE_LEVELS."""
+def _node_rows(digits: int, level: int):
+    """``_level_nodes``, decoded one node at a time from the shared table
+    through _TABLE_LEVELS."""
     if level > _TABLE_LEVELS:
-        return _level_exps(digits, level)
-    make = mp.make_mpf
-    parts = iter(_exp_table(digits, level))
-    return (
-        (make((0, em, ex, em.bit_length())), make((0, lm, lx, lm.bit_length())))
-        for em, ex, lm, lx in zip(parts, parts, parts, parts)
-    )
+        return _level_nodes(digits, level)
+    mans, exps = _node_table(digits, level)
+    width = len(mans) // len(exps)
+    view = memoryview(mans)
+    ints = (int.from_bytes(view[i : i + width], "little") for i in range(0, len(mans), width))
+    vals = ((0, m, x, m.bit_length()) for m, x in zip(ints, exps))
+    return zip(vals, vals, vals, vals, vals)
 
 
 def oracle_quadrature(spec: SeriesSpec, cfg: NumericCfg) -> OracleResult:
@@ -649,24 +652,25 @@ def oracle_quadrature(spec: SeriesSpec, cfg: NumericCfg) -> OracleResult:
     t = (1 + tanh((pi/2) sinh u))/2 sends both endpoints to double-
     exponentially decaying tails, and 1-t is available without
     cancellation as the mirrored node, so the s-1 power and the log are
-    both evaluated stably (``_tanh_sinh_node``, the E = exp(-2w) form).
+    both evaluated stably (``_level_nodes``, the E = exp(-2w) form).
     Levels halve the step and reuse prior nodes; the level-to-level
     difference is the reported error estimate.
 
-    Within a level the nodes are u = j*h (``_level_abscissae``) and e^u
-    advances by one multiplication, so sinh u and cosh u follow from e^u
-    and 1/e^u.  Each multiplication adds at most an ulp of relative drift
-    to e^u.  A level takes about u_max*2^(L-1) steps, under 2^11 for the
-    levels that 300 digits need and under 2^18 even at level 16, against
-    the 15 guard digits (about 50 bits) of the working precision.
+    Within a level the nodes are u = j*h and e^u advances by one
+    multiplication.  Each multiplication adds at most an ulp of relative
+    drift to e^u.  A level takes about u_max*2^(L-1) steps, under 2^11 for
+    the levels that 300 digits need and under 2^18 even at level 16,
+    against the 15 guard digits (about 50 bits) of the working precision.
 
-    A node's exp and log1p depend on (digits, level) alone, never on n or
-    s, so levels 0 through 10 (the default quad_levels) take them from a
-    table shared by every call at that precision (``_exp_table``, an LRU
-    of 4 precisions x 11 levels kept as ints: about 1.1 MB for 100, 200
-    and 300 digits through levels 6, 7 and 8, 4.2 MB for 1000 digits
-    through level 9).  Deeper levels compute them as they go and keep
-    nothing.  Every other quantity is computed per call, so a warm table
+    A node's weight, t, 1-t, -ln t and -ln(1-t) depend on (digits, level)
+    alone, never on n or s, so levels 0 through 10 (the default
+    quad_levels) take all five from a table shared by every call at that
+    precision (``_node_table``, an LRU of 4 precisions x 11 levels, each
+    level one blob of mantissas: 1.83 MB for 100, 200 and 300 digits
+    through levels 6, 7 and 8, 9.2 MB for 1000 digits through level 9 and
+    18.3 MB through level 10).  Deeper levels compute them as they go and
+    keep nothing.  A call only evaluates the integrand on them, with the
+    operations and rounding it would apply to mpf values, so a warm table
     gives the same bits as a cold one.
     """
     if not spec.family.quadrature:
@@ -675,19 +679,22 @@ def oracle_quadrature(spec: SeriesSpec, cfg: NumericCfg) -> OracleResult:
     t0 = time.perf_counter()
     with mp.workdps(cfg.digits + 15):
         pi_ = +mp.pi
-        half_pi = pi_ / 2
         target = mp.mpf(10) ** (-(cfg.digits + 5))
+        prec, rnd = mp.prec, round_nearest
 
         def level_sum(level):
-            # folded +-u contributions over the level's nodes u > 0;
-            # t and 1-t swap under u -> -u
-            acc = mp.mpf(0)
-            nodes = zip(_level_abscissae(cfg.digits, level), _node_exps(cfg.digits, level))
-            for (eu, emu, w), exps in nodes:
-                t, omt, lt, lo = _tanh_sinh_node(w, *exps)
-                f = t * omt**s * lt**n + omt * t**s * lo**n
-                acc += half_pi * (eu + emu) * f
-            return acc
+            # folded +-u contributions over the level's nodes u > 0 (t and
+            # 1-t swap under u -> -u): acc += weight * (t (1-t)^s (-ln t)^n
+            # + (1-t) t^s (-ln(1-t))^n), on raw tuples with the calls and
+            # rounding of the mpf operators
+            acc = fzero
+            for wt, t, omt, lt, lo in _node_rows(cfg.digits, level):
+                a = mpf_mul(t, mpf_pow_int(omt, s, prec, rnd), prec, rnd)
+                a = mpf_mul(a, mpf_pow_int(lt, n, prec, rnd), prec, rnd)
+                b = mpf_mul(omt, mpf_pow_int(t, s, prec, rnd), prec, rnd)
+                b = mpf_mul(b, mpf_pow_int(lo, n, prec, rnd), prec, rnd)
+                acc = mpf_add(acc, mpf_mul(wt, mpf_add(a, b, prec, rnd), prec, rnd), prec, rnd)
+            return mp.make_mpf(acc)
 
         half = mp.mpf(1) / 2
         h = mp.mpf(1)

@@ -1,19 +1,21 @@
+import hashlib
 import math
+import sys
 from itertools import islice
 
 import pytest
 from mpmath import mp, workdps
 
 from tornzeta.closedform import closed_form_of
+from tornzeta.harness import paper_full_manifest
 from tornzeta.oracle import (
     _TABLE_LEVELS,
     _TABLE_PRECISIONS,
     NumericCfg,
     OracleError,
-    _exp_table,
-    _level_abscissae,
-    _node_exps,
-    _tanh_sinh_node,
+    _level_nodes,
+    _node_rows,
+    _node_table,
     oracle_quadrature,
     zx_numeric,
 )
@@ -105,19 +107,17 @@ class TestHighPrecision:
 class TestNodeQuantities:
     # u = 2^-8 is the first node at level 8, u = 2 sits mid-range, and at
     # u = 5 the node t = (1 + tanh w)/2 rounds to 1 at the working precision;
-    # each is taken from the level walk and table that 50-digit quadrature
-    # runs on: an integer u is node u - 1 of level 0, u = 2^-L node 0 of L
+    # each is taken from the table that 50-digit quadrature runs on: an
+    # integer u is node u - 1 of level 0, u = 2^-L node 0 of L
     @pytest.mark.parametrize("u,t_is_one", [(2.0**-8, False), (2.0, False), (5.0, True)])
     def test_against_direct_logs(self, u, t_is_one):
         level, index = (0, int(u) - 1) if u >= 1 else (1 - math.frexp(u)[1], 0)
         with workdps(65):
-            nodes = zip(_level_abscissae(50, level), _node_exps(50, level))
-            (_, _, w), exps = next(islice(nodes, index, None))
-            assert abs(w - mp.pi / 2 * mp.sinh(u)) <= mp.mpf(10) ** -62 * w
-            got = _tanh_sinh_node(w, *exps)
+            wt, *got = map(mp.make_mpf, next(islice(_node_rows(50, level), index, None)))
+            assert abs(wt - mp.pi * mp.cosh(u)) <= mp.mpf(10) ** -62 * wt
             assert (got[0] == 1) == t_is_one
         with workdps(400):
-            t = (1 + mp.tanh(w)) / 2
+            t = (1 + mp.tanh(mp.pi / 2 * mp.sinh(u))) / 2
             omt = 1 - t
             want = (t, omt, -mp.log(t), -mp.log(omt))
             for g, r in zip(got, want):
@@ -133,28 +133,61 @@ class TestNodeTable:
         # interleaved precisions reuse and evict table levels; every result
         # must be the bits of a run that builds its tables from scratch
         runs = [("A3:s=0", 200), ("A3:s=0", 60), ("A3:s=0", 200), ("A3:s=0", 300), ("An:n=5,s=3", 200)]
-        _exp_table.cache_clear()
+        _node_table.cache_clear()
         warm = [oracle_quadrature(parse_spec(text), NumericCfg(digits=d)) for text, d in runs]
-        assert _exp_table.cache_info().hits > 0
+        assert _node_table.cache_info().hits > 0
         for (text, d), res in zip(runs, warm):
-            _exp_table.cache_clear()
+            _node_table.cache_clear()
             cold = oracle_quadrature(parse_spec(text), NumericCfg(digits=d))
             assert _bits(res) == _bits(cold)
 
-    def test_levels_past_the_cap_are_not_kept(self):
-        _exp_table.cache_clear()
+    def test_tabled_rows_are_the_streamed_rows(self):
+        _node_table.cache_clear()
         with workdps(45):
-            assert sum(1 for _ in _node_exps(30, _TABLE_LEVELS + 1)) > 5000
-            assert _exp_table.cache_info().currsize == 0
-            next(_node_exps(30, _TABLE_LEVELS))
-        assert _exp_table.cache_info().currsize == 1
+            for level in (0, 3, _TABLE_LEVELS):
+                assert list(_node_rows(30, level)) == list(_level_nodes(30, level))
+
+    def test_levels_past_the_cap_are_not_kept(self):
+        _node_table.cache_clear()
+        with workdps(45):
+            assert sum(1 for _ in _node_rows(30, _TABLE_LEVELS + 1)) > 5000
+            assert _node_table.cache_info().currsize == 0
+            next(_node_rows(30, _TABLE_LEVELS))
+        assert _node_table.cache_info().currsize == 1
 
     def test_precisions_kept_are_capped(self):
         # each precision below fills levels 0..5; eight of them (48
         # entries) overflow the table, which keeps the most recent 44
         maxsize = _TABLE_PRECISIONS * (_TABLE_LEVELS + 1)
-        assert _exp_table.cache_info().maxsize == maxsize
-        _exp_table.cache_clear()
+        assert _node_table.cache_info().maxsize == maxsize
+        _node_table.cache_clear()
         for digits in range(30, 38):
             oracle_quadrature(parse_spec("A3:s=0"), NumericCfg(digits=digits))
-        assert _exp_table.cache_info().currsize == maxsize
+        assert _node_table.cache_info().currsize == maxsize
+
+    @pytest.mark.parametrize("digits,level", [(50, 0), (50, 6), (300, 8)])
+    def test_store_is_dense(self, digits, level):
+        # a mantissa of width bytes and an 8-byte exponent per value, five
+        # values a node; one mpf object per value would take several times that
+        mans, exps = store = _node_table(digits, level)
+        with workdps(digits + 15):
+            width = (mp.prec + 7) // 8
+            nodes = sum(1 for _ in _level_nodes(digits, level))
+        assert len(exps) == 5 * nodes
+        size = sys.getsizeof(store) + sys.getsizeof(mans) + sys.getsizeof(exps)
+        assert size <= 5 * (width + 8) * nodes + 256
+
+
+def test_quadrature_bits_pinned():
+    # value, levels and every level estimate of hiprec-quad's five specs at
+    # 100/200/300 digits and paper-full's quadrature entries plus aXL:k=7 at
+    # 50 digits, hashed; any change to a node, the integrand or the level
+    # recursion changes the digest
+    cases = [(parse_spec(t), NumericCfg(digits=d, quad_levels=16)) for d in (100, 200, 300) for t in HIPREC_SPECS]
+    cases += [(e.spec, e.cfg) for e in paper_full_manifest(50).entries if e.cfg.method == "quadrature"]
+    cases.append((parse_spec("aXL:k=7"), NumericCfg(digits=50)))
+    digest = hashlib.sha256()
+    for spec, cfg in cases:
+        digest.update(f"{spec}|{cfg.digits}|{_bits(oracle_quadrature(spec, cfg))}\n".encode())
+    assert len(cases) == 20
+    assert digest.hexdigest() == "b6c2d2df177115bb21d3cba5be62f7a5637dff5c9e36b562c519463e58c0a24d"
