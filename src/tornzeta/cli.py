@@ -3,19 +3,21 @@
 Subcommands: eval, oracle, verify, suite, constants, bernoulli.  Series
 are named with the compact spec syntax (``A3:s=2``, ``An:n=4,s=0``,
 ``halfint:c``, ``baseT:2``, ``ln``, ``on``, ``S111``,
-``tornheim:a=2,b=1,c=1``).  TORNZETA_DIGITS overrides the default 50-digit
+``tornheim:a=2,b=1,c=1``).  ``suite --out FILE`` prints each entry's time and
+status as it finishes.  TORNZETA_DIGITS overrides the default 50-digit
 working precision.  Exit code 0 means every requested check passed.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
+import time
 
 from .closedform import closed_form_of
 from .exact import bernoulli
-from .harness import PRESETS, _fmt, emit, render_reports, verify
-from .harness import run_suite as _run_suite
+from .harness import PRESETS, _fmt, emit, iter_suite, render_reports, status, verify
 from .oracle import (
     NumericCfg,
     OracleError,
@@ -62,9 +64,10 @@ def _cmd_eval(args) -> int:
     spec = parse_spec(args.spec)
     closed = closed_form_of(spec)
     shown = zx_normalize(closed, "prefer-pi") if args.prefer_pi else closed
+    value = zx_numeric(closed, args.digits)  # before any output, so a refusal prints nothing
     print(spec.label())
     print(f"  closed form: {shown.render()}")
-    print(f"  numeric:     {_fmt(zx_numeric(closed, args.digits), 30)}")
+    print(f"  numeric:     {_fmt(value, 30)}")
     return 0
 
 
@@ -95,26 +98,25 @@ def _cmd_verify(args) -> int:
 
 def _cmd_suite(args) -> int:
     manifest = PRESETS[args.preset](args.digits)
-    if args.out == "-":
-        reports = _run_suite(manifest, parallel=args.parallel)
-        emit(reports, args.format, sys.stdout)
-    else:
-        try:
-            # opened before the suite runs, so a bad --out costs none of its work
-            sink = open(args.out, "w", newline="")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        with sink:
-            reports = _run_suite(manifest, parallel=args.parallel)
-            try:
-                emit(reports, args.format, sink)
-                sink.close()  # flushes, so a failed write is caught here too
-            except (OSError, RuntimeError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-        npass = sum(r.passed for r in reports)
-        print(f"{npass}/{len(reports)} identities verified -> {args.out}")
+    to_file = args.out != "-"
+    start, reports = time.perf_counter(), []
+    try:
+        # opened before the suite runs, so a bad --out costs none of its work
+        sink = open(args.out, "w", newline="") if to_file else contextlib.nullcontext(sys.stdout)
+        with sink as out:
+            for r in iter_suite(manifest, parallel=args.parallel):
+                reports.append(r)
+                if to_file:
+                    line = f"{r.spec.label():<18} {r.oracle.method:<10} {r.oracle.elapsed:>8.3f}s"
+                    print(f"{line}  {status(r)}", flush=True)
+            emit(reports, args.format, out)
+            out.flush()  # a failed write is caught here too
+    except (OSError, RuntimeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if to_file:
+        npass, wall = sum(r.passed for r in reports), time.perf_counter() - start
+        print(f"{npass}/{len(reports)} identities verified -> {args.out} in {wall:.2f}s")
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from mpmath import mp
@@ -170,8 +171,8 @@ def paper_full_manifest(digits: int | None = None) -> SuiteManifest:
         _entry("halfint:a", "diagonal", 1e-6, d),
         _entry("halfint:b", "diagonal", 1e-6, d),
         _entry("halfint:c", "diagonal", 1e-6, d),
-        # defining double sums: n_max reaches N_raw (``oracle.raw_cutoff``), so
-        # each sums its summand over the simplex to N_raw and adds the certified tail
+        # defining double sums: up to 200 digits n_max reaches N_raw (``oracle.raw_cutoff``),
+        # so each sums the simplex to N_raw plus the certified tail; past that n_max is the box
         _entry("S111", "raw", 1e-6, d, n_max=1500),
         _entry("halfint:c", "raw", 1e-6, d, n_max=1000),
     )
@@ -184,32 +185,31 @@ PRESETS = {
 }
 
 
-def run_suite(manifest: SuiteManifest, parallel: bool = False) -> list[EvalReport]:
-    """Run every entry; report order always equals manifest order.
+def iter_suite(manifest: SuiteManifest, parallel: bool = False) -> Iterator[EvalReport]:
+    """Yield each entry's report as it finishes, in manifest order.
 
     ``parallel`` runs the entries in spawned worker processes, one per
     core at most.  mpmath's working precision is process-global, so
     threads would change each other's precision mid-computation; separate
     processes give the same reports as the serial run.
     """
-    entries = manifest.entries
-    if parallel:
-        # imported here, so the serial path does not load multiprocessing
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    columns = zip(*((e.spec, e.cfg, e.tol) for e in manifest.entries))
+    if not parallel:
+        yield from map(verify, *columns)
+        return
+    # imported here, so the serial path does not load multiprocessing
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-        workers = min(os.cpu_count() or 1, len(entries))
-        ctx = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            return list(
-                pool.map(
-                    verify,
-                    [e.spec for e in entries],
-                    [e.cfg for e in entries],
-                    [e.tol for e in entries],
-                )
-            )
-    return [verify(e.spec, e.cfg, e.tol) for e in entries]
+    workers = min(os.cpu_count() or 1, len(manifest.entries))
+    ctx = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+        yield from pool.map(verify, *columns)
+
+
+def run_suite(manifest: SuiteManifest, parallel: bool = False) -> list[EvalReport]:
+    """Every entry's report, in manifest order (``iter_suite`` as a list)."""
+    return list(iter_suite(manifest, parallel))
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +233,11 @@ _CSV_COLUMNS = (
 def _fmt(x, digits: int) -> str:
     with mp.workdps(digits + 10):
         return mp.nstr(mp.mpf(x), digits, strip_zeros=False)
+
+
+def status(report: EvalReport) -> str:
+    """The text report's status column."""
+    return "ok" if report.passed else f"FAIL ({report.reason})"
 
 
 def _n_used(o: OracleResult):
@@ -270,25 +275,20 @@ def render_reports(reports: list[EvalReport], format: str) -> str:
             )
         return buf.getvalue()
     if format == "text":
-        lines = []
-        header = (
+        lines = [
             f"{'spec':<18} {'method':<10} {'n_used':>8} {'closed':>22} "
             f"{'abs_err':>12} {'tail_bound':>12}  status"
-        )
-        lines.append(header)
-        npass = 0
+        ]
         for r in reports:
             o = r.oracle
-            status = "ok" if r.passed else f"FAIL ({r.reason})"
-            npass += r.passed
             with mp.workdps(40):
                 lines.append(
                     f"{r.spec.label():<18} {o.method:<10} {_n_used(o)!s:>8} "
                     f"{mp.nstr(mp.mpf(r.closed_numeric), 15):>22} "
                     f"{mp.nstr(mp.mpf(r.abs_err), 4):>12} "
-                    f"{mp.nstr(mp.mpf(o.tail_bound), 4):>12}  {status}"
+                    f"{mp.nstr(mp.mpf(o.tail_bound), 4):>12}  {status(r)}"
                 )
-        lines.append(f"{npass}/{len(reports)} identities verified")
+        lines.append(f"{sum(r.passed for r in reports)}/{len(reports)} identities verified")
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown report format {format!r}")
 

@@ -53,7 +53,7 @@ _GUARD_BITS = 64
 # its terms by far less than 2^32 ulps of its own grid, so N floored terms
 # stay within N 2^-prec of the exact partial sum
 _TAIL_GUARD_BITS = 32
-# a raw box of cutoff N over d indices sums N^d terms; refuse runaway requests
+# a raw box of cutoff N over d indices sums N^d terms; refuse a runaway box
 _RAW_TERM_CAP = 5000**2
 # the most folded tuples (about N^d / d!^2) a raw simplex sums; past it the box stays
 _RAW_TUPLE_BUDGET = 2**16
@@ -74,10 +74,10 @@ def default_digits() -> int:
 class NumericCfg:
     """Oracle configuration.
 
-    digits: working precision (>= 30); n_max: the most terms a series
-    route sums (>= 10), a ceiling: the diagonal route stops at N*
-    (``asymptotic_cutoff``), the raw route at N_raw (``raw_cutoff``);
-    quad_levels: max tanh-sinh halvings (3..16); method: raw|diagonal|quadrature.
+    digits: working precision (>= 30); n_max: the most terms a series route
+    sums (>= 10), a ceiling: the diagonal route stops at N* (``asymptotic_cutoff``),
+    the raw route at N_raw (``raw_cutoff``), else in a box of at most ``_RAW_TERM_CAP``
+    terms; quad_levels: max tanh-sinh halvings (3..16); method: raw|diagonal|quadrature.
     """
 
     digits: int = field(default_factory=default_digits)
@@ -472,22 +472,23 @@ def tail_estimate(spec: SeriesSpec, n_cut: int):
 
 
 def oracle_raw(spec: SeriesSpec, cfg: NumericCfg) -> OracleResult:
-    """The defining form from the row's ``summand``: once cfg.n_max reaches
-    N_raw = ``raw_cutoff``, over index totals <= N_raw plus the diagonal
-    route's certified tail from the row's ``atoms`` (an error in the atoms
-    over the head's range shows in the exact diagonal == triangle check,
-    one inside ``asymptotic.py`` hits both routes); else over the box
-    [origin..N]^d, N = cfg.n_max, with the ``tail_estimate`` majorant.
-    A one-index series is its own regrouping: the diagonal route."""
+    """The defining form from the row's ``summand``: once cfg.n_max reaches N_raw =
+    ``raw_cutoff``, over index totals <= N_raw plus the diagonal route's certified tail
+    from the row's ``atoms`` (an error in the atoms over the head's range shows in the
+    exact diagonal == triangle check, one inside ``asymptotic.py`` hits both routes);
+    else over the box [origin..N]^d, N = cfg.n_max, of at most ``_RAW_TERM_CAP`` terms,
+    with the ``tail_estimate`` majorant.  A one-index series is its own regrouping: the
+    diagonal route."""
     dims = spec.family.dims(*spec.args)
     if dims == 1:
         return _diagonal(spec, cfg, "raw")
-    if cfg.n_max**dims > _RAW_TERM_CAP:
-        raise ValueError(
-            f"raw box {cfg.n_max}^{dims} is out of reach; cap {_RAW_TERM_CAP} terms (use diagonal)"
-        )
     n_raw = raw_cutoff(spec, cfg.digits)
     if n_raw is None or cfg.n_max < n_raw:
+        if cfg.n_max**dims > _RAW_TERM_CAP:
+            raise ValueError(
+                f"raw box {cfg.n_max}^{dims} is out of reach; "
+                f"cap {_RAW_TERM_CAP} terms (use diagonal)"
+            )
         return _series(spec, cfg, "raw", lambda n, one: _defining_sum(spec, n, dims * n, one))
     # a folded tuple's term floors once (An's H numerators once more) and its
     # orderings share it: the head errs by under 3 ulps per ordered tuple

@@ -1,6 +1,9 @@
+import contextlib
 import importlib.metadata
+import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -38,6 +41,12 @@ class TestEval:
         assert main(["eval", "tornheim:a=2,b=1,c=1"]) == 2
         assert "no closed form" in capsys.readouterr().err
 
+    def test_refused_precision_prints_nothing(self, capsys):
+        assert main(["eval", "A3:s=0", "--digits", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: precision below 30 digits" in captured.err
+
 
 class TestOracle:
     def test_diagonal(self, capsys):
@@ -66,7 +75,8 @@ class TestOracle:
         assert "levels:" in capsys.readouterr().out
 
     def test_cap_violation_fails(self, capsys):
-        assert main(["oracle", "S111", "--method", "raw", "--nmax", "100000"]) == 2
+        # tornheim has no N_raw, so its raw route sums the whole box
+        assert main(["oracle", "tornheim:a=2,b=1,c=1", "--method", "raw", "--nmax", "100000"]) == 2
         assert "out of reach" in capsys.readouterr().err
 
 
@@ -149,6 +159,41 @@ class TestSuite:
         serial = capsys.readouterr().out
         assert main(["suite", "--preset", "smoke", "--format", "csv", "--parallel"]) == 0
         assert capsys.readouterr().out == serial
+
+    @pytest.mark.parametrize("parallel", [[], ["--parallel"]], ids=["serial", "parallel"])
+    def test_out_prints_one_line_per_entry(self, tmp_path, capsys, parallel):
+        argv, target = ["suite", "--preset", "smoke", "--format", "json"], tmp_path / "r.json"
+        assert main(argv) == 0
+        report = capsys.readouterr().out
+        assert main([*argv, "--out", str(target), *parallel]) == 0
+        *lines, summary = capsys.readouterr().out.splitlines()
+        entries = tornzeta.harness.smoke_manifest().entries
+        assert len(lines) == len(entries)
+        for line, e in zip(lines, entries):
+            assert re.fullmatch(rf"{re.escape(e.spec.label())} +{e.cfg.method} +\d+\.\d{{3}}s  ok", line)
+        assert re.fullmatch(rf"6/6 identities verified -> {re.escape(str(target))} in [\d.]+s", summary)
+        assert target.read_bytes() == report.encode()
+
+    @pytest.mark.parametrize("out, flushed", [("-", [0] * 6), ("r.txt", [0, 1, 2, 3, 4, 5])])
+    def test_lines_are_flushed_as_entries_finish(self, tmp_path, monkeypatch, out, flushed):
+        # stdout mode runs harness.verify too: perfbench replaces it to count entries
+        class Stdout(io.StringIO):
+            lines = 0  # lines out at the last flush
+
+            def flush(self):
+                self.lines = self.getvalue().count("\n")
+
+        stdout, seen, real = Stdout(), [], tornzeta.harness.verify
+
+        def probe(*args):
+            seen.append(stdout.lines)
+            return real(*args)
+
+        monkeypatch.setattr("tornzeta.harness.verify", probe)
+        target = out if out == "-" else str(tmp_path / out)
+        with contextlib.redirect_stdout(stdout):
+            assert main(["suite", "--preset", "smoke", "--out", target]) == 0
+        assert seen == flushed
 
 
 class TestConstants:

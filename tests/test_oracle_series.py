@@ -656,10 +656,14 @@ class TestConfigAndGuards:
             oracle_diagonal(SeriesSpec("TornheimRaw", a=2, b=1, c=1), cfg)
 
     def test_raw_caps(self):
+        # the cap refuses a box the route would sum: past the digits with an N_raw
         with pytest.raises(ValueError, match="out of reach"):
-            oracle_raw(parse_spec("S111"), NumericCfg(n_max=5001, method="raw"))
+            oracle_raw(parse_spec("S111"), NumericCfg(digits=201, n_max=5001, method="raw"))
         with pytest.raises(ValueError, match="out of reach"):
-            oracle_raw(parse_spec("An:n=4,s=0"), NumericCfg(n_max=401, method="raw"))
+            oracle_raw(parse_spec("An:n=4,s=0"), NumericCfg(digits=101, n_max=401, method="raw"))
+        # an n_max past N_raw sums only the simplex, so the default is in reach
+        spec = parse_spec("S111")
+        assert oracle_raw(spec, NumericCfg(digits=50, method="raw")).n_used == oracle.raw_cutoff(spec, 50)
         # the cap counts terms, so more indices lower the largest box
         with pytest.raises(ValueError, match="out of reach"):
             oracle_raw(parse_spec("An:n=6,s=0"), NumericCfg(n_max=400, method="raw"))
