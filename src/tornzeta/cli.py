@@ -4,8 +4,8 @@ Subcommands: eval, oracle, verify, suite, constants, bernoulli.  Series
 are named with the compact spec syntax (``A3:s=2``, ``An:n=4,s=0``,
 ``halfint:c``, ``baseT:2``, ``ln``, ``on``, ``S111``,
 ``tornheim:a=2,b=1,c=1``).  ``suite --out FILE`` prints each entry's time and
-status as it finishes.  TORNZETA_DIGITS overrides the default 50-digit
-working precision.  Exit code 0 means every requested check passed.
+status as it finishes.  ``--help`` prints the precision and oracle defaults,
+which come from ``NumericCfg``.  Exit code 0 means every requested check passed.
 """
 
 from __future__ import annotations
@@ -19,12 +19,12 @@ from .closedform import closed_form_of
 from .exact import bernoulli
 from .harness import PRESETS, _fmt, emit, iter_suite, render_reports, status, verify
 from .oracle import (
+    METHODS,
     NumericCfg,
     OracleError,
     const_ln2,
     const_pi,
     const_zeta,
-    default_digits,
     oracle_for,
     zx_numeric,
 )
@@ -32,32 +32,35 @@ from .series import parse_spec
 from .zexpr import zx_normalize
 
 
+_DIGITS_HELP = "working precision (default %(default)s)"
+
+
 def _add_numeric_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--digits", type=int, default=None, help="working precision (default 50)")
+    p.add_argument("--digits", type=int, default=NumericCfg.digits, help=_DIGITS_HELP)
     p.add_argument(
         "--nmax",
         type=int,
-        default=None,
-        help="most terms a series sums (default 10^6); the diagonal route stops at N* "
+        default=NumericCfg.n_max,
+        help="most terms a series sums (default %(default)s); the diagonal route stops at N* "
         "(oracle.asymptotic_cutoff), the raw route at N_raw (oracle.raw_cutoff); each expands "
         "the rest",
     )
-    p.add_argument("--quad-levels", type=int, default=None, help="max quadrature levels")
+    p.add_argument(
+        "--quad-levels",
+        type=int,
+        default=NumericCfg.quad_levels,
+        help="max quadrature levels (default %(default)s)",
+    )
     p.add_argument(
         "--method",
-        choices=("raw", "diagonal", "quadrature"),
-        default="diagonal",
-        help="oracle route (default diagonal)",
+        choices=METHODS,
+        default=NumericCfg.method,
+        help="oracle route (default %(default)s)",
     )
 
 
 def _cfg_from(args) -> NumericCfg:
-    kwargs = {"digits": args.digits, "method": args.method}
-    if args.nmax is not None:
-        kwargs["n_max"] = args.nmax
-    if args.quad_levels is not None:
-        kwargs["quad_levels"] = args.quad_levels
-    return NumericCfg(**kwargs)
+    return NumericCfg(args.digits, args.nmax, args.quad_levels, args.method)
 
 
 def _cmd_eval(args) -> int:
@@ -147,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="print the exact closed form and its numeric value")
     p.add_argument("spec", help="series spec, e.g. A3:s=2 or halfint:c")
-    p.add_argument("--digits", type=int, default=None)
+    p.add_argument("--digits", type=int, default=NumericCfg.digits, help=_DIGITS_HELP)
     p.add_argument("--prefer-pi", action="store_true", help="show even zeta values as pi powers")
     p.set_defaults(func=_cmd_eval)
 
@@ -167,14 +170,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--out", default="-", help="output file, - for stdout")
     p.add_argument("--parallel", action="store_true")
-    p.add_argument("--digits", type=int, default=None)
+    p.add_argument("--digits", type=int, default=NumericCfg.digits, help=_DIGITS_HELP)
     p.set_defaults(func=_cmd_suite)
 
     p = sub.add_parser("constants", help="print high-precision constants")
     p.add_argument("--zeta", type=int, default=None, metavar="K")
     p.add_argument("--ln2", action="store_true")
     p.add_argument("--pi", action="store_true")
-    p.add_argument("--digits", type=int, default=None)
+    p.add_argument("--digits", type=int, default=NumericCfg.digits, help=_DIGITS_HELP)
     p.set_defaults(func=_cmd_constants)
 
     p = sub.add_parser("bernoulli", help="print an exact Bernoulli number")
@@ -188,9 +191,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if "digits" in vars(args) and args.digits is None:
-            # read as the command runs, so a bad TORNZETA_DIGITS exits with 2
-            args.digits = default_digits()
         return args.func(args)
     except OracleError as exc:
         print(f"oracle failure: {exc}", file=sys.stderr)

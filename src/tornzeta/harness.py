@@ -23,14 +23,7 @@ from dataclasses import dataclass
 from mpmath import mp
 
 from .closedform import closed_form_of
-from .oracle import (
-    NumericCfg,
-    OracleError,
-    OracleResult,
-    default_digits,
-    oracle_for,
-    zx_numeric,
-)
+from .oracle import NumericCfg, OracleError, OracleResult, oracle_for, zx_numeric
 from .series import SeriesSpec, parse_spec
 from .zexpr import ZExpr
 
@@ -116,65 +109,61 @@ class SuiteManifest:
 
 
 def _entry(text: str, method: str, tol: float, digits: int, **cfg) -> SuiteEntry:
-    return SuiteEntry(
-        parse_spec(text),
-        NumericCfg(digits=digits, method=method, **cfg),
-        tol,
-    )
+    return SuiteEntry(parse_spec(text), NumericCfg(digits=digits, method=method, **cfg), tol)
 
 
-def smoke_manifest(digits: int | None = None) -> SuiteManifest:
-    """Six fast identities at cutoff 10^4; a seconds-scale sanity pass."""
-    d = default_digits() if digits is None else digits
+def smoke_manifest(digits: int = NumericCfg.digits) -> SuiteManifest:
+    """Six fast diagonal identities; a seconds-scale sanity pass.  Each sums N*
+    (2048 terms at 50 digits) and adds the asymptotic tail: the n_max=10^4
+    ceiling binds only from 205 digits, where N* is 16384."""
     n = 10**4
     entries = (
-        _entry("A3:s=0", "diagonal", 1e-6, d, n_max=n),
-        _entry("An:n=2,s=0", "diagonal", 1e-6, d, n_max=n),
-        _entry("aXL:k=1", "diagonal", 1e-6, d, n_max=n),
-        _entry("ln", "diagonal", 1e-6, d, n_max=n),
-        _entry("on", "diagonal", 1e-6, d, n_max=n),
-        _entry("halfint:c", "diagonal", 1e-6, d, n_max=n),
+        _entry("A3:s=0", "diagonal", 1e-6, digits, n_max=n),
+        _entry("An:n=2,s=0", "diagonal", 1e-6, digits, n_max=n),
+        _entry("aXL:k=1", "diagonal", 1e-6, digits, n_max=n),
+        _entry("ln", "diagonal", 1e-6, digits, n_max=n),
+        _entry("on", "diagonal", 1e-6, digits, n_max=n),
+        _entry("halfint:c", "diagonal", 1e-6, digits, n_max=n),
     )
     return SuiteManifest("smoke", entries)
 
 
-def paper_full_manifest(digits: int | None = None) -> SuiteManifest:
+def paper_full_manifest(digits: int = NumericCfg.digits) -> SuiteManifest:
     """Every closed-form identity in the catalog, each against at least one oracle."""
-    d = default_digits() if digits is None else digits
     entries = (
         # quadrature on the integral representations
-        _entry("A3:s=0", "quadrature", 1e-8, d),
-        _entry("An:n=2,s=0", "quadrature", 1e-10, d),
-        _entry("An:n=4,s=0", "quadrature", 1e-10, d),
-        _entry("An:n=5,s=3", "quadrature", 1e-10, d),
+        _entry("A3:s=0", "quadrature", 1e-8, digits),
+        _entry("An:n=2,s=0", "quadrature", 1e-10, digits),
+        _entry("An:n=4,s=0", "quadrature", 1e-10, digits),
+        _entry("An:n=5,s=3", "quadrature", 1e-10, digits),
         # regrouped single-index summation; each stops at N* (``oracle.asymptotic_cutoff``),
         # which stays below the default n_max up to 13107 digits
-        _entry("A3:s=0", "diagonal", 1e-6, d),
-        _entry("A3:s=1", "diagonal", 1e-6, d),
-        _entry("A3:s=2", "diagonal", 1e-6, d),
-        _entry("A3:s=20", "diagonal", 1e-6, d),
-        _entry("An:n=2,s=2", "diagonal", 1e-6, d),
-        _entry("An:n=6,s=1", "diagonal", 1e-6, d),
-        _entry("aXL:k=0", "diagonal", 1e-6, d),
-        _entry("aXL:k=1", "diagonal", 1e-6, d),
-        _entry("aXL:k=3", "diagonal", 1e-6, d),
-        _entry("aXL:k=10", "diagonal", 1e-6, d),
-        _entry("S111", "diagonal", 1e-6, d),
-        _entry("ln", "diagonal", 1e-8, d),
-        _entry("on", "diagonal", 1e-8, d),
-        _entry("evenodd", "diagonal", 1e-8, d),
-        _entry("oddsq", "diagonal", 1e-8, d),
-        _entry("binter", "diagonal", 1e-8, d),
-        _entry("baseT:1", "diagonal", 1e-8, d),
-        _entry("baseT:2", "diagonal", 1e-8, d),
-        _entry("baseT:3", "diagonal", 1e-8, d),
-        _entry("halfint:a", "diagonal", 1e-6, d),
-        _entry("halfint:b", "diagonal", 1e-6, d),
-        _entry("halfint:c", "diagonal", 1e-6, d),
+        _entry("A3:s=0", "diagonal", 1e-6, digits),
+        _entry("A3:s=1", "diagonal", 1e-6, digits),
+        _entry("A3:s=2", "diagonal", 1e-6, digits),
+        _entry("A3:s=20", "diagonal", 1e-6, digits),
+        _entry("An:n=2,s=2", "diagonal", 1e-6, digits),
+        _entry("An:n=6,s=1", "diagonal", 1e-6, digits),
+        _entry("aXL:k=0", "diagonal", 1e-6, digits),
+        _entry("aXL:k=1", "diagonal", 1e-6, digits),
+        _entry("aXL:k=3", "diagonal", 1e-6, digits),
+        _entry("aXL:k=10", "diagonal", 1e-6, digits),
+        _entry("S111", "diagonal", 1e-6, digits),
+        _entry("ln", "diagonal", 1e-8, digits),
+        _entry("on", "diagonal", 1e-8, digits),
+        _entry("evenodd", "diagonal", 1e-8, digits),
+        _entry("oddsq", "diagonal", 1e-8, digits),
+        _entry("binter", "diagonal", 1e-8, digits),
+        _entry("baseT:1", "diagonal", 1e-8, digits),
+        _entry("baseT:2", "diagonal", 1e-8, digits),
+        _entry("baseT:3", "diagonal", 1e-8, digits),
+        _entry("halfint:a", "diagonal", 1e-6, digits),
+        _entry("halfint:b", "diagonal", 1e-6, digits),
+        _entry("halfint:c", "diagonal", 1e-6, digits),
         # defining double sums: up to 200 digits n_max reaches N_raw (``oracle.raw_cutoff``),
         # so each sums the simplex to N_raw plus the certified tail; past that n_max is the box
-        _entry("S111", "raw", 1e-6, d, n_max=1500),
-        _entry("halfint:c", "raw", 1e-6, d, n_max=1000),
+        _entry("S111", "raw", 1e-6, digits, n_max=1500),
+        _entry("halfint:c", "raw", 1e-6, digits, n_max=1000),
     )
     return SuiteManifest("paper-full", entries)
 

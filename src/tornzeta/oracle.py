@@ -29,10 +29,9 @@ from __future__ import annotations
 
 import io
 import math
-import os
 import time
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache, partial, reduce
 from itertools import accumulate, count, islice, repeat
@@ -59,40 +58,31 @@ _RAW_TERM_CAP = 5000**2
 _RAW_TUPLE_BUDGET = 2**16
 
 
-def default_digits() -> int:
-    """Working precision in decimal digits; TORNZETA_DIGITS overrides the 50 default."""
-    raw = os.environ.get("TORNZETA_DIGITS")
-    if raw is None:
-        return 50
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"TORNZETA_DIGITS must be an integer, got {raw!r}") from None
+METHODS = ("raw", "diagonal", "quadrature")  # one per ``oracle_for`` branch
 
 
 @dataclass(frozen=True)
 class NumericCfg:
-    """Oracle configuration.
+    """Oracle configuration; the defaults are 50 digits, n_max 10^6, 10 levels, diagonal.
 
     digits: working precision (>= 30); n_max: the most terms a series route
     sums (>= 10), a ceiling: the diagonal route stops at N* (``asymptotic_cutoff``),
     the raw route at N_raw (``raw_cutoff``), else in a box of at most ``_RAW_TERM_CAP``
-    terms; quad_levels: max tanh-sinh halvings (3..16); method: raw|diagonal|quadrature.
+    terms; quad_levels: max tanh-sinh halvings (3..16); method: one of ``METHODS``.
     """
 
-    digits: int = field(default_factory=default_digits)
+    digits: int = 50
     n_max: int = 10**6
     quad_levels: int = 10
     method: str = "diagonal"
 
     def __post_init__(self) -> None:
-        if self.digits < 30:
-            raise ValueError(f"digits must be >= 30, got {self.digits}")
+        _check_digits(self.digits)
         if self.n_max < 10:
             raise ValueError(f"n_max must be >= 10, got {self.n_max}")
         if not 3 <= self.quad_levels <= 16:
             raise ValueError(f"quad_levels must be in 3..16, got {self.quad_levels}")
-        if self.method not in ("raw", "diagonal", "quadrature"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
 
 
@@ -485,9 +475,13 @@ def oracle_raw(spec: SeriesSpec, cfg: NumericCfg) -> OracleResult:
     n_raw = raw_cutoff(spec, cfg.digits)
     if n_raw is None or cfg.n_max < n_raw:
         if cfg.n_max**dims > _RAW_TERM_CAP:
+            widest = math.isqrt(_RAW_TERM_CAP)  # the largest n_max whose box fits the cap
+            while widest**dims > _RAW_TERM_CAP:
+                widest -= 1
             raise ValueError(
-                f"raw box {cfg.n_max}^{dims} is out of reach; "
-                f"cap {_RAW_TERM_CAP} terms (use diagonal)"
+                f"raw box {cfg.n_max}^{dims} is out of reach: past raw_cutoff's digits, or for "
+                f"a row without atoms, the raw route sums a box, and its cap of {_RAW_TERM_CAP} "
+                f"terms admits n_max <= {widest} for {dims} indices (else use diagonal)"
             )
         return _series(spec, cfg, "raw", lambda n, one: _defining_sum(spec, n, dims * n, one))
     # a folded tuple's term floors once (An's H numerators once more) and its

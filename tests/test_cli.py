@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 
 import tornzeta.harness
-from tornzeta.cli import main
+from tornzeta.cli import _cfg_from, build_parser, main
+from tornzeta.harness import PRESETS
+from tornzeta.oracle import NumericCfg
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -73,6 +75,13 @@ class TestOracle:
     def test_quadrature_reports_levels(self, capsys):
         assert main(["oracle", "A3:s=0", "--method", "quadrature"]) == 0
         assert "levels:" in capsys.readouterr().out
+
+    def test_raw_refusal_names_the_largest_nmax(self, capsys):
+        # past 200 digits S111 has no N_raw, so the default 10^6 box is refused
+        assert main(["oracle", "S111", "--method", "raw", "--digits", "300"]) == 2
+        err = capsys.readouterr().err
+        assert "out of reach" in err and "n_max <= 5000 for 2 indices" in err
+        assert main(["oracle", "S111", "--method", "raw", "--digits", "300", "--nmax", "1500"]) == 0
 
     def test_cap_violation_fails(self, capsys):
         # tornheim has no N_raw, so its raw route sums the whole box
@@ -211,17 +220,25 @@ class TestConstants:
         assert main(["constants"]) == 2
         assert "nothing requested" in capsys.readouterr().err
 
-    def test_digits_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("TORNZETA_DIGITS", "36")
-        assert main(["constants", "--zeta", "3"]) == 0
+    def test_digits_sets_the_printed_length(self, capsys):
+        assert main(["constants", "--zeta", "3", "--digits", "36"]) == 0
         number = capsys.readouterr().out.split("=")[1].strip()
         assert number.startswith("1.20205690315959428539973816151")
         assert len(number) == 37  # 36 digits plus the decimal point
 
-    def test_bad_env_value_fails(self, capsys, monkeypatch):
-        monkeypatch.setenv("TORNZETA_DIGITS", "plenty")
-        assert main(["constants", "--zeta", "2"]) == 2
-        assert "TORNZETA_DIGITS" in capsys.readouterr().err
+
+class TestDefaults:
+    def test_environment_does_not_set_precision(self, capsys, monkeypatch):
+        monkeypatch.setenv("TORNZETA_DIGITS", "36")
+        assert NumericCfg().digits == 50
+        for preset in PRESETS.values():
+            assert {e.cfg.digits for e in preset().entries} == {50}
+        assert main(["constants", "--zeta", "3"]) == 0
+        assert len(capsys.readouterr().out.split("=")[1].strip()) == 51
+
+    @pytest.mark.parametrize("cmd", ["oracle", "verify"])
+    def test_flags_default_to_numeric_cfg(self, cmd):
+        assert _cfg_from(build_parser().parse_args([cmd, "S111"])) == NumericCfg()
 
 
 class TestBernoulli:

@@ -138,6 +138,22 @@ def test_family_names_only_in_the_catalog(module):
     assert not named, f"{module} names families {sorted(named)}"
 
 
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in Path(tornzeta.__file__).parent.glob("*.py"))
+)
+def test_no_module_reads_the_environment(module):
+    # configuration comes in as arguments; an environment read is a hidden second input
+    tree = ast.parse((Path(tornzeta.__file__).parent / module).read_text())
+    reads = {
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"))
+        or (isinstance(node, ast.Name) and node.id in ("environ", "getenv"))
+        or (isinstance(node, ast.alias) and node.name in ("environ", "getenv"))
+    }
+    assert not reads, f"{module} reads the environment on lines {sorted(reads)}"
+
+
 _SPECS = st.one_of(
     st.integers(0, 25).map(lambda s: SeriesSpec("A3", s=s)),
     st.tuples(st.integers(2, 8), st.integers(0, 12)).map(
