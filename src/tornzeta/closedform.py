@@ -78,7 +78,7 @@ _EVEN_ODD = ZExpr([(UNIT, 1), (LN2, -1)])
 
 
 def ln_series_via_b_path() -> ZExpr:
-    """The ln-series recomputed through its proof decomposition: 2(B + EvenOddAux).
+    """The ln-series recomputed through its proof decomposition: 2(B + evenodd).
 
     Must coincide with the ln row's closed form; the suite checks both routes.
     """
@@ -91,7 +91,7 @@ def on_series_via_b_path() -> ZExpr:
 
 
 def closed_form_of(spec: SeriesSpec) -> ZExpr:
-    """Closed form for any catalog spec; TornheimRaw is oracle-only and rejected."""
+    """Closed form for any catalog spec; tornheim is oracle-only and rejected."""
     closed = spec.family.closed
     if closed is None:
         raise ValueError(f"{spec} has no closed form (oracle-only family)")

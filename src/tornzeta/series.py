@@ -1,7 +1,8 @@
 """The series catalog: one ``Family`` row per family, and the spec syntax.
 
-A ``SeriesSpec`` names one member of the identity catalog: which family,
-plus its integer parameters.  The text syntax is the one accepted on the
+A ``SeriesSpec`` names one member of the identity catalog: its family's
+token plus the values of the row's parameters, e.g.
+``SeriesSpec("An", (4, 0))``.  The text syntax is the one accepted on the
 command line and echoed in reports, e.g. ``A3:s=2``, ``An:n=4,s=0``,
 ``halfint:c``, ``baseT:2``, ``ln``, ``tornheim:a=2,b=1,c=1``.
 
@@ -16,7 +17,7 @@ means adding one row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial, prod
 from typing import Callable
@@ -62,15 +63,14 @@ class Family:
     majorizes each term, and oddsq's bound holds by convexity (see its row).
     """
 
-    kind: str
-    token: str
+    token: str  # the family's one name, in spec syntax and reports
     closed: Callable[..., ZExpr] | None  # None: oracle-only, no closed form
     tail: Callable[..., tuple[Fraction, float, int, int]]
     summand: Callable[..., tuple] | None = None  # (*args); None: a one-index sum
     atoms: Callable[..., tuple] | None = None  # (*args) -> (terms, linear)
     dims: Callable[..., int] = _const(2)  # number of summation indices
     origin: int = 1
-    params: tuple[str, ...] = ()  # SeriesSpec fields shown in the syntax, in order
+    params: tuple[str, ...] = ()  # names of SeriesSpec.values, in syntax order
     fixed: tuple = ()  # leading engine arguments the family pins
     bare: bool = False  # the one parameter is written without its name
     valid: Callable[..., bool] = _const(True)
@@ -79,11 +79,9 @@ class Family:
     quadrature: bool = False  # the A-family integral representation applies
 
 
-def _single_sum(kind, token, closed, atoms, tail) -> Family:
+def _single_sum(token, closed, atoms, tail) -> Family:
     # a one-index series is its own regrouping: its atoms are its term
-    return Family(
-        kind=kind, token=token, closed=closed, tail=_const(tail), atoms=_const(atoms), dims=_const(1)
-    )
+    return Family(token, closed, _const(tail), atoms=_const(atoms), dims=_const(1))
 
 
 # T_j = sum_{m,n>=0} 1/((2m+1)(2n+1)(2m+2n+j)), the base T-sums
@@ -111,7 +109,6 @@ def _halfint_atoms(v: str) -> tuple:
 
 
 _AN = Family(
-    kind="An",
     token="An",
     params=("n", "s"),
     valid=lambda n, s: n >= 2 and s >= 0,
@@ -129,14 +126,13 @@ _AN = Family(
 )
 
 FAMILIES: dict[str, Family] = {
-    f.kind: f
+    f.token: f
     for f in (
-        replace(_AN, kind="A3", token="A3", params=("s",), fixed=(3,), rule="s >= 0"),
+        replace(_AN, token="A3", params=("s",), fixed=(3,), rule="s >= 0"),
         _AN,
         # A_2(k) with the closed form of its own identity
         replace(
             _AN,
-            kind="aXL",
             token="aXL",
             params=("k",),
             fixed=(2,),
@@ -144,7 +140,6 @@ FAMILIES: dict[str, Family] = {
             closed=lambda n, k: closedform.eval_aXL(k),
         ),
         Family(
-            kind="S111",
             token="S111",
             closed=lambda: ZExpr.zeta(3, 2),
             summand=_const((1, _index, _index, _index)),
@@ -152,7 +147,6 @@ FAMILIES: dict[str, Family] = {
             tail=_const((Fraction(2), 2.0, 1, 2)),
         ),
         _single_sum(
-            "LnSeries",
             "ln",
             lambda: ZExpr([(UNIT, 4), (LN2, -2)]) - ZExpr.zeta(2),
             (((2, (("H", 2, 1),)), (-1, (("H", 1, 0),))), ((2, 0), (2, 1))),
@@ -160,7 +154,6 @@ FAMILIES: dict[str, Family] = {
             (Fraction(1, 4), 3.2, 1, 2),
         ),
         _single_sum(
-            "OnSeries",
             "on",
             lambda: ZExpr.zeta(2, Fraction(1, 4)),
             (((1, (("O", 0),)),), ((2, 0), (2, 1))),
@@ -168,7 +161,6 @@ FAMILIES: dict[str, Family] = {
             (Fraction(1, 8), 3.4, 1, 2),
         ),
         Family(
-            kind="BaseT",
             token="baseT",
             params=("j",),
             bare=True,
@@ -181,7 +173,6 @@ FAMILIES: dict[str, Family] = {
             tail=_const((Fraction(1, 4), 3.5, 1, 2)),
         ),
         Family(
-            kind="HalfInt",
             token="halfint",
             params=("variant",),
             bare=True,
@@ -194,14 +185,12 @@ FAMILIES: dict[str, Family] = {
             tail=lambda v: (Fraction(2), 3.5, 1, 1 + len(_HALF_FACTORS[v])),
         ),
         _single_sum(
-            "EvenOddAux",
             "evenodd",
             lambda: ZExpr([(UNIT, 1), (LN2, -1)]),
             (((1, ()),), ((2, 0), (2, 1))),
             (Fraction(1, 4), 0.0, 0, 2),
         ),
         _single_sum(
-            "OddSquares",
             "oddsq",
             lambda: ZExpr.zeta(2, Fraction(3, 4)),
             (((1, ()),), ((2, -1), (2, -1))),
@@ -212,7 +201,6 @@ FAMILIES: dict[str, Family] = {
             (Fraction(1, 4), 0.0, 0, 2),
         ),
         Family(
-            kind="BInter",
             token="binter",
             # the proof's intermediate B = A - (3/2) zeta(2) + 1 with A = zeta(2)
             closed=lambda: ZExpr.rational(1) - ZExpr.zeta(2, Fraction(1, 2)),
@@ -222,7 +210,6 @@ FAMILIES: dict[str, Family] = {
             tail=_const((Fraction(1, 4), 2.0, 1, 2)),
         ),
         Family(
-            kind="TornheimRaw",
             token="tornheim",
             params=("a", "b", "c"),
             valid=lambda a, b, c: min(a, b, c) >= 1
@@ -235,43 +222,42 @@ FAMILIES: dict[str, Family] = {
         ),
     )
 }
-_FAMILY_OF_TOKEN = {f.token: f for f in FAMILIES.values()}
 
-KINDS = tuple(FAMILIES)
+
+def _family(token: str) -> Family:
+    fam = FAMILIES.get(token)
+    if fam is None:
+        raise ValueError(f"unknown series spec {token!r}; known: {', '.join(sorted(FAMILIES))}")
+    return fam
+
+
+def _value_type(name: str) -> type:
+    # the half-integer variant is the one parameter that is not an integer
+    return str if name == "variant" else int
 
 
 @dataclass(frozen=True)
 class SeriesSpec:
     """Tagged identifier of one series in the catalog.
 
-    Exactly the parameters belonging to ``kind`` may be set; everything
-    else must stay None.  Construction validates ranges, so a SeriesSpec
-    that exists is always a convergent, well-posed series.
+    ``kind`` is the family's token and ``values`` its parameters, in the
+    row's ``params`` order.  Construction validates types and ranges, so a
+    SeriesSpec that exists is always a convergent, well-posed series.
     """
 
     kind: str
-    s: int | None = None
-    n: int | None = None
-    k: int | None = None
-    j: int | None = None
-    variant: str | None = None
-    a: int | None = None
-    b: int | None = None
-    c: int | None = None
+    values: tuple = ()
 
     def __post_init__(self) -> None:
-        fam = FAMILIES.get(self.kind)
-        if fam is None:
-            raise ValueError(f"unknown series family {self.kind!r}")
-        for f in fields(self)[1:]:
-            val = getattr(self, f.name)
-            if f.name in fam.params:
-                if val is None:
-                    raise ValueError(f"{self.kind} requires parameter {f.name!r}")
-            elif val is not None:
-                raise ValueError(f"{self.kind} takes no parameter {f.name!r}")
+        fam = _family(self.kind)
+        if type(self.values) is not tuple or len(self.values) != len(fam.params):
+            raise ValueError(f"{self.kind} takes ({','.join(fam.params)}), got {self.values!r}")
+        for name, val in zip(fam.params, self.values):
+            want = _value_type(name)
+            if type(val) is not want:
+                raise ValueError(f"parameter {name!r} must be {want.__name__}, got {val!r}")
         if not fam.valid(*self.args):
-            raise ValueError(f"{fam.token} needs {fam.rule}, got {self.params_text()}")
+            raise ValueError(f"{self.kind} needs {fam.rule}, got {self.params_text()}")
 
     @property
     def family(self) -> Family:
@@ -280,26 +266,22 @@ class SeriesSpec:
     @property
     def args(self) -> tuple:
         """Engine arguments: the family's fixed values, then the parameters."""
-        fam = self.family
-        return fam.fixed + tuple(getattr(self, name) for name in fam.params)
+        return self.family.fixed + self.values
 
     # -- text form ------------------------------------------------------
 
     def params_text(self) -> str:
         """Parameter part of the syntax: ``s=2``, ``n=4,s=0``, ``c``, ``2``, ``""``."""
         fam = self.family
-        return ",".join(
-            str(getattr(self, name)) if fam.bare else f"{name}={getattr(self, name)}"
-            for name in fam.params
-        )
+        return ",".join(str(v) if fam.bare else f"{n}={v}" for n, v in zip(fam.params, self.values))
 
     def token(self) -> str:
-        return self.family.token
+        return self.kind
 
     def label(self) -> str:
         """Full spec syntax, e.g. ``A3:s=2`` or ``ln``."""
         ptext = self.params_text()
-        return f"{self.token()}:{ptext}" if ptext else self.token()
+        return f"{self.kind}:{ptext}" if ptext else self.kind
 
     def __str__(self) -> str:
         return self.label()
@@ -314,21 +296,14 @@ def parse_spec(text: str) -> SeriesSpec:
     """
     text = text.strip()
     token, sep, ptext = text.partition(":")
-    fam = _FAMILY_OF_TOKEN.get(token)
-    if fam is None:
-        known = ", ".join(sorted(_FAMILY_OF_TOKEN))
-        raise ValueError(f"unknown series spec {token!r}; known: {known}")
+    fam = _family(token)
     wanted = fam.params
-    if not sep:
-        if wanted:
-            raise ValueError(f"{token} requires parameters {','.join(wanted)}; e.g. {token}:{'...'}")
-        return SeriesSpec(fam.kind)
-    if not wanted:
+    if sep and not wanted:
         raise ValueError(f"{token} takes no parameters, got {ptext!r}")
     given: dict[str, str] = {}
-    if fam.bare:
+    if sep and fam.bare:
         given[wanted[0]] = ptext
-    else:
+    elif sep:
         for part in ptext.split(","):
             name, eq, val = part.partition("=")
             if not eq:
@@ -341,15 +316,15 @@ def parse_spec(text: str) -> SeriesSpec:
             given[name] = val
     missing = [name for name in wanted if name not in given]
     if missing:
-        raise ValueError(f"{token} is missing parameters: {','.join(missing)}")
-    return SeriesSpec(fam.kind, **{name: _parse_value(val, name) for name, val in given.items()})
+        raise ValueError(f"{token} requires parameters {','.join(missing)}; e.g. {token}:...")
+    return SeriesSpec(token, tuple(_parse_value(given[name], name) for name in wanted))
 
 
 def _parse_value(text: str, name: str) -> int | str:
-    # the half-integer variant is the one parameter that is not an integer
-    if name == "variant":
-        return text.strip()
-    try:
-        return int(text.strip())
-    except ValueError:
-        raise ValueError(f"parameter {name!r} must be an integer, got {text.strip()!r}") from None
+    text = text.strip()
+    if _value_type(name) is str:
+        return text
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"parameter {name!r} must be an integer, got {text!r}")
+    return int(text)

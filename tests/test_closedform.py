@@ -34,7 +34,7 @@ class TestA3:
 
     def test_matches_general_family(self):
         for s in range(0, 21):
-            assert closed_form_of(SeriesSpec("A3", s=s)) == eval_An(3, s)
+            assert closed_form_of(SeriesSpec("A3", (s,))) == eval_An(3, s)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -191,7 +191,7 @@ class TestDispatch:
         assert closed_form_of(parse_spec(text)) == want
 
     def test_tornheim_has_no_closed_form(self):
-        spec = SeriesSpec("TornheimRaw", a=2, b=1, c=1)
+        spec = SeriesSpec("tornheim", (2, 1, 1))
         with pytest.raises(ValueError, match="no closed form"):
             closed_form_of(spec)
 

@@ -19,7 +19,7 @@ from tornzeta.harness import (
     verify,
 )
 from tornzeta.oracle import NumericCfg, asymptotic_cutoff
-from tornzeta.series import KINDS, SeriesSpec, parse_spec
+from tornzeta.series import FAMILIES, SeriesSpec, parse_spec
 
 
 class TestVerify:
@@ -53,7 +53,7 @@ class TestVerify:
         with pytest.raises(ValueError):
             verify(parse_spec("on"), cfg, -1e-6)
         with pytest.raises(ValueError, match="no closed form"):
-            verify(SeriesSpec("TornheimRaw", a=2, b=1, c=1), cfg, 1e-6)
+            verify(SeriesSpec("tornheim", (2, 1, 1)), cfg, 1e-6)
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
     def test_non_finite_tolerance_raises(self, tol):
@@ -93,7 +93,7 @@ class TestManifests:
         with pytest.raises(ValueError, match="oracle-only"):
             SuiteManifest(
                 "bad",
-                (SuiteEntry(SeriesSpec("TornheimRaw", a=2, b=1, c=1), good.cfg, 1e-6),),
+                (SuiteEntry(SeriesSpec("tornheim", (2, 1, 1)), good.cfg, 1e-6),),
             )
 
     def test_presets_registered(self):
@@ -109,9 +109,10 @@ class TestManifests:
         # every closed-form family appears; the raw-only family is excluded
         man = paper_full_manifest()
         kinds = {e.spec.kind for e in man.entries}
-        assert kinds == set(KINDS) - {"TornheimRaw"}
-        assert {e.spec.variant for e in man.entries if e.spec.kind == "HalfInt"} == {"a", "b", "c"}
-        assert {e.spec.j for e in man.entries if e.spec.kind == "BaseT"} == {1, 2, 3}
+        assert kinds == set(FAMILIES) - {"tornheim"}
+        values = {(e.spec.kind, e.spec.values) for e in man.entries}
+        assert {v for k, v in values if k == "halfint"} == {("a",), ("b",), ("c",)}
+        assert {v for k, v in values if k == "baseT"} == {(1,), (2,), (3,)}
         assert {e.cfg.method for e in man.entries} == {"quadrature", "diagonal", "raw"}
 
     @pytest.mark.parametrize("digits", [50, 1000, 2000, 3300])
