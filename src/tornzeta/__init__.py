@@ -5,18 +5,12 @@ rational combinations of 1, ln 2, zeta values and pi powers, then checked
 against independent summation and quadrature oracles.
 """
 
-from .closedform import (
-    closed_form_of,
-    alt_binomial_sides,
-    eval_An,
-    eval_aXL,
-)
-from .exact import Rat, bernoulli, binomial, harmonic, harmonic_gen, odd_harmonic
+from .closedform import closed_form_of, eval_An, eval_aXL
+from .exact import bernoulli, harmonic, harmonic_gen, odd_harmonic
 from .harness import (
     EvalReport,
     SuiteEntry,
     SuiteManifest,
-    emit,
     paper_full_manifest,
     run_suite,
     smoke_manifest,

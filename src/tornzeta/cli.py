@@ -17,7 +17,7 @@ import time
 
 from .closedform import closed_form_of
 from .exact import bernoulli
-from .harness import PRESETS, _fmt, emit, iter_suite, render_reports, status, verify
+from .harness import PRESETS, _fmt, iter_suite, render_reports, status, verify
 from .oracle import (
     METHODS,
     NumericCfg,
@@ -32,11 +32,7 @@ from .series import parse_spec
 from .zexpr import zx_normalize
 
 
-_DIGITS_HELP = "working precision (default %(default)s)"
-
-
 def _add_numeric_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--digits", type=int, default=NumericCfg.digits, help=_DIGITS_HELP)
     p.add_argument(
         "--nmax",
         type=int,
@@ -112,10 +108,12 @@ def _cmd_suite(args) -> int:
                 if to_file:
                     line = f"{r.spec.label():<18} {r.oracle.method:<10} {r.oracle.elapsed:>8.3f}s"
                     print(f"{line}  {status(r)}", flush=True)
-            emit(reports, args.format, out)
+            out.write(render_reports(reports, args.format))
             out.flush()  # a failed write is caught here too
-    except (OSError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(
+            f"error: could not write {args.format} report to {args.out}: {exc}", file=sys.stderr
+        )
         return 2
     if to_file:
         npass, wall = sum(r.passed for r in reports), time.perf_counter() - start
@@ -147,37 +145,47 @@ def build_parser() -> argparse.ArgumentParser:
         description="Closed forms and numeric verification for Tornheim-like series",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    digits = argparse.ArgumentParser(add_help=False)
+    digits.add_argument(
+        "--digits",
+        type=int,
+        default=NumericCfg.digits,
+        help="working precision (default %(default)s)",
+    )
 
-    p = sub.add_parser("eval", help="print the exact closed form and its numeric value")
+    p = sub.add_parser(
+        "eval", parents=[digits], help="print the exact closed form and its numeric value"
+    )
     p.add_argument("spec", help="series spec, e.g. A3:s=2 or halfint:c")
-    p.add_argument("--digits", type=int, default=NumericCfg.digits, help=_DIGITS_HELP)
     p.add_argument("--prefer-pi", action="store_true", help="show even zeta values as pi powers")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("oracle", help="numerically estimate a series by one oracle route")
+    p = sub.add_parser(
+        "oracle", parents=[digits], help="numerically estimate a series by one oracle route"
+    )
     p.add_argument("spec")
     _add_numeric_opts(p)
     p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("verify", help="compare closed form against an oracle")
+    p = sub.add_parser("verify", parents=[digits], help="compare closed form against an oracle")
     p.add_argument("spec")
     p.add_argument("--tol", type=float, default=1e-8)
     _add_numeric_opts(p)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("suite", help="run a preset identity suite and emit a report")
+    p = sub.add_parser(
+        "suite", parents=[digits], help="run a preset identity suite and write a report"
+    )
     p.add_argument("--preset", choices=sorted(PRESETS), default="smoke")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--out", default="-", help="output file, - for stdout")
     p.add_argument("--parallel", action="store_true")
-    p.add_argument("--digits", type=int, default=NumericCfg.digits, help=_DIGITS_HELP)
     p.set_defaults(func=_cmd_suite)
 
-    p = sub.add_parser("constants", help="print high-precision constants")
+    p = sub.add_parser("constants", parents=[digits], help="print high-precision constants")
     p.add_argument("--zeta", type=int, default=None, metavar="K")
     p.add_argument("--ln2", action="store_true")
     p.add_argument("--pi", action="store_true")
-    p.add_argument("--digits", type=int, default=NumericCfg.digits, help=_DIGITS_HELP)
     p.set_defaults(func=_cmd_constants)
 
     p = sub.add_parser("bernoulli", help="print an exact Bernoulli number")

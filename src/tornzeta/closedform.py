@@ -15,10 +15,10 @@ s = 20.  There is deliberately no float fallback here.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import TYPE_CHECKING
 
-from .exact import Rat, binomial, harmonic, harmonic_gen
+from .exact import harmonic, harmonic_gen
 from .zexpr import LN2, UNIT, ZExpr
 
 if TYPE_CHECKING:
@@ -39,7 +39,7 @@ def eval_An(n: int, s: int) -> ZExpr:
         return ZExpr.zeta(n + 1, factorial(n))
     acc = Fraction(0)
     for j in range(s):
-        acc += (-1) ** j * binomial(s - 1, j) / Fraction((j + 1) ** (n + 1))
+        acc += Fraction((-1) ** j * comb(s - 1, j), (j + 1) ** (n + 1))
     return ZExpr.rational(factorial(n) * acc)
 
 
@@ -51,23 +51,6 @@ def eval_aXL(k: int) -> ZExpr:
         return ZExpr.zeta(3, 2)
     hk = harmonic(k)
     return ZExpr.rational((hk * hk + harmonic_gen(k, 2)) / k)
-
-
-def alt_binomial_sides(k: int) -> tuple[Rat, Rat]:
-    """Both sides of the cubic binomial-sum identity, for the caller to compare.
-
-    LHS = sum_{j=0}^{k-1} (-1)^j C(k-1,j)/(j+1)^3, RHS = (H_k^2+H_k^(2))/(2k).
-    They agree for every k >= 1; returning the pair keeps the check honest
-    instead of baking the equality into one of the sides.
-    """
-    if k < 1:
-        raise ValueError(f"need k >= 1, got k={k}")
-    lhs = Fraction(0)
-    for j in range(k):
-        lhs += (-1) ** j * binomial(k - 1, j) / Fraction((j + 1) ** 3)
-    hk = harmonic(k)
-    rhs = (hk * hk + harmonic_gen(k, 2)) / (2 * k)
-    return lhs, rhs
 
 
 # The proofs' intermediate sums, written apart from their catalog rows (which

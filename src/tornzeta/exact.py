@@ -1,10 +1,9 @@
-"""Exact rational arithmetic: binomials, Bernoulli numbers, harmonic sums.
+"""Exact rational arithmetic: Bernoulli numbers and harmonic sums.
 
-Everything here returns ``fractions.Fraction`` in lowest terms.  The closed
-forms downstream are alternating binomial sums and harmonic-number
-combinations whose cancellation is catastrophic in floating point, so the
-rational layer is the ground truth that the numeric oracles are checked
-against, never the other way around.
+Everything here returns ``fractions.Fraction`` in lowest terms.  The
+Bernoulli numbers feed ``const_zeta``, the asymptotic tail and the
+zeta(2n) <-> pi^(2n) rewrite in ``zexpr``; the harmonic numbers give aXL's
+closed form and the tests' exact references.
 """
 
 from __future__ import annotations
@@ -13,25 +12,11 @@ import math
 from fractions import Fraction
 from functools import cache
 
-Rat = Fraction
-
 _ZERO = Fraction(0)
 
 
-def binomial(n: int, k: int) -> Rat:
-    """C(n, k) as an exact rational; 0 when k > n.
-
-    Both arguments must be nonnegative integers.
-    """
-    if n < 0 or k < 0:
-        raise ValueError(f"binomial needs n, k >= 0, got n={n}, k={k}")
-    if k > n:
-        return _ZERO
-    return Fraction(math.comb(n, k))
-
-
 @cache
-def bernoulli(n: int) -> Rat:
+def bernoulli(n: int) -> Fraction:
     """B_n with B_1 = -1/2; exact, so B_12 = -691/2730 comes out on the nose.
 
     From the defining recurrence sum_{j=0}^{n} C(n+1, j) B_j = 0.  It asks
@@ -49,7 +34,7 @@ def bernoulli(n: int) -> Rat:
 
 
 @cache
-def harmonic_gen(n: int, m: int) -> Rat:
+def harmonic_gen(n: int, m: int) -> Fraction:
     """H_n^(m) = sum_{i=1}^{n} 1/i^m; order m >= 1."""
     if n < 0:
         raise ValueError(f"harmonic_gen needs n >= 0, got {n}")
@@ -59,13 +44,13 @@ def harmonic_gen(n: int, m: int) -> Rat:
     return Fraction(sum(den // i**m for i in range(1, n + 1)), den)
 
 
-def harmonic(n: int) -> Rat:
+def harmonic(n: int) -> Fraction:
     """H_n; H_0 = 0."""
     return harmonic_gen(n, 1)
 
 
 @cache
-def odd_harmonic(m: int) -> Rat:
+def odd_harmonic(m: int) -> Fraction:
     """O_m = 1 + 1/3 + ... + 1/(2m-1); O_0 = 0."""
     if m < 0:
         raise ValueError(f"odd_harmonic needs m >= 0, got {m}")

@@ -77,6 +77,9 @@ class NumericCfg:
     method: str = "diagonal"
 
     def __post_init__(self) -> None:
+        for name in ("digits", "n_max", "quad_levels"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be int, got {getattr(self, name)!r}")
         _check_digits(self.digits)
         if self.n_max < 10:
             raise ValueError(f"n_max must be >= 10, got {self.n_max}")
@@ -577,7 +580,7 @@ def _series(spec: SeriesSpec, cfg: NumericCfg, method: str, head, cutoff=None, a
 
 # tanh-sinh levels through the default quad_levels keep every per-node
 # quantity for reuse, keyed by (digits, level); deeper levels stream them
-_TABLE_LEVELS = 10
+_TABLE_LEVELS = NumericCfg.quad_levels
 _TABLE_PRECISIONS = 4
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterable
 
-from .exact import Rat, bernoulli
+from .exact import bernoulli
 
 _KIND_ORDER = {"unit": 0, "ln2": 1, "zeta": 2, "pipow": 3}
 
@@ -74,7 +74,7 @@ class ZExpr:
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, terms: Iterable[tuple[ConstSym, Rat]] = ()) -> None:
+    def __init__(self, terms: Iterable[tuple[ConstSym, Fraction]] = ()) -> None:
         acc: dict[ConstSym, Fraction] = {}
         for sym, coeff in terms:
             if not isinstance(sym, ConstSym):
@@ -91,23 +91,19 @@ class ZExpr:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def rational(cls, q: Rat | int) -> "ZExpr":
+    def rational(cls, q: Fraction | int) -> "ZExpr":
         return cls([(UNIT, Fraction(q))])
 
     @classmethod
-    def single(cls, sym: ConstSym, coeff: Rat | int = 1) -> "ZExpr":
-        return cls([(sym, Fraction(coeff))])
-
-    @classmethod
-    def zeta(cls, k: int, coeff: Rat | int = 1) -> "ZExpr":
-        return cls.single(zeta_sym(k), coeff)
+    def zeta(cls, k: int, coeff: Fraction | int = 1) -> "ZExpr":
+        return cls([(zeta_sym(k), coeff)])
 
     # -- accessors ------------------------------------------------------
 
-    def coeff(self, sym: ConstSym) -> Rat:
+    def coeff(self, sym: ConstSym) -> Fraction:
         return self._coeffs.get(sym, Fraction(0))
 
-    def terms(self) -> tuple[tuple[ConstSym, Rat], ...]:
+    def terms(self) -> tuple[tuple[ConstSym, Fraction], ...]:
         """Terms in canonical order: 1, ln2, zeta(2), zeta(3), ..., pi, pi^2, ..."""
         return tuple((sym, self._coeffs[sym]) for sym in sorted(self._coeffs))
 
@@ -129,7 +125,7 @@ class ZExpr:
             return NotImplemented
         return self + (-1) * other
 
-    def __mul__(self, scalar: Rat | int) -> "ZExpr":
+    def __mul__(self, scalar: Fraction | int) -> "ZExpr":
         c = Fraction(scalar)
         return ZExpr((sym, c * v) for sym, v in self._coeffs.items())
 
@@ -171,9 +167,6 @@ class ZExpr:
         return " ".join(parts)
 
 
-ZERO_EXPR = ZExpr()
-
-
 def zeta_even_to_pi(n: int) -> ZExpr:
     """zeta(2n) rewritten as a rational multiple of pi^(2n).
 
@@ -184,7 +177,7 @@ def zeta_even_to_pi(n: int) -> ZExpr:
         raise ValueError(f"zeta_even_to_pi needs n >= 1, got {n}")
     num = (-1) ** (n + 1) * 2 ** (2 * n) * bernoulli(2 * n)
     coeff = num / (2 * factorial(2 * n))
-    return ZExpr.single(pi_pow(2 * n), coeff)
+    return ZExpr([(pi_pow(2 * n), coeff)])
 
 
 def _pi_even_to_zeta(k: int) -> ZExpr:
@@ -204,12 +197,12 @@ def zx_normalize(a: ZExpr, mode: str = "keep-zeta") -> ZExpr:
     """
     if mode not in ("keep-zeta", "prefer-pi"):
         raise ValueError(f"unknown normalization mode {mode!r}")
-    out = ZERO_EXPR
+    out = ZExpr()
     for sym, coeff in a.terms():
         if mode == "keep-zeta" and sym.kind == "pipow" and sym.k % 2 == 0:
             out = out + coeff * _pi_even_to_zeta(sym.k)
         elif mode == "prefer-pi" and sym.kind == "zeta" and sym.k % 2 == 0:
             out = out + coeff * zeta_even_to_pi(sym.k // 2)
         else:
-            out = out + ZExpr.single(sym, coeff)
+            out = out + ZExpr([(sym, coeff)])
     return out

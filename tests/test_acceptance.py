@@ -11,7 +11,7 @@ from fractions import Fraction as F
 
 from mpmath import mp, workdps
 
-from tornzeta.closedform import closed_form_of, alt_binomial_sides, eval_An
+from tornzeta.closedform import closed_form_of, eval_An, eval_aXL
 from tornzeta.harness import paper_full_manifest, render_reports, run_suite, smoke_manifest, verify
 from tornzeta.oracle import (
     NumericCfg,
@@ -81,9 +81,9 @@ def test_criterion_03_an_family_quadrature_to_1e10():
 
 def test_criterion_04_alternating_binomial_identity_exact_for_k_1_to_100():
     t0 = time.perf_counter()
+    # sum_{j<k} (-1)^j C(k-1,j)/(j+1)^3 = (H_k^2 + H_k^(2))/(2k): both sides times 2
     for k in range(1, 101):
-        lhs, rhs = alt_binomial_sides(k)
-        assert lhs == rhs, k
+        assert eval_An(2, k) == eval_aXL(k), k
     assert time.perf_counter() - t0 < 1.0
 
 

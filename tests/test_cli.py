@@ -88,6 +88,11 @@ class TestOracle:
         assert main(["oracle", "tornheim:a=2,b=1,c=1", "--method", "raw", "--nmax", "100000"]) == 2
         assert "out of reach" in capsys.readouterr().err
 
+    def test_quadrature_stall_is_an_oracle_failure(self, capsys):
+        argv = ["oracle", "A3:s=0", "--method", "quadrature", "--quad-levels", "3"]
+        assert main([*argv, "--digits", "100"]) == 2
+        assert capsys.readouterr().err.startswith("oracle failure: quadrature stalled at level 3")
+
 
 class TestVerify:
     def test_pass_exits_zero(self, capsys):
@@ -155,13 +160,17 @@ class TestSuite:
         assert len(calls) == 6
 
     def test_failed_emit_is_an_error(self, tmp_path, capsys, monkeypatch):
-        def broken(reports, format, sink):
-            raise RuntimeError(f"could not write {format} report")
+        # the suite ran, then the report's write fails (a full disk)
+        class Full(io.StringIO):
+            def write(self, _):
+                raise OSError(28, "No space left on device")
 
-        monkeypatch.setattr("tornzeta.cli.emit", broken)
+        monkeypatch.setattr("tornzeta.cli.open", lambda *a, **k: Full(), raising=False)
         out = str(tmp_path / "r.json")
         assert main(["suite", "--preset", "smoke", "--format", "json", "--out", out]) == 2
-        assert "error: could not write json report" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: could not write json report to {out}: ")
+        assert "No space left on device" in err
 
     def test_parallel_matches_serial(self, capsys):
         assert main(["suite", "--preset", "smoke", "--format", "csv"]) == 0

@@ -8,7 +8,6 @@ from mpmath import mp, workdps
 
 from tornzeta.closedform import (
     closed_form_of,
-    alt_binomial_sides,
     eval_An,
     eval_aXL,
     ln_series_via_b_path,
@@ -74,19 +73,11 @@ class TestAn:
 
 
 class TestAltBinomialIdentity:
-    @pytest.mark.parametrize("k", [1, 2, 3, 7, 50, 100])
-    def test_sides_agree(self, k):
-        lhs, rhs = alt_binomial_sides(k)
-        assert lhs == rhs
-
     def test_explicit_small_case(self):
-        lhs, rhs = alt_binomial_sides(2)
-        assert lhs == F(1) - F(1, 8)
-        assert rhs == (harmonic(2) ** 2 + harmonic_gen(2, 2)) / 4
-
-    def test_k_zero_rejected(self):
-        with pytest.raises(ValueError):
-            alt_binomial_sides(0)
+        # k = 2: the binomial sum is 2 (1 - 1/8), aXL's form is (H_2^2 + H_2^(2))/2
+        assert eval_An(2, 2) == ZExpr.rational(2 * (F(1) - F(1, 8)))
+        assert eval_aXL(2) == ZExpr.rational((harmonic(2) ** 2 + harmonic_gen(2, 2)) / 2)
+        assert eval_An(2, 2) == eval_aXL(2)
 
 
 class TestAXL:

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -10,38 +11,10 @@ from hypothesis import example, given, strategies as st
 
 from tornzeta.exact import (
     bernoulli,
-    binomial,
     harmonic,
     harmonic_gen,
     odd_harmonic,
 )
-
-
-class TestBinomial:
-    @pytest.mark.parametrize(
-        "n,k,want",
-        [(0, 0, 1), (1, 0, 1), (1, 1, 1), (4, 2, 6), (10, 3, 120), (30, 15, 155117520)],
-    )
-    def test_values(self, n, k, want):
-        assert binomial(n, k) == want
-
-    def test_out_of_range_is_zero(self):
-        assert binomial(3, 4) == 0
-        assert binomial(0, 1) == 0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            binomial(-1, 0)
-        with pytest.raises(ValueError):
-            binomial(3, -2)
-
-    @given(st.integers(min_value=0, max_value=30))
-    def test_row_sum(self, n):
-        assert sum(binomial(n, k) for k in range(n + 1)) == 2**n
-
-    @given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=40))
-    def test_pascal(self, n, k):
-        assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
 
 
 class TestBernoulli:
@@ -75,7 +48,7 @@ class TestBernoulli:
     def test_defining_recurrence(self, n):
         # sum_{k<n} C(n,k) B_k = 0 for n >= 2, with B_1 = -1/2 convention;
         # 120 and 250 reach past the B_172 that 300-digit runs use
-        total = sum(binomial(n, k) * bernoulli(k) for k in range(n))
+        total = sum(math.comb(n, k) * bernoulli(k) for k in range(n))
         if n == 1:
             assert total == 1
         else:

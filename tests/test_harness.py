@@ -11,7 +11,6 @@ from tornzeta.harness import (
     PRESETS,
     SuiteEntry,
     SuiteManifest,
-    emit,
     paper_full_manifest,
     render_reports,
     run_suite,
@@ -39,13 +38,6 @@ class TestVerify:
         with workdps(60):
             assert report.abs_err < mp.mpf("1e-8")
 
-    def test_rel_err_consistent(self):
-        cfg = NumericCfg(digits=40, n_max=10**4, method="diagonal")
-        report = verify(parse_spec("S111"), cfg, 1e-3)
-        with workdps(50):
-            want = report.abs_err / abs(report.closed_numeric)
-            assert abs(report.rel_err - want) < mp.mpf("1e-40")
-
     def test_bad_usage_raises(self):
         cfg = NumericCfg(n_max=100)
         with pytest.raises(ValueError):
@@ -62,7 +54,7 @@ class TestVerify:
             verify(parse_spec("on"), NumericCfg(n_max=100), tol)
         good = smoke_manifest().entries[0]
         with pytest.raises(ValueError, match="finite"):
-            SuiteManifest("bad", (SuiteEntry(good.spec, good.cfg, tol),))
+            SuiteManifest((SuiteEntry(good.spec, good.cfg, tol),))
 
     def test_mismatch_reports_instead_of_raising(self, monkeypatch):
         # with the truncation slack forced to zero a short sum cannot reach
@@ -86,24 +78,22 @@ class TestVerify:
 class TestManifests:
     def test_validation(self):
         with pytest.raises(ValueError):
-            SuiteManifest("empty", ())
+            SuiteManifest(())
         good = smoke_manifest().entries[0]
         with pytest.raises(ValueError):
-            SuiteManifest("bad", (SuiteEntry(good.spec, good.cfg, -1e-6),))
+            SuiteManifest((SuiteEntry(good.spec, good.cfg, -1e-6),))
         with pytest.raises(ValueError, match="oracle-only"):
-            SuiteManifest(
-                "bad",
-                (SuiteEntry(SeriesSpec("tornheim", (2, 1, 1)), good.cfg, 1e-6),),
-            )
+            SuiteManifest((SuiteEntry(SeriesSpec("tornheim", (2, 1, 1)), good.cfg, 1e-6),))
 
     def test_presets_registered(self):
         assert set(PRESETS) == {"smoke", "paper-full"}
-        assert PRESETS["smoke"]().name == "smoke"
 
     def test_smoke_is_small_and_fast_config(self):
         man = smoke_manifest()
         assert len(man.entries) == 6
-        assert all(e.cfg.method == "diagonal" and e.cfg.n_max == 10**4 for e in man.entries)
+        assert all(
+            e.cfg.method == "diagonal" and e.cfg.n_max == NumericCfg.n_max for e in man.entries
+        )
 
     def test_paper_full_covers_catalog(self):
         # every closed-form family appears; the raw-only family is excluded
@@ -118,7 +108,7 @@ class TestManifests:
     @pytest.mark.parametrize("digits", [50, 1000, 2000, 3300])
     def test_paper_full_diagonal_ceiling_reaches_n_star(self, digits):
         # an n_max below N* silently drops the entry from the expansion to the majorant
-        for e in paper_full_manifest(digits).entries:
+        for e in paper_full_manifest(digits).entries + smoke_manifest(digits).entries:
             if e.cfg.method == "diagonal":
                 assert e.cfg.n_max >= asymptotic_cutoff(e.spec, digits), str(e.spec)
 
@@ -144,7 +134,7 @@ class TestRunSuite:
             SuiteEntry(parse_spec("A3:s=0"), NumericCfg(digits=d, method="quadrature"), 1e-25)
             for d in (30, 200) * 3
         )
-        man = SuiteManifest("mixed-precision", entries)
+        man = SuiteManifest(entries)
         serial = run_suite(man)
         assert all(r.passed for r in serial)
         for _ in range(3):
@@ -155,7 +145,6 @@ class TestRunSuite:
 
 def _tiny_reports():
     man = SuiteManifest(
-        "tiny",
         (
             SuiteEntry(parse_spec("A3:s=0"), NumericCfg(n_max=10**4, method="diagonal"), 1e-3),
             SuiteEntry(parse_spec("An:n=2,s=2"), NumericCfg(n_max=10**4, method="diagonal"), 1e-6),
@@ -236,16 +225,3 @@ class TestEmission:
         got = {f: hashlib.sha256(render_reports(reports, f).encode()).hexdigest() for f in want}
         assert got == want
 
-    def test_emit_writes_sink(self):
-        reports = _tiny_reports()
-        sink = io.StringIO()
-        emit(reports, "csv", sink)
-        assert sink.getvalue().startswith("spec,params")
-
-    def test_emit_failure_carries_context(self):
-        class BrokenSink:
-            def write(self, _):
-                raise OSError("disk full")
-
-        with pytest.raises(RuntimeError, match="could not write"):
-            emit(_tiny_reports(), "json", BrokenSink())

@@ -650,6 +650,15 @@ class TestConfigAndGuards:
         with pytest.raises(ValueError):
             NumericCfg(method="montecarlo")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("digits", 50.0), ("n_max", 500.0), ("quad_levels", 10.5), ("digits", True)],
+    )
+    def test_cfg_fields_must_be_int(self, field, value):
+        # a float or bool field would otherwise fail deep in an engine
+        with pytest.raises(ValueError, match=f"{field} must be int"):
+            NumericCfg(**{field: value})
+
     def test_diagonal_guards(self):
         cfg = NumericCfg(n_max=100)
         with pytest.raises(ValueError):
