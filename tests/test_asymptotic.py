@@ -1,5 +1,6 @@
 """The certified asymptotic tail of ``oracle_diagonal`` (``asymptotic.py``)."""
 
+import hashlib
 import math
 import time
 from dataclasses import replace
@@ -179,6 +180,27 @@ def test_tail_encloses_the_true_remainder(text):
             true = _reference(closed_form_of(spec)) - mp.mpf(s_n.numerator) / s_n.denominator
             assert abs(mp.ldexp(value, -prec) - true) <= mp.ldexp(bound, -prec)
             assert mp.ldexp(bound, -prec) < mp.mpf("1e-52")
+
+
+def test_asymptotic_tails_pinned():
+    # the (value, bound) integers of every paper-full entry that takes the
+    # tail, at 50 and 200 digits, hashed; they change only when the
+    # expansion is meant to move
+    digest = hashlib.sha256()
+    count = 0
+    for digits in (50, 200):
+        prec = oracle._prec_bits(digits) + oracle._TAIL_GUARD_BITS
+        for entry in paper_full_manifest(digits).entries:
+            method = entry.cfg.method
+            if method == "quadrature":
+                continue
+            cutoff = oracle.asymptotic_cutoff if method == "diagonal" else oracle.raw_cutoff
+            n = cutoff(entry.spec, digits)
+            value, bound = asymptotic.tail(entry.spec, n, digits, prec)
+            digest.update(f"{entry.spec.label()}|{method}|{digits}|{n}|{value}|{bound}\n".encode())
+            count += 1
+    assert count == 48
+    assert digest.hexdigest() == "7a2c5521e7339371be3a1a90a75033c742c24f743f0f908701441e8cdac88a06"
 
 
 def test_cutoff_routes_by_n_max():
