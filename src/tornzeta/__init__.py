@@ -11,8 +11,8 @@ from .harness import (
     EvalReport,
     SuiteEntry,
     SuiteManifest,
+    iter_suite,
     paper_full_manifest,
-    run_suite,
     smoke_manifest,
     verify,
 )

@@ -13,15 +13,16 @@ series of a precision.
 
 The term is built from its row's ``Family.atoms`` description:
 
-* H_{aG+b} = ln a + L + gamma + 1/(2aG) - sum_k B_2k / (2k (aG)^2k), plus
-  or minus the reciprocals 1/(aG + t) that shift aG to aG + b.  The
-  remainder is at most twice the first omitted term (DLMF 5.11.2 and
-  2.10.1), each reciprocal's is geometric;
+* H^(k)_{x+l}, x = aG and l = 0 or -1, is one Euler-Maclaurin series
+  (DLMF 2.10.1): ln x + gamma (k = 1) or zeta(k) - x^(1-k)/(k-1), then
+  (1/2 + l) x^-k, then -B_2r (k)_{2r-1}/(2r)! x^(1-k-2r).  The derivatives
+  of x^-k keep one sign, so the remainder is at most twice the first
+  omitted term;
+* H_{aG+b} is H_{aG} plus or minus the reciprocals 1/(aG + t) that shift
+  aG to aG + b, each with a geometric remainder;
 * O_{G+b} = H_{2G+2b} - H_{G+b}/2;
-* the power sums H^(k)_{G-1} = zeta(k) - zeta(k, G), with zeta(k, G)
-  expanded by Euler-Maclaurin (DLMF 2.10.1: the remainder is at most
-  twice the first omitted term, as the derivatives of x^-k keep one
-  sign), give e_j(1, 1/2, ..., 1/(G-1)) by Newton's identities;
+* the power sums H^(k)_{G-1} give e_j(1, 1/2, ..., 1/(G-1)) by Newton's
+  identities;
 * each linear factor aG + b of the denominator is a geometric series.
 
 Products drop the terms above order K into the remainder, and every
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import TYPE_CHECKING, NamedTuple
 
 from mpmath import mp
@@ -180,69 +181,62 @@ def _reciprocals(alpha: int, shifts: tuple[int, ...], grid: _Grid) -> _Series:
 
 
 @lru_cache(maxsize=256)
-def _harmonic(alpha: int, beta: int, grid: _Grid) -> _Series:
-    """H_{alpha G + beta} for G >= N."""
+def _power_sum(k: int, alpha: int, last: int, grid: _Grid) -> _Series:
+    """H^(k)_{x+last} for G >= N, x = alpha G, last 0 or -1: the module docstring's series."""
     n, order, prec = grid
     x = alpha * n
-    c = _blank(grid, 1)
-    c[0][0] = _fixed(lambda: mp.log(alpha) + mp.euler, prec)
-    c[0][1] = 1 << prec
-    c[1][0] = _rnd(1 << prec, 2 * x)
-    half = order // 2
-    for k in range(1, half + 1):
-        b = bernoulli(2 * k)
-        c[2 * k][0] = _rnd(-b.numerator << prec, b.denominator * 2 * k * x ** (2 * k))
-    b = bernoulli(2 * half + 2)
-    rem = _up(2 * abs(b.numerator) << prec, b.denominator * (2 * half + 2) * x ** (2 * half + 2))
-    psi = _Series(c, 0, 1, [rem])
+    c = _blank(grid, 1 if k == 1 else 0)
+    if k == 1:
+        c[0][0] = _fixed(lambda: mp.log(alpha) + mp.euler, prec)
+        c[0][1] = 1 << prec
+    else:
+        c[0][0] = _fixed(lambda: mp.zeta(k), prec)
+        c[k - 1][0] = -_rnd(1 << prec, (k - 1) * x ** (k - 1))
+    c[k][0] = (1 + 2 * last) * _rnd(1 << prec, 2 * x**k)
+    r, rising = 1, k  # (k)_{2r-1}
+    while True:
+        b, p = bernoulli(2 * r), k + 2 * r - 1
+        num, den = b.numerator * rising << prec, b.denominator * math.factorial(2 * r) * x**p
+        if p > order:
+            return _Series(c, 0, 1, [_up(2 * abs(num), den)])
+        c[p][0] = -_rnd(num, den)
+        rising *= p * (p + 1)
+        r += 1
+
+
+@lru_cache(maxsize=256)
+def _harmonic(alpha: int, beta: int, grid: _Grid) -> _Series:
+    """H_{alpha G + beta} for G >= N."""
+    h = _power_sum(1, alpha, 0, grid)
     if beta == 0:
-        return psi
+        return h
     # H_{x+b} = H_x + sum_{0<t<=b} 1/(x+t), and H_x - sum_{b<t<=0} 1/(x+t) for b < 0
     shifts = range(1, beta + 1) if beta > 0 else range(beta + 1, 1)
     sign = Fraction(1 if beta > 0 else -1)
-    return _combine([(Fraction(1), psi), (sign, _reciprocals(alpha, tuple(shifts), grid))], grid)
-
-
-@lru_cache(maxsize=64)
-def _power_sum(k: int, grid: _Grid) -> _Series:
-    """H^(k)_{G-1} = zeta(k) - zeta(k, G)."""
-    if k == 1:
-        return _harmonic(1, -1, grid)
-    n, order, prec = grid
-    if order < k + 1:
-        raise ValueError(f"order {order} is too low for the power sum of order {k}")
-    c = _blank(grid)
-    c[0][0] = _fixed(lambda: mp.zeta(k), prec)
-    c[k - 1][0] = -_rnd(1 << prec, (k - 1) * n ** (k - 1))
-    c[k][0] = -_rnd(1 << prec, 2 * n**k)
-    rising = k  # (k)_{2r-1}
-    r = 1
-    while k + 2 * r - 1 <= order:
-        b = bernoulli(2 * r)
-        p = k + 2 * r - 1
-        c[p][0] = -_rnd(b.numerator * rising << prec, b.denominator * math.factorial(2 * r) * n**p)
-        rising *= (k + 2 * r - 1) * (k + 2 * r)
-        r += 1
-    b = bernoulli(2 * r)
-    p = k + 2 * r - 1
-    rem = _up(2 * abs(b.numerator) * rising << prec, b.denominator * math.factorial(2 * r) * n**p)
-    return _Series(c, 0, 1, [rem])
+    return _combine([(Fraction(1), h), (sign, _reciprocals(alpha, tuple(shifts), grid))], grid)
 
 
 @lru_cache(maxsize=64)
 def _elementary(j: int, grid: _Grid) -> _Series:
-    """e_j(1, 1/2, ..., 1/(G-1)) = (1/j) sum_i (-1)^(i-1) e_{j-i} p_i (Newton)."""
+    """e_j(1, 1/2, ..., 1/(G-1)) = (1/j) sum_i (-1)^(i-1) e_{j-i} H^(i)_{G-1} (Newton)."""
     if j == 0:
         return _one(grid)
     parts = []
     for i in range(1, j + 1):
-        p = _power_sum(i, grid)
+        p = _power_sum(i, 1, -1, grid)
         term = p if i == j else _mul(_elementary(j - i, grid), p, grid)
         parts.append((Fraction((-1) ** (i - 1), j), term))
     return _combine(parts, grid)
 
 
+def _least_order(atom: tuple) -> int:
+    """The least order K for ``atom``: H^(k) keeps its x^-k term, so K > k; e_j takes H^(1..j)."""
+    return atom[1] + 1 if atom[0] == "E" else 2
+
+
 def _atom(atom: tuple, grid: _Grid) -> _Series:
+    if grid.order < _least_order(atom):
+        raise ValueError(f"order {grid.order} is too low for the atom {atom!r}")
     match atom:
         case ("H", alpha, beta):
             return _harmonic(alpha, beta, grid)
@@ -259,17 +253,12 @@ def term_expansion(spec: SeriesSpec, n: int, order: int, prec: int) -> _Series:
     """The regrouped term of ``spec`` expanded past cutoff n to order w^order."""
     grid = _Grid(n, order, prec)
     terms, linear = spec.family.atoms(*spec.args)
-    numer = []
-    for coeff, atoms in terms:
-        prod_ = None
-        for atom in atoms:
-            x = _atom(atom, grid)
-            prod_ = x if prod_ is None else _mul(prod_, x, grid)
-        numer.append((Fraction(coeff), prod_ or _one(grid)))
-    denom = None
-    for alpha, beta in linear:
-        x = _reciprocals(alpha, (beta,), grid)
-        denom = x if denom is None else _mul(denom, x, grid)
+
+    def product(factors: list[_Series]) -> _Series:
+        return reduce(lambda x, y: _mul(x, y, grid), factors) if factors else _one(grid)
+
+    numer = [(Fraction(coeff), product([_atom(a, grid) for a in atoms])) for coeff, atoms in terms]
+    denom = product([_reciprocals(alpha, (beta,), grid) for alpha, beta in linear])
     return _mul(_combine(numer, grid), denom, grid)
 
 
@@ -354,14 +343,14 @@ def _log_power_row(i: int, deg: int, n: int, prec: int) -> tuple[tuple[int, ...]
 
 
 def order(spec: SeriesSpec, n: int, digits: int) -> int:
-    """K: an order at which the atoms' remainders past cutoff n fall below
-    10^-(digits+6).  The harmonic atoms drop about 4 (K+1)! / (2 pi n)^(K+1),
-    the shifted reciprocals ((shift + 2)/n)^(K+1).  The harmonic remainder
-    stops falling once K+2 > 2 pi n; a cutoff that has not met the target
-    by then never will, and raises ValueError."""
+    """K >= 8 and each atom's ``_least_order``, at which the atoms' remainders
+    past cutoff n fall below 10^-(digits+6): about 4 (K+1)! / (2 pi n)^(K+1) for
+    H, ((shift + 2)/n)^(K+1) for the shifted reciprocals.  The first stops falling
+    once K+2 > 2 pi n; a cutoff that has not met the target by then raises ValueError."""
     target = -(digits + 6) * math.log(10)
     ratio = math.log((spec.family.shift(*spec.args) + 2) / n)
-    k = 8
+    terms = spec.family.atoms(*spec.args)[0]
+    k = max([8] + [_least_order(a) for _, atoms in terms for a in atoms])
     while True:
         harmonic = math.log(4) + math.lgamma(k + 2) - (k + 1) * math.log(2 * math.pi * n)
         if max(harmonic, (k + 1) * ratio) <= target:

@@ -191,11 +191,6 @@ def iter_suite(manifest: SuiteManifest, parallel: bool = False) -> Iterator[Eval
         yield from pool.map(verify, *columns)
 
 
-def run_suite(manifest: SuiteManifest, parallel: bool = False) -> list[EvalReport]:
-    """Every entry's report, in manifest order (``iter_suite`` as a list)."""
-    return list(iter_suite(manifest, parallel))
-
-
 # ---------------------------------------------------------------------------
 # rendering
 

@@ -545,7 +545,8 @@ def _series(spec: SeriesSpec, cfg: NumericCfg, method: str, head, cutoff=None, a
     the tail past n: without a cutoff n = cfg.n_max and ``tail_estimate``
     bounds the tail; at one, n = cutoff on a grid _TAIL_GUARD_BITS finer, the
     certified asymptotic tail is added and ``tail_bound`` gives each of the
-    ``allowance`` summed terms 2^_TAIL_GUARD_BITS ulps, far more than one takes."""
+    ``allowance`` summed terms 2^_TAIL_GUARD_BITS ulps, far more than one takes.
+    A bound that leaves fewer than digits - 5 digits of the value raises OracleError."""
     t0 = time.perf_counter()
     if cutoff is None:
         n, prec = cfg.n_max, _prec_bits(cfg.digits)
@@ -567,7 +568,7 @@ def _series(spec: SeriesSpec, cfg: NumericCfg, method: str, head, cutoff=None, a
         with mp.workprec(64):
             # padded so that rounding the integer to 64 bits cannot lower it
             tail_bound = mp.ldexp(mp.mpf(bound + (bound >> 40) + 1), -prec)
-    return OracleResult(
+    result = OracleResult(
         value=value,
         method=method,
         n_used=n,
@@ -576,6 +577,9 @@ def _series(spec: SeriesSpec, cfg: NumericCfg, method: str, head, cutoff=None, a
         error_estimate=mp.mpf(0),
         elapsed=time.perf_counter() - t0,
     )
+    if cutoff is not None and bound * 10 ** (cfg.digits - 5) > abs(acc + tail):
+        raise OracleError(f"the tail past {n} certifies fewer than {cfg.digits - 5} digits", result)
+    return result
 
 
 # tanh-sinh levels through the default quad_levels keep every per-node

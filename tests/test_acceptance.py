@@ -12,7 +12,7 @@ from fractions import Fraction as F
 from mpmath import mp, workdps
 
 from tornzeta.closedform import closed_form_of, eval_An, eval_aXL
-from tornzeta.harness import paper_full_manifest, render_reports, run_suite, smoke_manifest, verify
+from tornzeta.harness import iter_suite, paper_full_manifest, render_reports, smoke_manifest, verify
 from tornzeta.oracle import (
     NumericCfg,
     _prec_bits,
@@ -205,13 +205,13 @@ def test_criterion_10_property_suites_soundness_honesty_monotone_determinism():
         assert box_partial_exact(spec, 20) < triangle_partial_exact(spec, 40)
     # byte determinism of suite output
     man = smoke_manifest()
-    assert render_reports(run_suite(man), "json") == render_reports(run_suite(man), "json")
-    assert render_reports(run_suite(man), "csv") == render_reports(run_suite(man), "csv")
+    for fmt in ("json", "csv"):
+        assert render_reports(list(iter_suite(man)), fmt) == render_reports(list(iter_suite(man)), fmt)
 
 
 def test_criterion_11_paper_full_suite_under_two_minutes_exit_zero():
     t0 = time.perf_counter()
-    reports = run_suite(paper_full_manifest())
+    reports = list(iter_suite(paper_full_manifest()))
     elapsed = time.perf_counter() - t0
     failures = [(r.spec.label(), r.reason) for r in reports if not r.passed]
     assert not failures, failures

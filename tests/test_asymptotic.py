@@ -12,7 +12,7 @@ from mpmath import mp, workdps
 
 from tornzeta import asymptotic, oracle, series
 from tornzeta.closedform import closed_form_of
-from tornzeta.harness import paper_full_manifest, run_suite, verify
+from tornzeta.harness import iter_suite, paper_full_manifest, verify
 from tornzeta.oracle import (
     NumericCfg,
     diagonal_partial_exact,
@@ -253,7 +253,7 @@ def _certified_digits(report, cap: int) -> float:
 
 
 def test_paper_full_diagonal_entries_certify_45_digits():
-    reports = run_suite(paper_full_manifest(50))
+    reports = list(iter_suite(paper_full_manifest(50)))
     assert all(r.passed for r in reports), [r.reason for r in reports if not r.passed]
     digits = [_certified_digits(r, 50) for r in reports]
     diagonal = [d for r, d in zip(reports, digits) if r.oracle.method == "diagonal"]
@@ -278,14 +278,27 @@ def test_perturbed_closed_forms_fall_outside_every_enclosure():
                 assert abs(moved - res.value) > res.tail_bound, (entry.spec.label(), sign)
 
 
-def test_an_past_six_folds_verifies_through_the_asymptotic_route():
-    # e_j comes from one recurrence for every j, so n is not capped: 8! zeta(9)
-    spec = parse_spec("An:n=8,s=0")
-    assert closed_form_of(spec) == ZExpr.zeta(9, math.factorial(8))
-    report = verify(spec, NumericCfg(digits=50), 1e-8)
+@pytest.mark.parametrize("n, digits", [(8, 50), (20, 50), (13, 30)])
+def test_an_past_six_folds_verifies_through_the_asymptotic_route(n, digits):
+    # e_j comes from one recurrence for every j, so n is not capped: n! zeta(n+1).
+    # e_{n-2} takes the power sums through order n - 2, so the expansion's
+    # order starts at n - 1 even where the harmonic atoms would stop below it
+    spec = parse_spec(f"An:n={n},s=0")
+    assert closed_form_of(spec) == ZExpr.zeta(n + 1, math.factorial(n))
+    report = verify(spec, NumericCfg(digits=digits), 1e-8)
     assert report.passed, report.reason
     assert report.oracle.n_used == 2**11
-    assert _certified_digits(report, 50) >= 45
+    assert _certified_digits(report, digits) >= digits - 5
+
+
+def test_an_whose_tail_certifies_too_little_is_refused():
+    # past n ~ 30 the expansion of e_{n-2} at cutoff 2^11 loses digits: for
+    # n = 40 at 50 digits the tail bound is near 1e16 on a value near 8e47,
+    # an enclosure the pass rule would accept for any abs_err below it
+    report = verify(parse_spec("An:n=40,s=0"), NumericCfg(digits=50), 1e-8)
+    assert not report.passed
+    assert "the tail past 2048 certifies fewer than 45 digits" in report.reason
+    assert report.oracle.tail_bound > 1e10
 
 
 def test_huge_n_max_is_a_ceiling():

@@ -11,9 +11,9 @@ from tornzeta.harness import (
     PRESETS,
     SuiteEntry,
     SuiteManifest,
+    iter_suite,
     paper_full_manifest,
     render_reports,
-    run_suite,
     smoke_manifest,
     verify,
 )
@@ -120,8 +120,8 @@ class TestManifests:
 class TestRunSuite:
     def test_smoke_passes_serial_and_parallel(self):
         man = smoke_manifest()
-        serial = run_suite(man)
-        parallel = run_suite(man, parallel=True)
+        serial = list(iter_suite(man))
+        parallel = list(iter_suite(man, parallel=True))
         assert all(r.passed for r in serial)
         assert [r.spec for r in serial] == [e.spec for e in man.entries]
         assert [r.spec for r in parallel] == [r.spec for r in serial]
@@ -135,10 +135,10 @@ class TestRunSuite:
             for d in (30, 200) * 3
         )
         man = SuiteManifest(entries)
-        serial = run_suite(man)
+        serial = list(iter_suite(man))
         assert all(r.passed for r in serial)
         for _ in range(3):
-            parallel = run_suite(man, parallel=True)
+            parallel = list(iter_suite(man, parallel=True))
             assert all(r.passed for r in parallel), [r.reason for r in parallel]
             assert [r.oracle.value for r in parallel] == [r.oracle.value for r in serial]
 
@@ -151,7 +151,7 @@ def _tiny_reports():
             SuiteEntry(parse_spec("baseT:1"), NumericCfg(n_max=10**4, method="diagonal"), 1e-6),
         ),
     )
-    return run_suite(man)
+    return list(iter_suite(man))
 
 
 class TestEmission:
@@ -206,17 +206,17 @@ class TestEmission:
 
     def test_byte_determinism(self):
         man = smoke_manifest()
-        a = render_reports(run_suite(man), "json")
-        b = render_reports(run_suite(man, parallel=True), "json")
+        a = render_reports(list(iter_suite(man)), "json")
+        b = render_reports(list(iter_suite(man, parallel=True)), "json")
         assert a == b
-        c = render_reports(run_suite(man), "csv")
-        d = render_reports(run_suite(man), "csv")
+        c = render_reports(list(iter_suite(man)), "csv")
+        d = render_reports(list(iter_suite(man)), "csv")
         assert c == d
 
     def test_paper_full_report_bytes_pinned(self):
         # the paper-full preset at 50 digits, rendered three ways; these
         # digests change only when a route or a rendering is meant to move
-        reports = run_suite(paper_full_manifest(50))
+        reports = list(iter_suite(paper_full_manifest(50)))
         want = {
             "json": "1aa29413edef6e8fc5dfb2c5744c98ea287b6ff8d256b42f2dd59d742833d3a4",
             "csv": "c63f66793e2ee8dfee0b554a1628273c0faa07a570684e8a6706a2317f8c7f0a",
