@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from mpmath import mp, workdps
 
@@ -27,6 +29,16 @@ class TestZeta:
 
     def test_cache_returns_same_object(self):
         assert const_zeta(3, 50) is const_zeta(3, 50)
+
+    def test_bits_pinned(self):
+        # zeta(2..8) at 30 through 1000 digits, hashed; any change to the
+        # head sum, the Euler-Maclaurin corrections or their rounding changes
+        # the digest
+        digest = hashlib.sha256()
+        for digits in (30, 50, 100, 200, 300, 1000):
+            for k in range(2, 9):
+                digest.update(f"{k}|{digits}|{const_zeta(k, digits)._mpf_}\n".encode())
+        assert digest.hexdigest() == "1b0bcd7c95737552a4d429a764acdc981ae8520144f0e758dcdf59e07e3b9300"
 
 
 class TestLn2AndPi:
