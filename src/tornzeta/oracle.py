@@ -39,7 +39,9 @@ from operator import add, floordiv, mul, rshift
 from typing import TYPE_CHECKING
 
 from mpmath import mp
-from mpmath.libmp import fzero, mpf_add, mpf_mul, mpf_pow_int, round_nearest
+from mpmath.libmp import fone, from_int, from_man_exp, fzero, mpf_add, mpf_div, mpf_exp, mpf_log
+from mpmath.libmp import mpf_mul, mpf_mul_int, mpf_pos, mpf_pow_int, mpf_rdiv_int, mpf_sub
+from mpmath.libmp import round_nearest
 
 from .exact import bernoulli
 from .zexpr import ZExpr
@@ -165,12 +167,13 @@ def const_zeta(k: int, digits: int):
         raise ValueError(f"zeta needs k >= 2, got {k}")
     _check_digits(digits)
     with mp.workdps(digits + 10):
+        wp, rnd = mp.prec, round_nearest  # the head h makes h += 1 / mpf(i)**k's calls
         big_m = 2 * digits
-        acc = mp.mpf(0)
+        h = fzero
         for i in range(1, big_m):
-            acc += mp.mpf(1) / mp.mpf(i) ** k
+            h = mpf_add(h, mpf_div(fone, mpf_pow_int(from_int(i), k, wp, rnd), wp, rnd), wp, rnd)
         m_ = mp.mpf(big_m)
-        acc += m_ ** (1 - k) / (k - 1) + m_ ** (-k) / 2
+        acc = mp.make_mpf(h) + (m_ ** (1 - k) / (k - 1) + m_ ** (-k) / 2)
         target = mp.mpf(10) ** (-(digits + 5))
         rising = mp.mpf(k)
         power = m_ ** (-k - 1)
@@ -586,6 +589,30 @@ def _series(spec: SeriesSpec, cfg: NumericCfg, method: str, head, cutoff=None, a
 # quantity for reuse, keyed by (digits, level); deeper levels stream them
 _TABLE_LEVELS = NumericCfg.quad_levels
 _TABLE_PRECISIONS = 4
+_SERIES_MAG = 24  # below 2^-24 _log1p's series beats mpf_log, timed at 50-1000 digits
+
+
+def _log1p(e: tuple, prec: int) -> tuple:
+    """mp.log1p(e)'s bits for a positive raw tuple e of at most prec bits: ln(1+e) at
+    prec + 10, rounded to nearest at prec.  Below 2^-(prec+10) that is e, as mpmath's
+    e - e^2/2 rounds to e.  Below 2^-_SERIES_MAG, where mpf_log would add log2(1/e)
+    bits and past 2500 bits run the AGM, it is the series of ln(1+e), each term
+    floored about 40 bits below the result's last bit (under 2^-30 ulp in all)."""
+    wp, rnd = prec + 10, round_nearest
+    _, man, exp, bc = e
+    mag = exp + bc
+    if mag < -wp:
+        return e
+    if mag < -_SERIES_MAG:
+        fp = wp + 40 - mag
+        acc = p = x = man << (fp + exp)
+        for k in range(2, fp // -mag + 2):  # p < 2^(fp + k mag) is 0 past there
+            p = p * x >> fp
+            acc += p // k if k & 1 else -(p // k)
+        r = from_man_exp(acc, -fp, wp, rnd)
+    else:
+        r = mpf_log(mpf_add(fone, e, 2 * wp, rnd), wp, rnd)
+    return mpf_pos(r, prec, rnd)
 
 
 def _level_nodes(digits: int, level: int):
@@ -599,22 +626,24 @@ def _level_nodes(digits: int, level: int):
     and 1/e^u.  From E = exp(-2w): t = 1/(1+E), 1-t = E*t, -ln t = log1p(E)
     and -ln(1-t) = 2w + log1p(E).  None of these forms cancels, so the tail
     where t rounds to 1 keeps full relative accuracy in 1-t and both logs.
+    Raw tuples take the mpf operators' libmp calls and rounding; log1p is ``_log1p``.
     """
     u_max = math.log(math.log(10) * (digits + 25) * 2 / math.pi) + 1.0
-    half_pi, quarter_pi = mp.pi / 2, mp.pi / 4
+    prec, rnd = mp.prec, round_nearest
+    half_pi, quarter_pi = (mp.pi / 2)._mpf_, (mp.pi / 4)._mpf_
     h = mp.ldexp(1, -level)
     stride = 2 if level else 1
-    eu = mp.exp(h)
-    step = mp.exp(stride * h)
+    eu, step = mp.exp(h)._mpf_, mp.exp(stride * h)._mpf_
     # j*h <= u_max, exactly: h is a power of two
     for _ in range(1, math.floor(math.ldexp(u_max, level)) + 1, stride):
-        emu = 1 / eu
-        w = quarter_pi * (eu - emu)
-        e = mp.exp(-2 * w)
-        lt = mp.log1p(e)
-        t = 1 / (1 + e)
-        yield tuple(v._mpf_ for v in (half_pi * (eu + emu), t, e * t, lt, 2 * w + lt))
-        eu *= step
+        emu = mpf_rdiv_int(1, eu, prec, rnd)
+        w = mpf_mul(quarter_pi, mpf_sub(eu, emu, prec, rnd), prec, rnd)
+        e = mpf_exp(mpf_mul_int(w, -2, prec, rnd), prec, rnd)
+        lt = _log1p(e, prec)
+        t = mpf_rdiv_int(1, mpf_add(e, fone, prec, rnd), prec, rnd)
+        yield (mpf_mul(half_pi, mpf_add(eu, emu, prec, rnd), prec, rnd), t,
+               mpf_mul(e, t, prec, rnd), lt, mpf_add(mpf_mul_int(w, 2, prec, rnd), lt, prec, rnd))
+        eu = mpf_mul(eu, step, prec, rnd)
 
 
 @lru_cache(maxsize=_TABLE_PRECISIONS * (_TABLE_LEVELS + 1))
@@ -671,9 +700,10 @@ def oracle_quadrature(spec: SeriesSpec, cfg: NumericCfg) -> OracleResult:
     level one blob of mantissas: 1.83 MB for 100, 200 and 300 digits
     through levels 6, 7 and 8, 9.2 MB for 1000 digits through level 9 and
     18.3 MB through level 10).  Deeper levels compute them as they go and
-    keep nothing.  A call only evaluates the integrand on them, with the
-    operations and rounding it would apply to mpf values, so a warm table
-    gives the same bits as a cold one.
+    keep nothing.  A node costs one exp and one ``_log1p``: levels 0-9 at
+    1000 digits take about 7 s cold.  A call only evaluates the integrand on
+    them, with the operations and rounding it would apply to mpf values, so
+    a warm table gives the same bits as a cold one.
     """
     if not spec.family.quadrature:
         raise ValueError(f"quadrature covers the A-family only, not {spec}")

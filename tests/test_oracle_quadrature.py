@@ -4,16 +4,19 @@ import sys
 from itertools import islice
 
 import pytest
+from hypothesis import example, given, strategies as st
 from mpmath import mp, workdps
 
 from tornzeta.closedform import closed_form_of
 from tornzeta.harness import paper_full_manifest
 from tornzeta.oracle import (
+    _SERIES_MAG,
     _TABLE_LEVELS,
     _TABLE_PRECISIONS,
     NumericCfg,
     OracleError,
     _level_nodes,
+    _log1p,
     _node_rows,
     _node_table,
     oracle_quadrature,
@@ -176,6 +179,68 @@ class TestNodeTable:
         assert len(exps) == 5 * nodes
         size = sys.getsizeof(store) + sys.getsizeof(mans) + sys.getsizeof(exps)
         assert size <= 5 * (width + 8) * nodes + 256
+
+
+@st.composite
+def _log1p_args(draw):
+    # E = m 2^-j with m below 2^prec, so E is exact at prec; j runs far past
+    # the 2^-(prec+10) where mp.log1p stops calling the log
+    digits = draw(st.integers(min_value=30, max_value=1000))
+    with workdps(digits):
+        prec = mp.prec
+    return digits, draw(st.integers(1, 3 * prec)), draw(st.integers(1, 2**prec - 1))
+
+
+class TestLog1p:
+    @given(_log1p_args())
+    @example((1000, 1, 3))  # E = 3/2: mpf_log(1 + E)
+    @example((100, 200, 12345))  # E ~ 2^-186: the fixed-point series
+    @example((300, 2500, 7))  # E ~ 2^-2497: E itself
+    def test_bits_of_mp_log1p(self, args):
+        digits, j, m = args
+        with workdps(digits):
+            e = mp.ldexp(m, -j)
+            assert _log1p(e._mpf_, mp.prec) == mp.log1p(e)._mpf_
+
+
+def _mpf_level_nodes(digits: int, level: int):
+    """The node formulas of ``_level_nodes`` on mpf values with mp.log1p,
+    yielding E = exp(-2w) beside each row."""
+    u_max = math.log(math.log(10) * (digits + 25) * 2 / math.pi) + 1.0
+    half_pi, quarter_pi = mp.pi / 2, mp.pi / 4
+    h = mp.ldexp(1, -level)
+    stride = 2 if level else 1
+    eu = mp.exp(h)
+    step = mp.exp(stride * h)
+    for _ in range(1, math.floor(math.ldexp(u_max, level)) + 1, stride):
+        emu = 1 / eu
+        w = quarter_pi * (eu - emu)
+        e = mp.exp(-2 * w)
+        lt = mp.log1p(e)
+        t = 1 / (1 + e)
+        yield e, tuple(v._mpf_ for v in (half_pi * (eu + emu), t, e * t, lt, 2 * w + lt))
+        eu *= step
+
+
+class TestNodeBits:
+    # through the level each precision converges at (levels 0-4 at 1000
+    # digits, of the 9 it uses, to keep the test short)
+    @pytest.mark.parametrize(
+        "digits,levels", [(30, 5), (50, 6), (100, 7), (200, 7), (300, 8), (1000, 4)]
+    )
+    def test_rows_are_the_mpf_formulas(self, digits, levels):
+        branches = set()
+        with workdps(digits + 15):
+            wp = mp.prec + 10
+            for level in range(levels + 1):
+                rows = list(_level_nodes(digits, level))
+                want = list(_mpf_level_nodes(digits, level))
+                assert rows == [row for _, row in want], (digits, level)
+                for e, _ in want:
+                    mag = mp.mag(e)
+                    branches.add(0 if mag < -wp else 1 if mag < -_SERIES_MAG else 2)
+        # E itself, the fixed-point series and mpf_log(1 + E) are all taken
+        assert branches == {0, 1, 2}
 
 
 def test_quadrature_bits_pinned():
