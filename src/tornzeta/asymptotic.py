@@ -25,11 +25,11 @@ The term is built from its row's ``Family.atoms`` description:
   identities;
 * each linear factor aG + b of the denominator is a geometric series.
 
-Products drop the terms above order K into the remainder, and every
-coefficient carries a bound on its rounding error.  All arithmetic is
-on integers scaled by 2^P; an "ulp" below is 2^-P.  gamma, logarithms
-and zeta(k) come from mpmath, never from the evaluator's ``const_*``,
-so the oracle shares no code with the closed forms.
+Products drop the terms above order K into the remainder (``_dropped``
+bounds them), and every coefficient carries a bound on its rounding
+error.  All arithmetic is on integers scaled by 2^P; an "ulp" below is
+2^-P.  gamma, logarithms and zeta(k) come from mpmath, never from the
+evaluator's ``const_*``, so the oracle shares no code with the closed forms.
 """
 
 from __future__ import annotations
@@ -52,27 +52,20 @@ class _Grid(NamedTuple):
     prec: int  # P: coefficients are integers scaled by 2^P
 
 
-class _Series:
+class _Series(NamedTuple):
     """sum c[i][j] w^i L^j / 2^P for i <= K, j <= deg, with its error.
 
     The function it stands for is sum t_ij w^i L^j + R(G) for G >= N,
     where t_ij = 0 for i < ``val``, |t_ij - c[i][j]| <= ``err`` ulps for
-    i >= val, and |R(G)| <= w^(K+1) sum_j rem[j] L^j ulps.  Instances are
+    i >= val, and |R(G)| <= w^(K+1) sum_j rem[j] L^j ulps.  ``_dropped``
+    bounds what truncating it at an order leaves out.  Instances are
     cached and shared, so nothing mutates one after it is built.
     """
 
-    __slots__ = ("c", "val", "err", "rem")
-
-    def __init__(self, c: list[list[int]], val: int, err: int, rem: list[int]) -> None:
-        self.c, self.val, self.err, self.rem = c, val, err, rem
-
-    def majorant(self, order: int) -> list[int]:
-        """Coefficients in ulps of an L-polynomial bounding |sum t_ij w^i L^j|."""
-        out = [0] * len(self.c[0])
-        for row in self.c[self.val :]:
-            for j, v in enumerate(row):
-                out[j] += abs(v)
-        return [v + (order + 1 - self.val) * self.err for v in out]
+    c: list[list[int]]
+    val: int
+    err: int
+    rem: list[int]
 
 
 def _rnd(num: int, den: int) -> int:
@@ -116,6 +109,16 @@ def _one(grid: _Grid) -> _Series:
     return _Series(c, 0, 0, [0])
 
 
+def _dropped(x: _Series) -> list[list[int]]:
+    """Rows d[0..K+1] in ulps, d[i][j] = sum_{i' >= i} |c[i'][j]| + err [i' >= val]
+    and d[K+1] = 0: as w <= 1, the orders from i up are at most w^i sum_j d[i][j] L^j."""
+    d = [[0] * len(x.c[0])]
+    for i in range(len(x.c) - 1, -1, -1):
+        lift = x.err if i >= x.val else 0
+        d.append([s + abs(v) + lift for s, v in zip(d[-1], x.c[i])])
+    return d[::-1]
+
+
 def _mul(x: _Series, y: _Series, grid: _Grid) -> _Series:
     order, prec = grid.order, grid.prec
     deg = len(x.c[0]) + len(y.c[0]) - 2
@@ -129,19 +132,15 @@ def _mul(x: _Series, y: _Series, grid: _Grid) -> _Series:
                         row[j + j2] += a * b
     half = 1 << (prec - 1)
     c = [[(v + half) >> prec for v in row] for row in acc]
-    # the products with i + i2 > K go to the remainder (w <= 1), through the
-    # suffix sums over i2 of |t_{i2 j2}| of y
-    suffix = [[0] * len(y.c[0]) for _ in range(order + 2)]
-    for i2 in range(order, -1, -1):
-        lift = y.err if i2 >= y.val else 0
-        suffix[i2] = [s + abs(v) + lift for s, v in zip(suffix[i2 + 1], y.c[i2])]
+    # the products with i + i2 > K go to the remainder (w <= 1)
+    dy = _dropped(y)
     dropped = [0] * (deg + 1)
     for i in range(max(x.val, 1), order + 1):
-        tail = suffix[order + 1 - i]
+        tail = dy[order + 1 - i]
         for j, a in enumerate(x.c[i]):
             for j2, b in enumerate(tail):
                 dropped[j + j2] += (abs(a) + x.err) * b
-    mx, my = x.majorant(order), y.majorant(order)
+    mx, my = _dropped(x)[0], dy[0]
     rem = _poly_add(dropped, _poly_mul(x.rem, _poly_add(my, y.rem)))
     rem = [_up(v, 1 << prec) for v in _poly_add(rem, _poly_mul(mx, y.rem))]
     # each kept coefficient sums at most (K + 1)(min degree + 1) products
@@ -383,11 +382,7 @@ def tail(spec: SeriesSpec, n: int, digits: int, prec: int) -> tuple[int, int]:
     rows = [_log_power_row(i, deg, n, prec) for i in range(t.val, top + 2)]
     one = 1 << prec
     target = one * one // 10 ** (digits + 2)
-    # the remainder polynomial of the truncation at each order k, from the top
-    rems = [t.rem]
-    for k in range(top, t.val, -1):
-        rems.append(_poly_add(rems[-1], [abs(v) + t.err for v in t.c[k]]))
-    rems.reverse()
+    dt = _dropped(t)
     acc = rounding = 0
     bounds = []
     for k, (ys, ey) in enumerate(rows[:-1], t.val):
@@ -395,7 +390,8 @@ def tail(spec: SeriesSpec, n: int, digits: int, prec: int) -> tuple[int, int]:
             acc += cij * y
             rounding += abs(cij) * ey + (abs(y) + ey) * t.err
         ys, ey = rows[k + 1 - t.val]
-        bounds.append(rounding + sum(r * (abs(y) + ey) for r, y in zip(rems[k - t.val], ys)))
+        rem = _poly_add(t.rem, dt[k + 1])  # truncating at k leaves the orders above k
+        bounds.append(rounding + sum(r * (abs(y) + ey) for r, y in zip(rem, ys)))
     reached = [b for b in bounds if b <= target]
     bound = max(bounds[-1], reached[0]) if reached else bounds[-1]
     return _rnd(acc, one), _up(bound, one) + 1

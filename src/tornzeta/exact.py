@@ -30,7 +30,9 @@ def bernoulli(n: int) -> Fraction:
     if n % 2:
         # odd-index values vanish past B_1
         return _ZERO
-    return -sum((math.comb(n + 1, j) * bernoulli(j) for j in range(n)), _ZERO) / (n + 1)
+    # j = 0 and 1 give 1 - (n+1)/2; the odd j >= 3 give zero, so only even j >= 2 are added
+    terms = (math.comb(n + 1, j) * bernoulli(j) for j in range(2, n, 2))
+    return -sum(terms, Fraction(1 - n, 2)) / (n + 1)
 
 
 @cache

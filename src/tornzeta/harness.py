@@ -32,7 +32,6 @@ from .zexpr import ZExpr
 class EvalReport:
     spec: SeriesSpec
     closed_form: ZExpr
-    closed_text: str
     closed_numeric: object  # mpf
     oracle: OracleResult
     abs_err: object  # mpf
@@ -71,7 +70,6 @@ def verify(spec: SeriesSpec, cfg: NumericCfg, tol: float) -> EvalReport:
     return EvalReport(
         spec=spec,
         closed_form=closed,
-        closed_text=closed.render(),
         closed_numeric=closed_num,
         oracle=result,
         abs_err=abs_err,
@@ -229,7 +227,7 @@ def _row(report: EvalReport) -> dict:
     return {
         "spec": report.spec.token(),
         "params": report.spec.params_text(),
-        "closed_form_text": report.closed_text,
+        "closed_form_text": report.closed_form.render(),
         "closed_numeric": _fmt(report.closed_numeric, 30),
         "oracle_value": _fmt(o.value, 30),
         "oracle_method": o.method,

@@ -182,6 +182,40 @@ def test_tail_encloses_the_true_remainder(text):
             assert mp.ldexp(bound, -prec) < mp.mpf("1e-52")
 
 
+MARGIN_AUDIT_SPECS = [
+    "A3:s=0",
+    "A3:s=20",
+    "An:n=4,s=0",
+    "An:n=6,s=1",
+    "aXL:k=1",
+    "S111",
+    "ln",
+    "on",
+    "baseT:1",
+    "baseT:2",
+    "baseT:3",
+    "halfint:a",
+    "halfint:c",
+    "evenodd",
+    "oddsq",
+    "binter",
+]
+
+
+@pytest.mark.parametrize("digits", [60, 100, 200, 201])
+def test_diagonal_route_encloses_the_closed_form(digits):
+    # the whole route (head, tail and the truncation chosen in ``tail``)
+    # against the closed form from mpmath's constants, at digits the pinned
+    # hashes do not cover; S111 and A3:s=0 use over 98% of the bound at 200
+    for text in MARGIN_AUDIT_SPECS:
+        spec = parse_spec(text)
+        res = oracle_diagonal(spec, NumericCfg(digits=digits))
+        assert res.n_used == oracle.asymptotic_cutoff(spec, digits)
+        with workdps(digits + 60):
+            err = abs(res.value - _reference(closed_form_of(spec)))
+            assert err <= res.tail_bound, (text, err, res.tail_bound)
+
+
 def test_asymptotic_tails_pinned():
     # the (value, bound) integers of every paper-full entry that takes the
     # tail, at 50 and 200 digits, hashed; they change only when the

@@ -27,7 +27,7 @@ class TestVerify:
         report = verify(parse_spec("on"), cfg, 1e-8)
         assert report.passed
         assert report.reason == ""
-        assert report.closed_text == "1/4*z2"
+        assert report.closed_form.render() == "1/4*z2"
         assert report.oracle.method == "diagonal"
         with workdps(50):
             assert report.abs_err < report.oracle.tail_bound
