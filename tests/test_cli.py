@@ -236,6 +236,31 @@ class TestConstants:
         assert len(number) == 37  # 36 digits plus the decimal point
 
 
+class TestPrintedBytes:
+    # eval, oracle and constants print through harness._fmt; these lines are
+    # pinned literally, so a change to the rendering shows as a diff
+    def test_constants(self, capsys):
+        assert main(["constants", "--zeta", "3", "--ln2", "--pi", "--digits", "60"]) == 0
+        assert capsys.readouterr().out == (
+            "zeta(3) = 1.20205690315959428539973816151144999076498629234049888179227\n"
+            "ln2 = 0.693147180559945309417232121458176568075500134360255254120680\n"
+            "pi = 3.14159265358979323846264338327950288419716939937510582097494\n"
+        )
+
+    def test_eval(self, capsys):
+        assert main(["eval", "A3:s=0"]) == 0
+        assert capsys.readouterr().out == (
+            "A3:s=0\n  closed form: 6*z4\n  numeric:     6.49393940226682914909602217925\n"
+        )
+
+    def test_oracle_below_the_cutoff(self, capsys):
+        assert main(["oracle", "on", "--nmax", "100"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "  value:    0.401835407278633437835049922969" in lines
+        assert "  tail_bound:     0.0112565" in lines
+        assert "  error_estimate: 0.0" in lines
+
+
 class TestDefaults:
     def test_environment_does_not_set_precision(self, capsys, monkeypatch):
         monkeypatch.setenv("TORNZETA_DIGITS", "36")

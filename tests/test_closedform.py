@@ -14,9 +14,9 @@ from tornzeta.closedform import (
     on_series_via_b_path,
 )
 from tornzeta.exact import harmonic, harmonic_gen
-from tornzeta.oracle import zx_numeric
+from tornzeta.oracle import const_ln2, const_pi, const_zeta, zx_numeric
 from tornzeta.series import SeriesSpec, parse_spec
-from tornzeta.zexpr import LN2, UNIT, ZExpr, zeta_sym
+from tornzeta.zexpr import LN2, UNIT, ZExpr, zeta_sym, zx_normalize
 
 
 def _closed(text: str) -> ZExpr:
@@ -207,3 +207,31 @@ def test_closed_forms_pinned():
         digest.update(f"{text}|{c.render()}|{zx_numeric(c, 60)._mpf_}\n".encode())
     assert len(_PINNED_SPECS) == 103
     assert digest.hexdigest() == "d440d880c6dc9d8cd6a5f60ea68e2346420a336367099e5071a8e9a11acd1534"
+
+
+def _mpf_zx_numeric(a: ZExpr, digits: int):
+    """zx_numeric's sum in mpf operators, the form its raw-tuple calls reproduce."""
+    with workdps(digits + 10):
+        acc = mp.mpf(0)
+        for sym, coeff in a.terms():
+            if sym.kind == "unit":
+                v = mp.mpf(1)
+            elif sym.kind == "ln2":
+                v = const_ln2(digits)
+            elif sym.kind == "zeta":
+                v = const_zeta(sym.k, digits)
+            else:
+                v = const_pi(digits) ** sym.k
+            acc += mp.mpf(coeff.numerator) / coeff.denominator * v
+        return +acc
+
+
+@pytest.mark.parametrize("digits", [30, 50, 77, 100, 200, 300])
+def test_zx_numeric_is_the_mpf_sum(digits):
+    for text in _PINNED_SPECS:
+        c = _closed(text)
+        assert zx_numeric(c, digits)._mpf_ == _mpf_zx_numeric(c, digits)._mpf_, text
+    # pi powers: the catalog writes even zetas, so build them here
+    for k in (2, 4, 6):
+        c = zx_normalize(ZExpr.zeta(k, F(3, 7)), "prefer-pi")
+        assert zx_numeric(c, digits)._mpf_ == _mpf_zx_numeric(c, digits)._mpf_, k

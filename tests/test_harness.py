@@ -225,3 +225,50 @@ class TestEmission:
         got = {f: hashlib.sha256(render_reports(reports, f).encode()).hexdigest() for f in want}
         assert got == want
 
+
+
+def _below_cutoff_reports(monkeypatch) -> list:
+    """(cfg, tol, report) for entries below N*, where tail_estimate, the
+    fixed-point value's division and both failure reasons run: the diagonal
+    route of every closed-form family at three cutoffs, raw boxes,
+    quadrature, a stall, and last a mismatch with the tail bound zeroed."""
+    diag = ["A3:s=2", "An:n=4,s=1", "aXL:k=3", "S111", "ln", "on",
+            "baseT:2", "halfint:c", "evenodd", "oddsq", "binter"]
+    raw = ["S111", "A3:s=2", "halfint:c", "baseT:2", "binter"]
+    cases = [(t, NumericCfg(n_max=n, method="diagonal"), 1e-6) for n in (100, 317, 1000) for t in diag]
+    cases += [(t, NumericCfg(n_max=n, method="raw"), 1e-6) for n in (20, 80) for t in raw]
+    cases.append(("A3:s=0", NumericCfg(digits=50, method="quadrature"), 1e-6))
+    cases.append(("A3:s=0", NumericCfg(digits=50, quad_levels=3, method="quadrature"), 1e-30))
+    out = [(cfg, tol, verify(parse_spec(t), cfg, tol)) for t, cfg, tol in cases]
+    monkeypatch.setattr(oracle_mod, "tail_estimate", lambda spec, n: mp.mpf(0))
+    short = NumericCfg(digits=40, n_max=1000, method="diagonal")
+    return out + [(short, 1e-12, verify(parse_spec("ln"), short, 1e-12))]
+
+
+def test_sweep_reports_pinned(monkeypatch):
+    # the below-cutoff entries rendered three ways and hashed
+    reports = [r for *_, r in _below_cutoff_reports(monkeypatch)]
+    assert [r.passed for r in reports] == [True] * 44 + [False] * 2
+    want = {
+        "json": "4ef1695f857ceba16ba9eb7a8739cb793a5a1f746343bf2a44b237120e93819e",
+        "csv": "8d6e8ece66781ced679f7ed5221d20d927c0f82d7c6000b17fbe5e2037432261",
+        "text": "1c486bfdd22a403a58c669f471aa705f3f57468c2040571f1e533febf8fcaeef",
+    }
+    got = {f: hashlib.sha256(render_reports(reports, f).encode()).hexdigest() for f in want}
+    assert got == want
+
+
+def test_comparison_is_the_mpf_form(monkeypatch):
+    # verify's abs_err, pass and mismatch note against a test-local copy of
+    # the comparison in mpf operators, bit for bit
+    for cfg, tol, r in _below_cutoff_reports(monkeypatch):
+        o = r.oracle
+        with workdps(cfg.digits + 10):
+            abs_err = abs(r.closed_numeric - o.value)
+            slack = o.tail_bound + o.error_estimate
+            passed = bool(abs_err <= max(mp.mpf(tol), slack))
+            note = f"abs_err {mp.nstr(abs_err, 6)} exceeds tolerance {tol:g} and slack {mp.nstr(slack, 6)}"
+        assert r.abs_err._mpf_ == abs_err._mpf_
+        if "stalled" not in r.reason:
+            assert (r.passed, r.reason) == (passed, "" if passed else note)
+

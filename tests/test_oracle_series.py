@@ -625,6 +625,68 @@ class TestTailHonesty:
                 assert want <= bound <= want * (1 + mp.mpf("1e-33")), n_cut
 
 
+def _mpf_tail_estimate(spec, n_cut: int):
+    """tail_estimate's majorant in mpf operators at 40 digits, the form its
+    raw-tuple calls reproduce."""
+    a_const, c_log, k_pow, p_pow = spec.family.tail(*spec.args)
+    with workdps(40):
+        base = mp.mpf(n_cut) ** (1 - p_pow) / (p_pow - 1)
+        ln_c = mp.log(n_cut) + c_log
+        integral = base
+        for i in range(1, k_pow + 1):
+            integral = ln_c**i * base + i * integral / (p_pow - 1)
+        return mp.mpf(a_const.numerator) / a_const.denominator * integral * (1 + mp.ldexp(1, -116))
+
+
+class TestRawTupleBits:
+    # each raw-tuple step against a test-local copy of its mpf-operator form, bit for bit
+
+    @pytest.mark.parametrize("text", TAIL_ROWS)
+    def test_tail_estimate(self, text):
+        spec = parse_spec(text)
+        cutoffs = [*range(10, 61), 99, 100, 101, 317, 1000, 2047, 10**5, 10**6, 2**40 + 1]
+        for n_cut in cutoffs:
+            if n_cut >= spec.family.shift(*spec.args):
+                assert tail_estimate(spec, n_cut)._mpf_ == _mpf_tail_estimate(spec, n_cut)._mpf_, n_cut
+
+    @pytest.mark.parametrize("digits", [30, 50, 77, 200])
+    def test_series_value(self, digits):
+        # below N* (and N_raw) the value is acc / 2^prec at digits + 10; past
+        # N* it is (acc + tail) 2^-prec at prec + 64 on the finer grid
+        prec = oracle._prec_bits(digits)
+        for text in ["A3:s=2", "An:n=4,s=1", "S111", "ln", "halfint:c", "binter"]:
+            spec = parse_spec(text)
+            for n in (10, 100, 317):
+                acc = oracle._regrouped_sum(spec, n, 1 << prec)
+                with workdps(digits + 10):
+                    want = mp.mpf(acc) / mp.mpf(1 << prec)
+                got = oracle_diagonal(spec, NumericCfg(digits=digits, n_max=n)).value
+                assert got._mpf_ == want._mpf_, (text, n)
+            if spec.family.summand is not None:
+                for n in (10, 20):
+                    dims = spec.family.dims(*spec.args)
+                    acc = oracle._defining_sum(spec, n, dims * n, 1 << prec)
+                    with workdps(digits + 10):
+                        want = mp.mpf(acc) / mp.mpf(1 << prec)
+                    got = oracle_raw(spec, NumericCfg(digits=digits, n_max=n)).value
+                    assert got._mpf_ == want._mpf_, (text, n)
+        from tornzeta import asymptotic
+
+        fine = prec + oracle._TAIL_GUARD_BITS
+        for text in ["A3:s=2", "ln"]:
+            spec = parse_spec(text)
+            n_star = oracle.asymptotic_cutoff(spec, digits)
+            acc = oracle._regrouped_sum(spec, n_star, 1 << fine)
+            tail, bound = asymptotic.tail(spec, n_star, digits, fine)
+            bound += n_star << oracle._TAIL_GUARD_BITS
+            with mp.workprec(fine + 64):
+                want = mp.ldexp(mp.mpf(acc + tail), -fine)
+            with mp.workprec(64):
+                want_bound = mp.ldexp(mp.mpf(bound + (bound >> 40) + 1), -fine)
+            got = oracle_diagonal(spec, NumericCfg(digits=digits))
+            assert (got.value._mpf_, got.tail_bound._mpf_) == (want._mpf_, want_bound._mpf_)
+
+
 class TestMonotoneApproach:
     @pytest.mark.parametrize("text", ["A3:s=2", "S111", "on", "halfint:a"])
     def test_partials_increase_toward_closed_value(self, text):
