@@ -21,6 +21,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from mpmath import mp
+from mpmath.libmp import dps_to_prec, from_float, mpf_abs, mpf_add, mpf_gt, mpf_le, mpf_pos
+from mpmath.libmp import mpf_sub, round_nearest, to_str
 
 from .closedform import closed_form_of
 from .oracle import NumericCfg, OracleError, OracleResult, oracle_for, zx_numeric
@@ -58,21 +60,23 @@ def verify(spec: SeriesSpec, cfg: NumericCfg, tol: float) -> EvalReport:
     except OracleError as exc:
         note = str(exc)
         result = exc.partial
-    with mp.workdps(cfg.digits + 10):
-        abs_err = abs(closed_num - result.value)
-        threshold = max(mp.mpf(tol), result.tail_bound + result.error_estimate)
-        passed = not note and bool(abs_err <= threshold)
-        if not passed and not note:
-            note = (
-                f"abs_err {mp.nstr(abs_err, 6)} exceeds tolerance {tol:g} "
-                f"and slack {mp.nstr(result.tail_bound + result.error_estimate, 6)}"
-            )
+    # abs(closed - value) <= max(mpf(tol), tail_bound + error_estimate) at digits + 10
+    prec, rnd = dps_to_prec(cfg.digits + 10), round_nearest
+    abs_err = mpf_abs(mpf_sub(closed_num._mpf_, result.value._mpf_, prec, rnd))
+    slack = mpf_add(result.tail_bound._mpf_, result.error_estimate._mpf_, prec, rnd)
+    tol_ = from_float(tol, prec, rnd)
+    passed = not note and mpf_le(abs_err, slack if mpf_gt(slack, tol_) else tol_)
+    if not passed and not note:
+        note = (
+            f"abs_err {to_str(abs_err, 6)} exceeds tolerance {tol:g} "
+            f"and slack {to_str(slack, 6)}"
+        )
     return EvalReport(
         spec=spec,
         closed_form=closed,
         closed_numeric=closed_num,
         oracle=result,
-        abs_err=abs_err,
+        abs_err=mp.make_mpf(abs_err),
         tolerance=tol,
         passed=passed,
         reason="" if passed else note or "",
@@ -207,9 +211,10 @@ _CSV_COLUMNS = (
 )
 
 
-def _fmt(x, digits: int) -> str:
-    with mp.workdps(digits + 10):
-        return mp.nstr(mp.mpf(x), digits, strip_zeros=False)
+def _fmt(x, digits: int, guard: int = 10, strip_zeros: bool = False) -> str:
+    """mp.nstr(x, digits) of the mpf x rounded to digits + guard digits."""
+    x = mpf_pos(x._mpf_, dps_to_prec(digits + guard), round_nearest)
+    return to_str(x, digits, strip_zeros=strip_zeros)
 
 
 def status(report: EvalReport) -> str:
@@ -256,15 +261,17 @@ def render_reports(reports: list[EvalReport], format: str) -> str:
             f"{'spec':<18} {'method':<10} {'n_used':>8} {'closed':>22} "
             f"{'abs_err':>12} {'tail_bound':>12}  status"
         ]
+
+        def col(x, digits):  # each column rounded at 40 digits
+            return _fmt(x, digits, 40 - digits, strip_zeros=True)
+
         for r in reports:
             o = r.oracle
-            with mp.workdps(40):
-                lines.append(
-                    f"{r.spec.label():<18} {o.method:<10} {_n_used(o)!s:>8} "
-                    f"{mp.nstr(mp.mpf(r.closed_numeric), 15):>22} "
-                    f"{mp.nstr(mp.mpf(r.abs_err), 4):>12} "
-                    f"{mp.nstr(mp.mpf(o.tail_bound), 4):>12}  {status(r)}"
-                )
+            lines.append(
+                f"{r.spec.label():<18} {o.method:<10} {_n_used(o)!s:>8} "
+                f"{col(r.closed_numeric, 15):>22} {col(r.abs_err, 4):>12} "
+                f"{col(o.tail_bound, 4):>12}  {status(r)}"
+            )
         lines.append(f"{sum(r.passed for r in reports)}/{len(reports)} identities verified")
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown report format {format!r}")

@@ -24,6 +24,13 @@ prec about 3.32*digits + 64 bits (230 at the default 50 digits), the
 diagonal route sums at most N* terms (2^11 at 50 digits), and the largest
 raw box, ``_RAW_TERM_CAP`` = 25*10^6 terms, stays within about 1.5e-62 of
 the true partial sum at 50 digits, far beneath every tolerance used here.
+
+Per-entry numerics outside the series engines work on raw libmp tuples,
+not mpf objects: ``const_zeta``'s head, ``_level_nodes``, the quadrature
+integrand, ``tail_estimate``, ``zx_numeric``, and ``harness.verify`` and
+``harness._fmt``.  Each makes the libmp calls the mpf operators make, at
+the same precision and rounding to nearest, so it gives the bits of the
+mpf form; tests check each against a copy of that form.
 """
 
 from __future__ import annotations
@@ -40,9 +47,9 @@ from operator import add, floordiv, mul, rshift
 from typing import TYPE_CHECKING
 
 from mpmath import mp
-from mpmath.libmp import fone, from_int, from_man_exp, fzero, mpf_add, mpf_div, mpf_exp, mpf_log
-from mpmath.libmp import mpf_mul, mpf_mul_int, mpf_pos, mpf_pow_int, mpf_rdiv_int, mpf_sub
-from mpmath.libmp import round_nearest
+from mpmath.libmp import dps_to_prec, fone, from_float, from_int, from_man_exp, fzero, mpf_add
+from mpmath.libmp import mpf_div, mpf_exp, mpf_log, mpf_mul, mpf_mul_int, mpf_pos, mpf_pow_int
+from mpmath.libmp import mpf_rdiv_int, mpf_sub, round_nearest
 
 from .exact import bernoulli
 from .zexpr import ZExpr
@@ -168,7 +175,7 @@ def const_zeta(k: int, digits: int):
         raise ValueError(f"zeta needs k >= 2, got {k}")
     _check_digits(digits)
     with mp.workdps(digits + 10):
-        wp, rnd = mp.prec, round_nearest  # the head h makes h += 1 / mpf(i)**k's calls
+        wp, rnd = mp.prec, round_nearest  # the head: h += 1 / mpf(i)**k
         big_m = 2 * digits
         h = fzero
         for i in range(1, big_m):
@@ -197,22 +204,24 @@ def const_zeta(k: int, digits: int):
 
 
 def zx_numeric(a: ZExpr, digits: int):
-    """Numeric value of a symbolic combination, summed in canonical term order."""
+    """Numeric value of a symbolic combination at digits + 10, summed in
+    canonical term order: acc += mpf(num) / den * value."""
     _check_digits(digits)
-    with mp.workdps(digits + 10):
-        acc = mp.mpf(0)
-        for sym, coeff in a.terms():
-            match sym.kind:
-                case "unit":
-                    v = mp.mpf(1)
-                case "ln2":
-                    v = const_ln2(digits)
-                case "zeta":
-                    v = const_zeta(sym.k, digits)
-                case _:
-                    v = const_pi(digits) ** sym.k
-            acc += mp.mpf(coeff.numerator) / coeff.denominator * v
-        return +acc
+    prec, rnd = dps_to_prec(digits + 10), round_nearest
+    acc = fzero
+    for sym, coeff in a.terms():
+        match sym.kind:
+            case "unit":
+                v = fone
+            case "ln2":
+                v = const_ln2(digits)._mpf_
+            case "zeta":
+                v = const_zeta(sym.k, digits)._mpf_
+            case _:
+                v = mpf_pow_int(const_pi(digits)._mpf_, sym.k, prec, rnd)
+        c = mpf_div(from_int(coeff.numerator, prec, rnd), from_int(coeff.denominator), prec, rnd)
+        acc = mpf_add(acc, mpf_mul(c, v, prec, rnd), prec, rnd)
+    return mp.make_mpf(mpf_pos(acc, prec, rnd))
 
 
 # ---------------------------------------------------------------------------
@@ -455,13 +464,19 @@ def tail_estimate(spec: SeriesSpec, n_cut: int):
     a_const, c_log, k_pow, p_pow = fam.tail(*args)
     # positive terms at 40 digits err far below the 2^-116 (1.2e-35) relative
     # pad that makes the result an upper bound, far below the 30 digits reported
-    with mp.workdps(40):
-        base = mp.mpf(n_cut) ** (1 - p_pow) / (p_pow - 1)
-        ln_c = mp.log(n_cut) + c_log
-        integral = base
-        for i in range(1, k_pow + 1):
-            integral = ln_c**i * base + i * integral / (p_pow - 1)
-        return mp.mpf(a_const.numerator) / a_const.denominator * integral * (1 + mp.ldexp(1, -116))
+    prec, rnd = dps_to_prec(40), round_nearest
+    p1 = from_int(p_pow - 1)
+    # base = mpf(N)^(1-p) / (p-1), ln_c = log(N) + c
+    base = mpf_div(mpf_pow_int(from_int(n_cut, prec, rnd), 1 - p_pow, prec, rnd), p1, prec, rnd)
+    ln_c = mpf_add(mpf_log(from_int(n_cut), prec, rnd), from_float(c_log), prec, rnd)
+    integral = base
+    for i in range(1, k_pow + 1):
+        # ln_c^i * base + i * integral / (p-1)
+        head = mpf_mul(mpf_pow_int(ln_c, i, prec, rnd), base, prec, rnd)
+        integral = mpf_add(head, mpf_div(mpf_mul_int(integral, i, prec, rnd), p1, prec, rnd), prec, rnd)
+    a = mpf_div(from_int(a_const.numerator, prec, rnd), from_int(a_const.denominator), prec, rnd)
+    pad = (0, 2**116 + 1, -116, 117)  # 1 + 2^-116, exact
+    return mp.make_mpf(mpf_mul(mpf_mul(a, integral, prec, rnd), pad, prec, rnd))
 
 
 # ---------------------------------------------------------------------------
@@ -556,8 +571,8 @@ def _series(spec: SeriesSpec, cfg: NumericCfg, method: str, head, cutoff=None, a
         n, prec = cfg.n_max, _prec_bits(cfg.digits)
         acc = head(n, 1 << prec)
         tail_bound = tail_estimate(spec, n)
-        with mp.workdps(cfg.digits + 10):
-            value = mp.mpf(acc) / mp.mpf(1 << prec)
+        # acc / 2^prec at digits + 10; the division by a power of two is exact
+        value = from_man_exp(acc, -prec, dps_to_prec(cfg.digits + 10), round_nearest)
     else:
         # imported here, so a run that stays below the cutoffs does not load
         # (and, without cached bytecode, compile) the expansion code
@@ -567,13 +582,11 @@ def _series(spec: SeriesSpec, cfg: NumericCfg, method: str, head, cutoff=None, a
         acc = head(n, 1 << prec)
         tail, bound = asymptotic.tail(spec, n, cfg.digits, prec)
         bound += allowance << _TAIL_GUARD_BITS
-        with mp.workprec(prec + 64):
-            value = mp.ldexp(mp.mpf(acc + tail), -prec)
-        with mp.workprec(64):
-            # padded so that rounding the integer to 64 bits cannot lower it
-            tail_bound = mp.ldexp(mp.mpf(bound + (bound >> 40) + 1), -prec)
+        value = from_man_exp(acc + tail, -prec, prec + 64, round_nearest)
+        # padded so that rounding the integer to 64 bits cannot lower it
+        tail_bound = mp.make_mpf(from_man_exp(bound + (bound >> 40) + 1, -prec, 64, round_nearest))
     result = OracleResult(
-        value=value,
+        value=mp.make_mpf(value),
         method=method,
         n_used=n,
         levels_used=None,
@@ -627,7 +640,7 @@ def _level_nodes(digits: int, level: int):
     and 1/e^u.  From E = exp(-2w): t = 1/(1+E), 1-t = E*t, -ln t = log1p(E)
     and -ln(1-t) = 2w + log1p(E).  None of these forms cancels, so the tail
     where t rounds to 1 keeps full relative accuracy in 1-t and both logs.
-    Raw tuples take the mpf operators' libmp calls and rounding; log1p is ``_log1p``.
+    log1p is ``_log1p``.
     """
     u_max = math.log(math.log(10) * (digits + 25) * 2 / math.pi) + 1.0
     prec, rnd = mp.prec, round_nearest
@@ -703,8 +716,7 @@ def oracle_quadrature(spec: SeriesSpec, cfg: NumericCfg) -> OracleResult:
     18.3 MB through level 10).  Deeper levels compute them as they go and
     keep nothing.  A node costs one exp and one ``_log1p``: levels 0-9 at
     1000 digits take about 7 s cold.  A call only evaluates the integrand on
-    them, with the operations and rounding it would apply to mpf values, so
-    a warm table gives the same bits as a cold one.
+    them, so a warm table gives the same bits as a cold one.
     """
     if not spec.family.quadrature:
         raise ValueError(f"quadrature covers the A-family only, not {spec}")
@@ -718,8 +730,7 @@ def oracle_quadrature(spec: SeriesSpec, cfg: NumericCfg) -> OracleResult:
         def level_sum(level):
             # folded +-u contributions over the level's nodes u > 0 (t and
             # 1-t swap under u -> -u): acc += weight * (t (1-t)^s (-ln t)^n
-            # + (1-t) t^s (-ln(1-t))^n), on raw tuples with the calls and
-            # rounding of the mpf operators
+            # + (1-t) t^s (-ln(1-t))^n)
             acc = fzero
             for wt, t, omt, lt, lo in _node_rows(cfg.digits, level):
                 a = mpf_mul(t, mpf_pow_int(omt, s, prec, rnd), prec, rnd)

@@ -8,6 +8,7 @@ from mpmath import mp, workdps
 
 import tornzeta.oracle as oracle_mod
 from tornzeta.harness import (
+    _fmt,
     PRESETS,
     SuiteEntry,
     SuiteManifest,
@@ -272,3 +273,17 @@ def test_comparison_is_the_mpf_form(monkeypatch):
         if "stalled" not in r.reason:
             assert (r.passed, r.reason) == (passed, "" if passed else note)
 
+
+def test_fmt_is_nstr():
+    # _fmt against mp.nstr at digits + guard, each value first rounded there
+    with workdps(300):
+        values = [+mp.pi, -mp.e, mp.zeta(3) * mp.mpf(10) ** -20, 1 - mp.mpf(10) ** -40,
+                  mp.mpf("9.99999999999999999999999999999999949"), mp.mpf(2) ** -200,
+                  mp.mpf(10) ** 25 + mp.pi, mp.mpf(0), mp.mpf("0.0112565"), mp.mpf("2.5e-7")]
+    for digits in (4, 6, 15, 30):
+        for guard in (10, 40 - digits):
+            for strip in (False, True):
+                for x in values:
+                    with workdps(digits + guard):
+                        want = mp.nstr(mp.mpf(x), digits, strip_zeros=strip)
+                    assert _fmt(x, digits, guard, strip) == want, (digits, guard, strip, x)
