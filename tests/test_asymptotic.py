@@ -237,6 +237,25 @@ def test_asymptotic_tails_pinned():
     assert digest.hexdigest() == "7a2c5521e7339371be3a1a90a75033c742c24f743f0f908701441e8cdac88a06"
 
 
+def test_fixed_constants_pinned():
+    # the integers that mpmath's gamma, logarithms and zeta(k) put into the
+    # expansion (each power sum's constant term and the log-power rows,
+    # whose x0^-eps factor takes ln x0), at 30, 300 and 1000 digits, hashed
+    digest = hashlib.sha256()
+    for digits in (30, 300, 1000):
+        prec = oracle._prec_bits(digits) + oracle._TAIL_GUARD_BITS
+        grid = asymptotic._Grid(2048, 12, prec)
+        for k in range(1, 9):
+            for alpha in (1, 2):
+                for last in (0, -1):
+                    c = asymptotic._power_sum(k, alpha, last, grid).c[0][0]
+                    digest.update(f"{digits}|{k}|{alpha}|{last}|{c}\n".encode())
+        for i, deg, n in ((9, 3, 2048), (40, 8, 16384), (120, 2, 65536), (30, 6, 65536)):
+            row = asymptotic._log_power_row(i, deg, n, prec)
+            digest.update(f"{digits}|{i}|{deg}|{n}|{row}\n".encode())
+    assert digest.hexdigest() == "17c40fee1067405ae5a821c3d5cf305efd9789c3f66160dc888bcd1288c6db21"
+
+
 def test_cutoff_routes_by_n_max():
     spec = parse_spec("A3:s=2")
     n_star = oracle.asymptotic_cutoff(spec, 50)

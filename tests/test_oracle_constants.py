@@ -57,6 +57,15 @@ class TestLn2AndPi:
         with pytest.raises(ValueError):
             const_pi(0)
 
+    def test_bits_pinned(self):
+        # ln 2 and pi at 30 through 1000 digits, hashed; any change to the
+        # atanh series, its stopping test or the rounding changes the digest
+        digest = hashlib.sha256()
+        for digits in (30, 50, 100, 200, 300, 1000):
+            digest.update(f"ln2|{digits}|{const_ln2(digits)._mpf_}\n".encode())
+            digest.update(f"pi|{digits}|{const_pi(digits)._mpf_}\n".encode())
+        assert digest.hexdigest() == "33843557b540a4489e478f4178a7505bcd358da7f1faef9e791fb29c0872f563"
+
 
 class TestEvenZetaBridge:
     @pytest.mark.parametrize("n", range(1, 11))
