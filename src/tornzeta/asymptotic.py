@@ -37,9 +37,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import accumulate
 from typing import TYPE_CHECKING, NamedTuple
 
-from mpmath import mp
+from mpmath.libmp import from_int, mpf_add, mpf_div, mpf_euler, mpf_log, mpf_neg, mpf_nint
+from mpmath.libmp import mpf_pow_int, mpf_shift, mpf_zeta, round_nearest, to_int
 
 from .exact import bernoulli
 
@@ -93,10 +95,9 @@ def _poly_add(x: list[int], y: list[int]) -> list[int]:
     return [a + (y[j] if j < len(y) else 0) for j, a in enumerate(x)]
 
 
-def _fixed(x, prec: int) -> int:
-    """An mpf expression (a callable, evaluated with 64 guard bits) within an ulp."""
-    with mp.workprec(prec + 64):
-        return int(mp.nint(mp.ldexp(x(), prec)))
+def _fixed(x: tuple, prec: int) -> int:
+    """A raw mpf x, rounded at prec + 64 bits, in ulps of 2^-prec, within an ulp."""
+    return to_int(mpf_nint(mpf_shift(x, prec)))
 
 
 def _blank(grid: _Grid, deg: int = 0) -> list[list[int]]:
@@ -185,11 +186,13 @@ def _power_sum(k: int, alpha: int, last: int, grid: _Grid) -> _Series:
     n, order, prec = grid
     x = alpha * n
     c = _blank(grid, 1 if k == 1 else 0)
+    wp, rnd = prec + 64, round_nearest
     if k == 1:
-        c[0][0] = _fixed(lambda: mp.log(alpha) + mp.euler, prec)
+        gamma = mpf_euler(wp, rnd)
+        c[0][0] = _fixed(mpf_add(mpf_log(from_int(alpha), wp, rnd), gamma, wp, rnd), prec)
         c[0][1] = 1 << prec
     else:
-        c[0][0] = _fixed(lambda: mp.zeta(k), prec)
+        c[0][0] = _fixed(mpf_zeta(from_int(k), wp, rnd), prec)
         c[k - 1][0] = -_rnd(1 << prec, (k - 1) * x ** (k - 1))
     c[k][0] = (1 + 2 * last) * _rnd(1 << prec, 2 * x**k)
     r, rising = 1, k  # (k)_{2r-1}
@@ -311,25 +314,27 @@ def _log_power_row(i: int, deg: int, n: int, prec: int) -> tuple[tuple[int, ...]
         last = size
     # terms r' < r were added; the remainder needs f^(2r)
     m2 = 2 * r
-    poch = _times_linear(poch, i + m2 - 1)  # (i+eps)_{2r}
+    p1 = i + m2 - 1
+    poch = _times_linear(poch, p1)  # (i+eps)_{2r}
     b = bernoulli(m2)
     lam = math.ceil(log_x0) + 1  # > ln x0
-    scale = Fraction(2 * abs(b.numerator) * n**i, b.denominator * math.factorial(m2))
-    scale /= x0 ** (i + m2 - 1)
+    # em[j] bounds 2|B_2r|/(2r)! n^i sum_l poch[l] j!/(j-l)! I_{j-l}, with I_m the integral
+    # of x^-(p1+1) ln^m x past x0: x0^-p1 sum_{u<=m} m!/u! ln^u x0 / p1^(m-u+1), at most
+    # x0^-p1 s[m] / p1^(m+1) for s[m] = sum_{u<=m} (lam p1)^u m!/u! = m s[m-1] + (lam p1)^m
+    s = list(accumulate(range(1, deg + 1), lambda v, m: m * v + (lam * p1) ** m, initial=1))
+    top, bottom = 2 * abs(b.numerator) * n**i, b.denominator * math.factorial(m2) * x0**p1
     em = []
-    p1 = i + m2 - 1
     for j in range(deg + 1):
-        # (j-l)! times the integral of x^-(i+m2) ln^(j-l) x past x0, over x0^(1-i-m2)
-        inner = sum(
-            Fraction(poch[l] * lam ** (j - l - t), math.factorial(j - l - t) * p1 ** (t + 1))
-            for l in range(j + 1)
-            for t in range(j - l + 1)
-        )
-        bound = scale * math.factorial(j) * inner
-        em.append(_up(bound.numerator << prec, bound.denominator))
+        inner = sum(poch[l] * s[j - l] * math.perm(j, l) * p1**l for l in range(j + 1))
+        em.append(_up(top * inner << prec, bottom * p1 ** (j + 1)))
     err_q = r + 1  # half an ulp per rounded term
     # x0^-eps = sum_j (-ln x0)^j / j! eps^j
-    ell = [_fixed(lambda j=j: (-mp.log(x0)) ** j / math.factorial(j), prec) for j in range(deg + 1)]
+    wp, rnd = prec + 64, round_nearest
+    neg = mpf_neg(mpf_log(from_int(x0), wp, rnd), wp, rnd)
+    ell = [
+        _fixed(mpf_div(mpf_pow_int(neg, j, wp, rnd), from_int(math.factorial(j)), wp, rnd), prec)
+        for j in range(deg + 1)
+    ]
     num, den = n**i, x0**i << prec
     ys, err = [], 0
     for j in range(deg + 1):

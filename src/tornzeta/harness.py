@@ -175,9 +175,9 @@ def iter_suite(manifest: SuiteManifest, parallel: bool = False) -> Iterator[Eval
     """Yield each entry's report as it finishes, in manifest order.
 
     ``parallel`` runs the entries in spawned worker processes, one per
-    core at most.  mpmath's working precision is process-global, so
-    threads would change each other's precision mid-computation; separate
-    processes give the same reports as the serial run.
+    core at most, which give the same reports as the serial run.  Processes
+    give CPU parallelism; threads give the same reports too (no routine
+    touches mpmath's global precision), but they share the GIL.
     """
     columns = zip(*((e.spec, e.cfg, e.tol) for e in manifest.entries))
     if not parallel:

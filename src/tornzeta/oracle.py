@@ -25,12 +25,11 @@ diagonal route sums at most N* terms (2^11 at 50 digits), and the largest
 raw box, ``_RAW_TERM_CAP`` = 25*10^6 terms, stays within about 1.5e-62 of
 the true partial sum at 50 digits, far beneath every tolerance used here.
 
-Per-entry numerics outside the series engines work on raw libmp tuples,
-not mpf objects: ``const_zeta``'s head, ``_level_nodes``, the quadrature
-integrand, ``tail_estimate``, ``zx_numeric``, and ``harness.verify`` and
-``harness._fmt``.  Each makes the libmp calls the mpf operators make, at
-the same precision and rounding to nearest, so it gives the bits of the
-mpf form; tests check each against a copy of that form.
+Every numeric routine takes its precision as an argument, or derives it
+from ``digits``, and works on raw libmp tuples: it makes the libmp calls
+the mpf operators make, rounding to nearest, so it gives the bits of the
+mpf form, and it never reads or sets mpmath's process-global precision.
+Results are wrapped as mpf with ``mp.make_mpf``.
 """
 
 from __future__ import annotations
@@ -47,9 +46,10 @@ from operator import add, floordiv, mul, rshift
 from typing import TYPE_CHECKING
 
 from mpmath import mp
-from mpmath.libmp import dps_to_prec, fone, from_float, from_int, from_man_exp, fzero, mpf_add
-from mpmath.libmp import mpf_div, mpf_exp, mpf_log, mpf_mul, mpf_mul_int, mpf_pos, mpf_pow_int
-from mpmath.libmp import mpf_rdiv_int, mpf_sub, round_nearest
+from mpmath.libmp import dps_to_prec, fone, from_float, from_int, from_man_exp, fzero, mpf_abs
+from mpmath.libmp import mpf_add, mpf_div, mpf_exp, mpf_ge, mpf_gt, mpf_le, mpf_log, mpf_lt, mpf_mul
+from mpmath.libmp import mpf_mul_int, mpf_pi, mpf_pos, mpf_pow_int, mpf_rdiv_int, mpf_sub
+from mpmath.libmp import round_nearest, to_str
 
 from .exact import bernoulli
 from .zexpr import ZExpr
@@ -133,30 +133,25 @@ def _check_digits(digits: int) -> None:
 
 @cache
 def const_pi(digits: int):
-    """pi at the requested precision (delegated to the mpfloat backend)."""
+    """pi at digits + 10 (delegated to the mpfloat backend)."""
     _check_digits(digits)
-    with mp.workdps(digits + 10):
-        return +mp.pi
+    return mp.make_mpf(mpf_pi(dps_to_prec(digits + 10), round_nearest))
 
 
 @cache
 def const_ln2(digits: int):
     """ln 2 = 2 atanh(1/3), summed as 2 sum_{i>=0} (1/9)^i / (3 (2i+1))."""
     _check_digits(digits)
-    with mp.workdps(digits + 10):
-        target = mp.mpf(10) ** (-(digits + 8))
-        x2 = mp.mpf(1) / 9
-        power = mp.mpf(1) / 3
-        acc = mp.mpf(0)
-        i = 0
-        while True:
-            term = power / (2 * i + 1)
-            acc += term
-            if term < target:
-                break
-            power *= x2
-            i += 1
-        return +(2 * acc)
+    prec, rnd = dps_to_prec(digits + 10), round_nearest
+    target = mpf_pow_int(from_int(10), -(digits + 8), prec, rnd)
+    x2, power = mpf_div(fone, from_int(9), prec, rnd), mpf_div(fone, from_int(3), prec, rnd)
+    acc = fzero
+    for i in count():
+        term = mpf_div(power, from_int(2 * i + 1), prec, rnd)
+        acc = mpf_add(acc, term, prec, rnd)
+        if mpf_lt(term, target):
+            return mp.make_mpf(mpf_mul_int(acc, 2, prec, rnd))
+        power = mpf_mul(power, x2, prec, rnd)
 
 
 @cache
@@ -174,33 +169,32 @@ def const_zeta(k: int, digits: int):
     if k < 2:
         raise ValueError(f"zeta needs k >= 2, got {k}")
     _check_digits(digits)
-    with mp.workdps(digits + 10):
-        wp, rnd = mp.prec, round_nearest  # the head: h += 1 / mpf(i)**k
-        big_m = 2 * digits
-        h = fzero
-        for i in range(1, big_m):
-            h = mpf_add(h, mpf_div(fone, mpf_pow_int(from_int(i), k, wp, rnd), wp, rnd), wp, rnd)
-        m_ = mp.mpf(big_m)
-        acc = mp.make_mpf(h) + (m_ ** (1 - k) / (k - 1) + m_ ** (-k) / 2)
-        target = mp.mpf(10) ** (-(digits + 5))
-        rising = mp.mpf(k)
-        power = m_ ** (-k - 1)
-        prev = None
-        i = 1
-        while True:
-            b = bernoulli(2 * i)
-            corr = mp.mpf(b.numerator) / b.denominator / math.factorial(2 * i) * rising * power
-            if prev is not None and abs(corr) >= prev:
-                break
-            acc += corr
-            mag = abs(corr)
-            if mag < target:
-                break
-            prev = mag
-            rising *= (k + 2 * i - 1) * (k + 2 * i)
-            power /= m_ * m_
-            i += 1
-        return +acc
+    wp, rnd = dps_to_prec(digits + 10), round_nearest
+    big_m = from_int(2 * digits)
+    acc = fzero
+    for i in range(1, 2 * digits):
+        acc = mpf_add(acc, mpf_div(fone, mpf_pow_int(from_int(i), k, wp, rnd), wp, rnd), wp, rnd)
+    # + (M^(1-k) / (k-1) + M^-k / 2)
+    ends = mpf_add(mpf_div(mpf_pow_int(big_m, 1 - k, wp, rnd), from_int(k - 1), wp, rnd),
+                   mpf_div(mpf_pow_int(big_m, -k, wp, rnd), from_int(2), wp, rnd), wp, rnd)
+    acc = mpf_add(acc, ends, wp, rnd)
+    target = mpf_pow_int(from_int(10), -(digits + 5), wp, rnd)
+    rising, power, prev = from_int(k), mpf_pow_int(big_m, -k - 1, wp, rnd), None
+    for i in count(1):
+        b = bernoulli(2 * i)
+        corr = mpf_div(from_int(b.numerator, wp, rnd), from_int(b.denominator), wp, rnd)
+        corr = mpf_div(corr, from_int(math.factorial(2 * i)), wp, rnd)
+        corr = mpf_mul(mpf_mul(corr, rising, wp, rnd), power, wp, rnd)
+        mag = mpf_abs(corr)
+        if prev is not None and mpf_ge(mag, prev):
+            break
+        acc = mpf_add(acc, corr, wp, rnd)
+        if mpf_lt(mag, target):
+            break
+        prev = mag
+        rising = mpf_mul_int(rising, (k + 2 * i - 1) * (k + 2 * i), wp, rnd)
+        power = mpf_div(power, mpf_mul(big_m, big_m), wp, rnd)
+    return mp.make_mpf(acc)
 
 
 def zx_numeric(a: ZExpr, digits: int):
@@ -591,7 +585,7 @@ def _series(spec: SeriesSpec, cfg: NumericCfg, method: str, head, cutoff=None, a
         n_used=n,
         levels_used=None,
         tail_bound=tail_bound,
-        error_estimate=mp.mpf(0),
+        error_estimate=mp.make_mpf(fzero),
         elapsed=time.perf_counter() - t0,
     )
     if cutoff is not None and bound * 10 ** (cfg.digits - 5) > abs(acc + tail):
@@ -632,7 +626,7 @@ def _log1p(e: tuple, prec: int) -> tuple:
 def _level_nodes(digits: int, level: int):
     """(weight, t, 1-t, -ln t, -ln(1-t)) as raw mpf tuples at the nodes
     u = j*h, h = 2^-level, of one tanh-sinh level, u <= u_max, at the
-    caller's working precision.  t = (1 + tanh w)/2, w = (pi/2) sinh u, and
+    digits + 15.  t = (1 + tanh w)/2, w = (pi/2) sinh u, and
     the weight is (pi/2) cosh u without its factor h.
 
     j steps by 1 at level 0 and over the odd j after it, so e^u advances by
@@ -643,11 +637,11 @@ def _level_nodes(digits: int, level: int):
     log1p is ``_log1p``.
     """
     u_max = math.log(math.log(10) * (digits + 25) * 2 / math.pi) + 1.0
-    prec, rnd = mp.prec, round_nearest
-    half_pi, quarter_pi = (mp.pi / 2)._mpf_, (mp.pi / 4)._mpf_
-    h = mp.ldexp(1, -level)
+    prec, rnd = dps_to_prec(digits + 15), round_nearest
+    half_pi, quarter_pi = (mpf_div(mpf_pi(prec, rnd), from_int(q), prec, rnd) for q in (2, 4))
+    h = from_man_exp(1, -level)
     stride = 2 if level else 1
-    eu, step = mp.exp(h)._mpf_, mp.exp(stride * h)._mpf_
+    eu, step = mpf_exp(h, prec, rnd), mpf_exp(mpf_mul_int(h, stride, prec, rnd), prec, rnd)
     # j*h <= u_max, exactly: h is a power of two
     for _ in range(1, math.floor(math.ldexp(u_max, level)) + 1, stride):
         emu = mpf_rdiv_int(1, eu, prec, rnd)
@@ -665,13 +659,12 @@ def _node_table(digits: int, level: int) -> tuple[bytes, array]:
     """``_level_nodes`` at quadrature's digits + 15, stored densely: every
     value is positive, so one blob of fixed-width little-endian mantissas
     and an array of exponents, (prec/8 + 8) bytes per value."""
-    with mp.workdps(digits + 15):
-        width = (mp.prec + 7) // 8
-        mans, exps = io.BytesIO(), array("q")
-        for row in _level_nodes(digits, level):
-            for _, man, exp, _ in row:
-                mans.write(man.to_bytes(width, "little"))
-                exps.append(exp)
+    width = (dps_to_prec(digits + 15) + 7) // 8
+    mans, exps = io.BytesIO(), array("q")
+    for row in _level_nodes(digits, level):
+        for _, man, exp, _ in row:
+            mans.write(man.to_bytes(width, "little"))
+            exps.append(exp)
     # getvalue() hands over the BytesIO buffer uncopied, so a build holds
     # one blob at a time; array(exps) drops the append slack
     return mans.getvalue(), array("q", exps)
@@ -722,54 +715,54 @@ def oracle_quadrature(spec: SeriesSpec, cfg: NumericCfg) -> OracleResult:
         raise ValueError(f"quadrature covers the A-family only, not {spec}")
     n, s = spec.args
     t0 = time.perf_counter()
-    with mp.workdps(cfg.digits + 15):
-        pi_ = +mp.pi
-        target = mp.mpf(10) ** (-(cfg.digits + 5))
-        prec, rnd = mp.prec, round_nearest
+    prec, rnd = dps_to_prec(cfg.digits + 15), round_nearest
+    target = mpf_pow_int(from_int(10), -(cfg.digits + 5), prec, rnd)
 
-        def level_sum(level):
-            # folded +-u contributions over the level's nodes u > 0 (t and
-            # 1-t swap under u -> -u): acc += weight * (t (1-t)^s (-ln t)^n
-            # + (1-t) t^s (-ln(1-t))^n)
-            acc = fzero
-            for wt, t, omt, lt, lo in _node_rows(cfg.digits, level):
-                a = mpf_mul(t, mpf_pow_int(omt, s, prec, rnd), prec, rnd)
-                a = mpf_mul(a, mpf_pow_int(lt, n, prec, rnd), prec, rnd)
-                b = mpf_mul(omt, mpf_pow_int(t, s, prec, rnd), prec, rnd)
-                b = mpf_mul(b, mpf_pow_int(lo, n, prec, rnd), prec, rnd)
-                acc = mpf_add(acc, mpf_mul(wt, mpf_add(a, b, prec, rnd), prec, rnd), prec, rnd)
-            return mp.make_mpf(acc)
+    def level_sum(level):
+        # folded +-u contributions over the level's nodes u > 0 (t and
+        # 1-t swap under u -> -u): acc += weight * (t (1-t)^s (-ln t)^n
+        # + (1-t) t^s (-ln(1-t))^n)
+        acc = fzero
+        for wt, t, omt, lt, lo in _node_rows(cfg.digits, level):
+            a = mpf_mul(t, mpf_pow_int(omt, s, prec, rnd), prec, rnd)
+            a = mpf_mul(a, mpf_pow_int(lt, n, prec, rnd), prec, rnd)
+            b = mpf_mul(omt, mpf_pow_int(t, s, prec, rnd), prec, rnd)
+            b = mpf_mul(b, mpf_pow_int(lo, n, prec, rnd), prec, rnd)
+            acc = mpf_add(acc, mpf_mul(wt, mpf_add(a, b, prec, rnd), prec, rnd), prec, rnd)
+        return acc
 
-        half = mp.mpf(1) / 2
-        h = mp.mpf(1)
-        total = pi_ * half ** (s + 1) * mp.log(2) ** n  # u = 0 node
-        value = h * (total + level_sum(0))
-        estimates: list = []
-        converged = False
-        for level in range(1, cfg.quad_levels + 1):
-            h = h / 2
-            new_value = value / 2 + h * level_sum(level)
-            est = abs(new_value - value)
-            estimates.append(est)
-            value = new_value
-            if est <= target * max(1, abs(value)):
-                converged = True
-                break
-        zero = mp.mpf(0)
-        result = OracleResult(
-            value=+value,
-            method="quadrature",
-            n_used=None,
-            levels_used=len(estimates),
-            tail_bound=zero,
-            error_estimate=+estimates[-1] if estimates else zero,
-            elapsed=time.perf_counter() - t0,
-            level_estimates=tuple(estimates),
-        )
+    # the u = 0 node, pi (1/2)^(s+1) ln(2)^n, and h = 1
+    total = mpf_mul(mpf_pi(prec, rnd), mpf_pow_int((0, 1, -1, 1), s + 1, prec, rnd), prec, rnd)
+    total = mpf_mul(total, mpf_pow_int(mpf_log(from_int(2), prec, rnd), n, prec, rnd), prec, rnd)
+    h = fone
+    value = mpf_mul(h, mpf_add(total, level_sum(0), prec, rnd), prec, rnd)
+    estimates: list = []
+    converged = False
+    for level in range(1, cfg.quad_levels + 1):
+        # value/2 + h level_sum, converged once |new - value| <= target max(1, |new|)
+        h = mpf_div(h, from_int(2), prec, rnd)
+        new = mpf_mul(h, level_sum(level), prec, rnd)
+        new = mpf_add(mpf_div(value, from_int(2), prec, rnd), new, prec, rnd)
+        est = mpf_abs(mpf_sub(new, value, prec, rnd), prec, rnd)
+        estimates.append(mp.make_mpf(est))
+        value = new
+        size = mpf_abs(value, prec, rnd)
+        if mpf_le(est, mpf_mul(target, size if mpf_gt(size, fone) else fone, prec, rnd)):
+            converged = True
+            break
+    result = OracleResult(
+        value=mp.make_mpf(value),
+        method="quadrature",
+        n_used=None,
+        levels_used=len(estimates),
+        tail_bound=mp.make_mpf(fzero),
+        error_estimate=estimates[-1],
+        elapsed=time.perf_counter() - t0,
+        level_estimates=tuple(estimates),
+    )
     if not converged:
         raise OracleError(
-            f"quadrature stalled at level {len(estimates)} with estimate "
-            f"{mp.nstr(result.error_estimate, 5)}",
+            f"quadrature stalled at level {len(estimates)} with estimate {to_str(est, 5)}",
             partial=result,
         )
     return result

@@ -1,0 +1,99 @@
+"""Reports from threads are the serial run's bytes.
+
+No numeric routine reads or sets mpmath's process-global precision: each
+takes its precision as an argument, so threads cannot change each other's
+precision mid-computation, nor leave a wrong value in a shared cache.
+"""
+
+import ast
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
+from pathlib import Path
+
+import pytest
+
+import tornzeta
+from tornzeta import asymptotic, oracle
+from tornzeta.harness import render_reports, verify
+from tornzeta.oracle import NumericCfg
+from tornzeta.series import parse_spec
+
+# quadrature at three precisions, the diagonal route's tails and a raw simplex, each twice
+_JOBS = [
+    (parse_spec(text), NumericCfg(digits=digits, method=method), tol)
+    for text, method, digits, tol in (
+        ("A3:s=0", "quadrature", 60, 1e-8),
+        ("An:n=4,s=0", "quadrature", 120, 1e-10),
+        ("An:n=2,s=0", "quadrature", 200, 1e-10),
+        ("ln", "diagonal", 80, 1e-8),
+        ("A3:s=2", "diagonal", 150, 1e-6),
+        ("S111", "raw", 100, 1e-6),
+        ("on", "diagonal", 200, 1e-8),
+    )
+] * 2
+
+
+def _clear_caches() -> None:
+    # const_*, _node_table and every memoized piece of the expansion
+    for module in (oracle, asymptotic):
+        for f in vars(module).values():
+            if hasattr(f, "cache_clear"):
+                f.cache_clear()
+
+
+def _batch(run_map) -> str:
+    return render_reports(list(run_map(lambda job: verify(*job), _JOBS)), "json")
+
+
+def _threaded() -> str:
+    # more threads than cores, switching often; each result is awaited with a timeout
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            return _batch(partial(pool.map, timeout=300))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.fixture(scope="module")
+def serial() -> str:
+    _clear_caches()
+    return _batch(map)
+
+
+def test_threads_give_the_serial_bytes(serial):
+    _clear_caches()
+    assert _threaded() == serial
+
+
+def test_threads_leave_no_stale_cache(serial):
+    # a serial batch on the caches the threads filled reads what they left
+    _clear_caches()
+    _threaded()
+    assert _batch(map) == serial
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in Path(tornzeta.__file__).parent.glob("*.py"))
+)
+def test_no_module_touches_the_global_precision(module):
+    # mp.make_mpf wraps a raw tuple; any other attribute of mp reads or sets its context
+    tree = ast.parse((Path(tornzeta.__file__).parent / module).read_text())
+    uses = {
+        (node.lineno, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "mp"
+        and node.attr != "make_mpf"
+    }
+    uses |= {
+        (node.lineno, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name in ("workdps", "workprec", "extraprec")
+    }
+    assert not uses, f"{module} uses mpmath's context: {sorted(uses)}"
