@@ -15,6 +15,7 @@ s = 20.  There is deliberately no float fallback here.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial
 from typing import TYPE_CHECKING
 
@@ -25,6 +26,7 @@ if TYPE_CHECKING:
     from .series import SeriesSpec
 
 
+@cache
 def eval_An(n: int, s: int) -> ZExpr:
     """Value of the n-fold sum over m_1..m_{n-1} of H_{M+s}/(m_1...m_{n-1} (M+s)).
 
@@ -43,6 +45,7 @@ def eval_An(n: int, s: int) -> ZExpr:
     return ZExpr.rational(factorial(n) * acc)
 
 
+@cache
 def eval_aXL(k: int) -> ZExpr:
     """Sum over m of H_{m+k}/(m(m+k)): 2 zeta(3) at k = 0, else (H_k^2+H_k^(2))/k."""
     if k < 0:

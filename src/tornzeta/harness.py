@@ -245,8 +245,10 @@ def _row(report: EvalReport) -> dict:
 
 def render_reports(reports: list[EvalReport], format: str) -> str:
     """Serialized report batch; deterministic bytes for fixed inputs."""
-    if format == "json":
-        return json.dumps([_row(r) for r in reports], indent=2) + "\n"
+    if format == "json":  # json.dumps(rows, indent=2) row by row: escaped strings hold no newline
+        encode = json.JSONEncoder(indent=2).encode
+        rows = ",\n".join("  " + encode(_row(r)).replace("\n", "\n  ") for r in reports)
+        return f"[\n{rows}\n]\n" if reports else "[]\n"
     if format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import io
 import math
+import threading
 import time
 from array import array
 from dataclasses import dataclass
@@ -291,6 +292,34 @@ def _regrouped_sum(spec: SeriesSpec, n_max: int, one: int) -> int:
     return sum(islice(_regrouped_terms(spec, one), n_max + 1 - spec.family.origin))
 
 
+_PREFIX: dict = {}  # (atoms, origin, grid bits) -> (width, blob), see ``_prefix_sum``
+_PREFIX_BUDGET = 4 * 2**20  # bytes; past it the table starts afresh
+_PREFIX_LOCK = threading.Lock()
+
+
+def _prefix_sum(spec: SeriesSpec, n_max: int, one: int) -> int:
+    """``_regrouped_sum(spec, n_max, one)``, read from the row's partial sums
+    S_origin..S_k in ``_PREFIX``, one blob of fixed-width little-endian signed
+    integers: a floored term does not depend on n_max, so S_n_max is the same
+    integer.  A cutoff past k walks again to n_max and replaces the entry whole;
+    a prefix larger than ``_PREFIX_BUDGET`` is summed and not stored."""
+    key, i = (_atoms(spec), spec.family.origin, one.bit_length()), n_max - spec.family.origin
+    width, blob = _PREFIX.get(key, (1, b""))
+    if (i + 1) * width <= len(blob):
+        return int.from_bytes(blob[i * width : (i + 1) * width], "little", signed=True)
+    if (i + 1) * (one.bit_length() // 8) > _PREFIX_BUDGET:
+        return _regrouped_sum(spec, n_max, one)
+    sums = list(accumulate(islice(_regrouped_terms(spec, one), i + 1)))
+    width = max(s.bit_length() for s in sums) // 8 + 1
+    if len(sums) * width <= _PREFIX_BUDGET:
+        blob = b"".join(s.to_bytes(width, "little", signed=True) for s in sums)
+        with _PREFIX_LOCK:
+            if sum(len(v[1]) for k, v in _PREFIX.items() if k != key) + len(blob) > _PREFIX_BUDGET:
+                _PREFIX.clear()
+            _PREFIX[key] = width, blob
+    return sums[-1]
+
+
 # ---------------------------------------------------------------------------
 # the defining multi-index form
 #
@@ -540,8 +569,8 @@ def oracle_diagonal(spec: SeriesSpec, cfg: NumericCfg) -> OracleResult:
     ``asymptotic_cutoff``, the first N* terms are summed and the rest is
     the certified asymptotic tail: ``value`` is S_N* plus the expanded tail
     and ``tail_bound`` covers its remainder and N* 2^-prec of rounding in
-    S_N*.  Below N*, the first n_max terms are summed and ``tail_estimate``
-    bounds what is left.
+    S_N*.  Below N*, S_n_max is read from the prefix sums shared by row and precision
+    (``_prefix_sum``, at most ``_PREFIX_BUDGET`` = 4 MB) and ``tail_estimate`` bounds the rest.
     """
     return _diagonal(spec, cfg, "diagonal")
 
@@ -549,8 +578,9 @@ def oracle_diagonal(spec: SeriesSpec, cfg: NumericCfg) -> OracleResult:
 def _diagonal(spec: SeriesSpec, cfg: NumericCfg, method: str) -> OracleResult:
     # also oracle_raw's one-index route, kept off the traced oracle_diagonal
     n_star = asymptotic_cutoff(spec, cfg.digits)
-    cutoff = None if cfg.n_max < n_star else n_star
-    return _series(spec, cfg, method, partial(_regrouped_sum, spec), cutoff, n_star)
+    below = cfg.n_max < n_star
+    head = partial(_prefix_sum if below else _regrouped_sum, spec)
+    return _series(spec, cfg, method, head, None if below else n_star, n_star)
 
 
 def _series(spec: SeriesSpec, cfg: NumericCfg, method: str, head, cutoff=None, allowance=0):

@@ -9,6 +9,7 @@ from mpmath import mp, workdps
 import tornzeta.oracle as oracle_mod
 from tornzeta.harness import (
     _fmt,
+    _row,
     PRESETS,
     SuiteEntry,
     SuiteManifest,
@@ -257,6 +258,15 @@ def test_sweep_reports_pinned(monkeypatch):
     }
     got = {f: hashlib.sha256(render_reports(reports, f).encode()).hexdigest() for f in want}
     assert got == want
+
+
+@pytest.mark.parametrize("count", [0, 1, 600])
+def test_json_rendered_row_by_row_is_json_dumps(monkeypatch, count):
+    # the below-cutoff reports, failures included, repeated to count entries
+    reports = [r for *_, r in _below_cutoff_reports(monkeypatch)] if count else []
+    reports = (reports * (count // max(len(reports), 1) + 1))[:count]
+    want = json.dumps([_row(r) for r in reports], indent=2) + "\n"
+    assert render_reports(reports, "json") == want
 
 
 def test_comparison_is_the_mpf_form(monkeypatch):

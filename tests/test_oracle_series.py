@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
 from math import comb, factorial, prod
@@ -330,6 +331,92 @@ class TestFixedPointEngines:
         assert a.value == b.value
         with workdps(50):
             assert mp.nstr(a.value, 40) == mp.nstr(b.value, 40)
+
+
+class TestPrefixTable:
+    """Diagonal heads below N* are read from ``oracle._PREFIX``, the partial
+    sums shared by every call on the same atoms, origin and grid."""
+
+    CUTOFFS = [12, 37, 150, 500, 1500]
+    ORDERS = {
+        "ascending": CUTOFFS,
+        "descending": CUTOFFS[::-1],
+        "shuffled": [150, 12, 1500, 37, 500],
+    }
+
+    @pytest.fixture(autouse=True)
+    def empty_table(self):
+        oracle._PREFIX.clear()
+        yield
+        oracle._PREFIX.clear()
+
+    @staticmethod
+    def _heads(monkeypatch, spec, digits, cutoffs, method="diagonal"):
+        # the integers _diagonal's head returns, in call order
+        heads, read = [], oracle._prefix_sum
+
+        def recorded(*args):
+            heads.append(read(*args))
+            return heads[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_prefix_sum", recorded)
+            for n in cutoffs:
+                oracle._diagonal(spec, NumericCfg(digits=digits, n_max=n, method=method), method)
+        return heads
+
+    @pytest.mark.parametrize("text", DIAG_FAMILIES)
+    def test_heads_match_the_walk_in_any_order(self, text, monkeypatch):
+        # both precisions share the table, each order starts from an empty one
+        spec = parse_spec(text)
+        want = {}
+        for digits in (50, 120):
+            assert self.CUTOFFS[-1] < oracle.asymptotic_cutoff(spec, digits)
+            one = 1 << oracle._prec_bits(digits)
+            want[digits] = {n: oracle._regrouped_sum(spec, n, one) for n in self.CUTOFFS}
+        for order, cutoffs in self.ORDERS.items():
+            oracle._PREFIX.clear()
+            for digits in (50, 120):
+                got = self._heads(monkeypatch, spec, digits, cutoffs)
+                assert got == [want[digits][n] for n in cutoffs], (digits, order)
+
+    def test_one_index_raw_route_reads_the_table(self, monkeypatch):
+        spec = parse_spec("ln")
+        one = 1 << oracle._prec_bits(50)
+        got = self._heads(monkeypatch, spec, 50, [300, 40], method="raw")
+        assert got == [oracle._regrouped_sum(spec, n, one) for n in (300, 40)]
+        assert len(oracle._PREFIX) == 1
+
+    def test_key_is_the_atoms_not_the_spec(self, monkeypatch):
+        # a row whose atoms change is never served the old row's sums
+        spec, cfg = parse_spec("ln"), NumericCfg(digits=50, n_max=500)
+        before = oracle_diagonal(spec, cfg).value
+        terms, linear = FAMILIES["ln"].atoms()
+        mutated = ((3, terms[0][1]),) + terms[1:], linear
+        monkeypatch.setitem(FAMILIES, "ln", replace(FAMILIES["ln"], atoms=lambda: mutated))
+        after = oracle_diagonal(spec, cfg).value
+        one = 1 << oracle._prec_bits(50)
+        assert oracle._prefix_sum(spec, 500, one) == oracle._regrouped_sum(spec, 500, one)
+        oracle._PREFIX.clear()
+        assert after != before
+        assert after == oracle_diagonal(spec, cfg).value
+
+    def test_budget_bounds_the_stored_bytes(self, monkeypatch):
+        # a few KB hold about a hundred 50-digit sums: the table clears,
+        # refuses the longer prefixes, and every head is still the walk's
+        budget = 4096
+        monkeypatch.setattr(oracle, "_PREFIX_BUDGET", budget)
+        one = 1 << oracle._prec_bits(50)
+        stored = set()
+        for text in ("ln", "on", "S111", "halfint:b"):
+            spec = parse_spec(text)
+            # 145 sums pass the budget by a byte or so each, which a width of prec/8 misses
+            for n in (40, 90, 60, 130, 500, 145, 20, 100):
+                got = self._heads(monkeypatch, spec, 50, [n])
+                assert got == [oracle._regrouped_sum(spec, n, one)], (text, n)
+                assert sum(len(blob) for _, blob in oracle._PREFIX.values()) <= budget
+                stored |= set(oracle._PREFIX)
+        assert len(stored) == 4
 
 
 # every row with two or more indices; the fold engages where lead and last agree

@@ -32,14 +32,21 @@ _JOBS = [
         ("on", "diagonal", 200, 1e-8),
     )
 ] * 2
+# below N*, heads read from the shared prefix table, cutoffs asked out of order, each twice
+_JOBS += [
+    (parse_spec(text), NumericCfg(digits=digits, n_max=n, method="diagonal"), 1e-6)
+    for n in (700, 90, 1500, 300, 1100, 45)
+    for text, digits in (("ln", 60), ("A3:s=2", 60), ("halfint:a", 90))
+] * 2
 
 
 def _clear_caches() -> None:
-    # const_*, _node_table and every memoized piece of the expansion
+    # const_*, _node_table, the prefix table and every memoized piece of the expansion
     for module in (oracle, asymptotic):
         for f in vars(module).values():
             if hasattr(f, "cache_clear"):
                 f.cache_clear()
+    oracle._PREFIX.clear()
 
 
 def _batch(run_map) -> str:
