@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 from mpmath import mp
 from mpmath.libmp import dps_to_prec, from_float, mpf_abs, mpf_add, mpf_gt, mpf_le, mpf_pos
@@ -227,13 +228,22 @@ def _n_used(o: OracleResult):
     return o.n_used if o.n_used is not None else o.levels_used
 
 
+@lru_cache(maxsize=1024)
+def _closed_strings(closed: ZExpr, value: tuple) -> tuple[str, str, str]:
+    """The closed form's text and its value (a raw mpf) at 30 digits and in
+    the text report's 15-digit column: reports repeat a few closed forms."""
+    x = mp.make_mpf(value)
+    return closed.render(), _fmt(x, 30), _fmt(x, 15, 25, strip_zeros=True)
+
+
 def _row(report: EvalReport) -> dict:
     o = report.oracle
+    text, closed, _ = _closed_strings(report.closed_form, report.closed_numeric._mpf_)
     return {
         "spec": report.spec.token(),
         "params": report.spec.params_text(),
-        "closed_form_text": report.closed_form.render(),
-        "closed_numeric": _fmt(report.closed_numeric, 30),
+        "closed_form_text": text,
+        "closed_numeric": closed,
         "oracle_value": _fmt(o.value, 30),
         "oracle_method": o.method,
         "n_used": _n_used(o),
@@ -243,11 +253,26 @@ def _row(report: EvalReport) -> dict:
     }
 
 
+# ``_row``'s keys, in order, in json.dumps(row, indent=2) indented as a list element
+_JSON_ROW = "  {\n" + ",\n".join(f'    "{k}": %s' for k in (
+    "spec", "params", "closed_form_text", "closed_numeric", "oracle_value",
+    "oracle_method", "n_used", "abs_err", "tail_bound", "pass")) + "\n  }"
+
+
+def _json_row(row: dict) -> str:
+    """``_JSON_ROW`` of a ``_row``: json's tests in its order, strings by its C
+    encoder, which JSONEncoder(indent=2) leaves for a pure-Python one."""
+    return _JSON_ROW % tuple(
+        encode_basestring_ascii(v) if isinstance(v, str) else "null" if v is None
+        else "true" if v is True else "false" if v is False else int.__repr__(v)
+        for v in row.values()
+    )
+
+
 def render_reports(reports: list[EvalReport], format: str) -> str:
     """Serialized report batch; deterministic bytes for fixed inputs."""
-    if format == "json":  # json.dumps(rows, indent=2) row by row: escaped strings hold no newline
-        encode = json.JSONEncoder(indent=2).encode
-        rows = ",\n".join("  " + encode(_row(r)).replace("\n", "\n  ") for r in reports)
+    if format == "json":  # json.dumps(rows, indent=2), each row from the template
+        rows = ",\n".join(_json_row(_row(r)) for r in reports)
         return f"[\n{rows}\n]\n" if reports else "[]\n"
     if format == "csv":
         buf = io.StringIO()
@@ -269,9 +294,10 @@ def render_reports(reports: list[EvalReport], format: str) -> str:
 
         for r in reports:
             o = r.oracle
+            closed = _closed_strings(r.closed_form, r.closed_numeric._mpf_)[2]
             lines.append(
                 f"{r.spec.label():<18} {o.method:<10} {_n_used(o)!s:>8} "
-                f"{col(r.closed_numeric, 15):>22} {col(r.abs_err, 4):>12} "
+                f"{closed:>22} {col(r.abs_err, 4):>12} "
                 f"{col(o.tail_bound, 4):>12}  {status(r)}"
             )
         lines.append(f"{sum(r.passed for r in reports)}/{len(reports)} identities verified")

@@ -9,6 +9,7 @@ from mpmath import mp, workdps
 import tornzeta.oracle as oracle_mod
 from tornzeta.harness import (
     _fmt,
+    _json_row,
     _row,
     PRESETS,
     SuiteEntry,
@@ -267,6 +268,36 @@ def test_json_rendered_row_by_row_is_json_dumps(monkeypatch, count):
     reports = (reports * (count // max(len(reports), 1) + 1))[:count]
     want = json.dumps([_row(r) for r in reports], indent=2) + "\n"
     assert render_reports(reports, "json") == want
+
+
+def test_json_row_writer_is_json_dumps():
+    # hand-built rows: no cutoff, a failure, negative and exponent-form
+    # numbers, and strings json must escape
+    keys = ("spec", "params", "closed_form_text", "closed_numeric", "oracle_value",
+            "oracle_method", "n_used", "abs_err", "tail_bound", "pass")
+    rows = [
+        ("A3", "s=0", "6*z4", "6.49393940226682914909602217926", "6.49e+0", "quadrature", None,
+         "0.0", "0.0", True),
+        ("ln", "", "4 - 2*ln2 - z2", "-1.0e-25", "-2.5e+300", "diagonal", -17,
+         "1.2e-30", "7.0e-6", False),
+        ('q"b\\s\u00e9\u2603', "n=2,s=2", "-1/2*z2", "-0.1", "1e5", "raw\ttab\nline", 10**40,
+         "-3.0e-7", "9.99e+99", False),
+    ]
+    for values in rows:
+        row = dict(zip(keys, values))
+        assert _json_row(row) == "  " + json.dumps(row, indent=2).replace("\n", "\n  ")
+
+
+def test_parallel_renders_are_the_serial_bytes():
+    # every format, and closed forms pickled back from spawned workers hash
+    # as the local ones do (a str hash is salted per process)
+    man = smoke_manifest()
+    serial, parallel = list(iter_suite(man)), list(iter_suite(man, parallel=True))
+    for fmt in ("json", "csv", "text"):
+        assert render_reports(parallel, fmt) == render_reports(serial, fmt), fmt
+    for child, local in zip(parallel, serial):
+        assert hash(child.closed_form) == hash(local.closed_form)
+        assert len({child.closed_form, local.closed_form}) == 1
 
 
 def test_comparison_is_the_mpf_form(monkeypatch):

@@ -380,6 +380,26 @@ class TestPrefixTable:
                 got = self._heads(monkeypatch, spec, digits, cutoffs)
                 assert got == [want[digits][n] for n in cutoffs], (digits, order)
 
+    @pytest.mark.parametrize("text", DIAG_FAMILIES)
+    def test_each_term_is_walked_once(self, text, monkeypatch):
+        # a cutoff past the stored prefix resumes the row's walk where the
+        # last one stopped; a cleared table walks again from origin
+        spec, cutoffs = parse_spec(text), self.ORDERS["shuffled"]
+        one = 1 << oracle._prec_bits(50)
+        want = [oracle._regrouped_sum(spec, n, one) for n in cutoffs]
+        pulled, walk = [], oracle._regrouped_terms
+
+        def counted(*args):
+            for term in walk(*args):
+                pulled.append(None)
+                yield term
+
+        monkeypatch.setattr(oracle, "_regrouped_terms", counted)
+        for rounds in (1, 2):
+            assert self._heads(monkeypatch, spec, 50, cutoffs) == want, rounds
+            assert len(pulled) == rounds * (max(cutoffs) - spec.family.origin + 1)
+            oracle._PREFIX.clear()
+
     def test_one_index_raw_route_reads_the_table(self, monkeypatch):
         spec = parse_spec("ln")
         one = 1 << oracle._prec_bits(50)

@@ -82,6 +82,26 @@ def test_threads_leave_no_stale_cache(serial):
     assert _batch(map) == serial
 
 
+def test_threads_extend_one_row_at_once():
+    # eight threads walk one row's cutoffs upwards together, so most calls
+    # extend a blob another thread just stored; the bare clear before the
+    # second round leaves each stored walk past the empty table's end
+    spec, one = parse_spec("halfint:b"), 1 << oracle._prec_bits(60)
+    cutoffs = range(15, 1600, 53)
+    want = [oracle._regrouped_sum(spec, n, one) for n in cutoffs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(2):
+            oracle._PREFIX.clear()
+            with ThreadPoolExecutor(8) as pool:
+                futures = [pool.submit(lambda: [oracle._prefix_sum(spec, n, one) for n in cutoffs])
+                           for _ in range(8)]
+                assert [f.result(timeout=300) for f in futures] == [want] * 8
+    finally:
+        sys.setswitchinterval(interval)
+
+
 @pytest.mark.parametrize(
     "module", sorted(p.name for p in Path(tornzeta.__file__).parent.glob("*.py"))
 )
