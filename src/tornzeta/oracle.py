@@ -26,10 +26,10 @@ raw box, ``_RAW_TERM_CAP`` = 25*10^6 terms, stays within about 1.5e-62 of
 the true partial sum at 50 digits, far beneath every tolerance used here.
 
 Every numeric routine takes its precision as an argument, or derives it
-from ``digits``, and works on raw libmp tuples: it makes the libmp calls
-the mpf operators make, rounding to nearest, so it gives the bits of the
-mpf form, and it never reads or sets mpmath's process-global precision.
-Results are wrapped as mpf with ``mp.make_mpf``.
+from ``digits``, and works on raw libmp tuples or (the quadrature integrand)
+integer mantissas: it rounds to nearest as the mpf operators do, so it gives
+the bits of the mpf form, and never reads or sets mpmath's process-global
+precision.  Results are wrapped as mpf with ``mp.make_mpf``.
 """
 
 from __future__ import annotations
@@ -670,11 +670,49 @@ def _log1p(e: tuple, prec: int) -> tuple:
     return mpf_pos(r, prec, rnd)
 
 
+def _round(man: int, exp: int, prec: int) -> tuple[int, int]:
+    """libmp's normalize of positive man 2^exp at round_nearest: ties to even, zeros stripped."""
+    n = man.bit_length() - prec
+    if n > 0:
+        t = man >> (n - 1)
+        man = (t >> 1) + 1 if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)) else t >> 1
+        exp += n
+    if not man & 1:
+        n = (man & -man).bit_length() - 1
+        man, exp = man >> n, exp + n
+    return man, exp
+
+
+def _add(m1: int, e1: int, m2: int, e2: int, prec: int) -> tuple[int, int]:
+    """The positive sum correctly rounded: mpf_add's bits for terms of <= prec bits."""
+    return _round((m1 << (e1 - e2)) + m2, e2, prec) if e1 >= e2 else _add(m2, e2, m1, e1, prec)
+
+
+def _pow(man: int, exp: int, k: int, prec: int) -> tuple[int, int]:
+    """mpf_pow_int's (man 2^exp)^k, not correctly rounded: exact then rounded when
+    k <= 2 or bc k < 1000, else binary powering truncated to prec + 4 bitlen(k) + 4."""
+    if man == 1 or k <= 2 or man.bit_length() * k < 1000:
+        return _round(man**k, exp * k, prec)
+    wp, pm, pe = prec + 4 * k.bit_length() + 4, 1, 0
+    while True:
+        if k & 1:
+            pm, pe, k = pm * man, pe + exp, k - 1
+            n = pm.bit_length() - wp
+            if n > 0:
+                pm, pe = pm >> n, pe + n
+            if not k:
+                return _round(pm, pe, prec)
+        man, exp, k = man * man, exp + exp, k >> 1
+        n = man.bit_length() - wp
+        if n > 0:
+            man, exp = man >> n, exp + n
+
+
 def _level_nodes(digits: int, level: int):
     """(weight, t, 1-t, -ln t, -ln(1-t)) as raw mpf tuples at the nodes
-    u = j*h, h = 2^-level, of one tanh-sinh level, u <= u_max, at the
-    digits + 15.  t = (1 + tanh w)/2, w = (pi/2) sinh u, and
-    the weight is (pi/2) cosh u without its factor h.
+    u = j*h, h = 2^-level, of one tanh-sinh level, u <= u_max, at
+    dps_to_prec(digits + 15) bits.  t = (1 + tanh w)/2, w = (pi/2) sinh u,
+    and the weight is (pi/2) cosh u without its factor h.
 
     j steps by 1 at level 0 and over the odd j after it, so e^u advances by
     one multiplication with exp(stride*h) and sinh u, cosh u follow from e^u
@@ -730,33 +768,58 @@ def _node_rows(digits: int, level: int):
     return zip(vals, vals, vals, vals, vals)
 
 
+def _level_sum(digits: int, level: int, n: int, s: int) -> tuple:
+    """One level's folded +-u terms at dps_to_prec(digits + 15) bits, a raw tuple:
+    acc += weight (a + b) over the nodes u > 0, a = t (1-t)^s (-ln t)^n and
+    b = (1-t) t^s (-ln(1-t))^n, rounded step for step as mpf_pow_int, mpf_mul and
+    mpf_add round them.  A node value has x < 2^M(x), M(x) = exp + bc, and rounding
+    never passes the power of two above the exact value (truncation only lowers
+    it), so a <= 2^A, A = M(t) + s M(1-t) + n M(-ln t), b <= 2^B likewise, and the
+    term <= 2^(M(weight) + max(A, B) + 1); the tests keep a bit per rounded
+    operation, A + 4 and M(weight) + max(A, B) + 6.  A positive x below half an ulp
+    of y, 2^(M(y) - prec - 1), leaves y + x rounding to y, so a node whose term is
+    below half an ulp of acc is skipped and an a below half an ulp of b is not made.
+    """
+    am, ae, prec, rows = 0, 0, dps_to_prec(digits + 15), _node_rows(digits, level)
+    for (_, wm, we, wb), (_, tm, te, tb), (_, om, oe, ob), (_, lm, le, lb), (_, qm, qe, qb) in rows:
+        big_a = te + tb + s * (oe + ob) + n * (le + lb)
+        big_b = oe + ob + s * (te + tb) + n * (qe + qb)
+        if am and we + wb + (big_a if big_a > big_b else big_b) + 6 <= ae + am.bit_length() - prec - 1:
+            continue
+        (m, e), (pm, pe) = _pow(tm, te, s, prec), _pow(qm, qe, n, prec)
+        m, e = _round(om * m, oe + e, prec)
+        bm, be = _round(m * pm, e + pe, prec)
+        if big_a + 4 > be + bm.bit_length() - prec - 1:
+            (m, e), (pm, pe) = _pow(om, oe, s, prec), _pow(lm, le, n, prec)
+            m, e = _round(tm * m, te + e, prec)
+            bm, be = _add(bm, be, *_round(m * pm, e + pe, prec), prec)
+        m, e = _round(wm * bm, we + be, prec)
+        am, ae = _add(am, ae, m, e, prec) if am else (m, e)
+    return (0, am, ae, am.bit_length())
+
+
 def oracle_quadrature(spec: SeriesSpec, cfg: NumericCfg) -> OracleResult:
     """Tanh-sinh integration of the A-family integral representation.
 
     A_n(s) = (-1)^n Int_0^1 (1-t)^(s-1) ln(t)^n dt.  The substitution
     t = (1 + tanh((pi/2) sinh u))/2 sends both endpoints to double-
-    exponentially decaying tails, and 1-t is available without
-    cancellation as the mirrored node, so the s-1 power and the log are
-    both evaluated stably (``_level_nodes``, the E = exp(-2w) form).
-    Levels halve the step and reuse prior nodes; the level-to-level
-    difference is the reported error estimate.
-
-    Within a level the nodes are u = j*h and e^u advances by one
-    multiplication.  Each multiplication adds at most an ulp of relative
-    drift to e^u.  A level takes about u_max*2^(L-1) steps, under 2^11 for
-    the levels that 300 digits need and under 2^18 even at level 16,
-    against the 15 guard digits (about 50 bits) of the working precision.
+    exponentially decaying tails, and 1-t is available without cancellation
+    as the mirrored node (``_level_nodes``, the E = exp(-2w) form).  Levels
+    halve the step and reuse prior nodes; the level-to-level difference is
+    the reported error estimate.  Within a level e^u advances by one
+    multiplication, each adding at most an ulp of relative drift: under 2^11
+    steps for the levels 300 digits need and 2^18 at level 16, against the
+    15 guard digits (about 50 bits) of the working precision.
 
     A node's weight, t, 1-t, -ln t and -ln(1-t) depend on (digits, level)
-    alone, never on n or s, so levels 0 through 10 (the default
-    quad_levels) take all five from a table shared by every call at that
-    precision (``_node_table``, an LRU of 4 precisions x 11 levels, each
-    level one blob of mantissas: 1.83 MB for 100, 200 and 300 digits
-    through levels 6, 7 and 8, 9.2 MB for 1000 digits through level 9 and
-    18.3 MB through level 10).  Deeper levels compute them as they go and
-    keep nothing.  A node costs one exp and one ``_log1p``: levels 0-9 at
-    1000 digits take about 7 s cold.  A call only evaluates the integrand on
-    them, so a warm table gives the same bits as a cold one.
+    alone, so levels 0 through 10 (the default quad_levels) read them from a
+    table shared by every call at that precision (``_node_table``, an LRU of
+    4 precisions x 11 levels: 1.83 MB for 100, 200 and 300 digits through
+    levels 6, 7 and 8, 9.2 MB for 1000 digits through level 9, 18.3 MB
+    through level 10); deeper levels compute them as they go and keep
+    nothing.  A node costs one exp and one ``_log1p``: levels 0-9 at 1000
+    digits take about 7 s cold.  ``_level_sum`` only evaluates the integrand
+    on them, so a warm table gives the same bits as a cold one.
     """
     if not spec.family.quadrature:
         raise ValueError(f"quadrature covers the A-family only, not {spec}")
@@ -765,30 +828,17 @@ def oracle_quadrature(spec: SeriesSpec, cfg: NumericCfg) -> OracleResult:
     prec, rnd = dps_to_prec(cfg.digits + 15), round_nearest
     target = mpf_pow_int(from_int(10), -(cfg.digits + 5), prec, rnd)
 
-    def level_sum(level):
-        # folded +-u contributions over the level's nodes u > 0 (t and
-        # 1-t swap under u -> -u): acc += weight * (t (1-t)^s (-ln t)^n
-        # + (1-t) t^s (-ln(1-t))^n)
-        acc = fzero
-        for wt, t, omt, lt, lo in _node_rows(cfg.digits, level):
-            a = mpf_mul(t, mpf_pow_int(omt, s, prec, rnd), prec, rnd)
-            a = mpf_mul(a, mpf_pow_int(lt, n, prec, rnd), prec, rnd)
-            b = mpf_mul(omt, mpf_pow_int(t, s, prec, rnd), prec, rnd)
-            b = mpf_mul(b, mpf_pow_int(lo, n, prec, rnd), prec, rnd)
-            acc = mpf_add(acc, mpf_mul(wt, mpf_add(a, b, prec, rnd), prec, rnd), prec, rnd)
-        return acc
-
     # the u = 0 node, pi (1/2)^(s+1) ln(2)^n, and h = 1
     total = mpf_mul(mpf_pi(prec, rnd), mpf_pow_int((0, 1, -1, 1), s + 1, prec, rnd), prec, rnd)
     total = mpf_mul(total, mpf_pow_int(mpf_log(from_int(2), prec, rnd), n, prec, rnd), prec, rnd)
     h = fone
-    value = mpf_mul(h, mpf_add(total, level_sum(0), prec, rnd), prec, rnd)
+    value = mpf_mul(h, mpf_add(total, _level_sum(cfg.digits, 0, n, s), prec, rnd), prec, rnd)
     estimates: list = []
     converged = False
     for level in range(1, cfg.quad_levels + 1):
-        # value/2 + h level_sum, converged once |new - value| <= target max(1, |new|)
+        # value/2 + h _level_sum, converged once |new - value| <= target max(1, |new|)
         h = mpf_div(h, from_int(2), prec, rnd)
-        new = mpf_mul(h, level_sum(level), prec, rnd)
+        new = mpf_mul(h, _level_sum(cfg.digits, level, n, s), prec, rnd)
         new = mpf_add(mpf_div(value, from_int(2), prec, rnd), new, prec, rnd)
         est = mpf_abs(mpf_sub(new, value, prec, rnd), prec, rnd)
         estimates.append(mp.make_mpf(est))

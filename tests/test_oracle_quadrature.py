@@ -6,7 +6,9 @@ from itertools import islice
 import pytest
 from hypothesis import example, given, strategies as st
 from mpmath import mp, workdps
+from mpmath.libmp import dps_to_prec, fzero, mpf_add, mpf_mul, mpf_pow_int, round_nearest
 
+from tornzeta import oracle
 from tornzeta.closedform import closed_form_of
 from tornzeta.harness import paper_full_manifest
 from tornzeta.oracle import (
@@ -15,10 +17,14 @@ from tornzeta.oracle import (
     _TABLE_PRECISIONS,
     NumericCfg,
     OracleError,
+    _add,
     _level_nodes,
+    _level_sum,
     _log1p,
     _node_rows,
     _node_table,
+    _pow,
+    _round,
     oracle_quadrature,
     zx_numeric,
 )
@@ -256,3 +262,125 @@ def test_quadrature_bits_pinned():
         digest.update(f"{spec}|{cfg.digits}|{_bits(oracle_quadrature(spec, cfg))}\n".encode())
     assert len(cases) == 20
     assert digest.hexdigest() == "b6c2d2df177115bb21d3cba5be62f7a5637dff5c9e36b562c519463e58c0a24d"
+
+
+def _mpf_level_sum(rows, digits: int, n: int, s: int):
+    """The integrand loop that ``_level_sum`` replaces: mpf_pow_int, mpf_mul
+    and mpf_add on the rows' raw tuples, rounding to nearest."""
+    prec, rnd = dps_to_prec(digits + 15), round_nearest
+    acc = fzero
+    for wt, t, omt, lt, lo in rows:
+        a = mpf_mul(t, mpf_pow_int(omt, s, prec, rnd), prec, rnd)
+        a = mpf_mul(a, mpf_pow_int(lt, n, prec, rnd), prec, rnd)
+        b = mpf_mul(omt, mpf_pow_int(t, s, prec, rnd), prec, rnd)
+        b = mpf_mul(b, mpf_pow_int(lo, n, prec, rnd), prec, rnd)
+        acc = mpf_add(acc, mpf_mul(wt, mpf_add(a, b, prec, rnd), prec, rnd), prec, rnd)
+    return acc
+
+
+LEVEL_SUM_SPECS = HIPREC_SPECS + ["An:n=2,s=6", "An:n=6,s=1", "An:n=12,s=0", "An:n=40,s=0", "An:n=7,s=20"]
+
+
+class TestLevelSumBits:
+    @staticmethod
+    def _paths(monkeypatch, digits, level, n, s):
+        """``_level_sum``'s value and its ``_pow`` calls at each node: 0 where the
+        node is skipped, 2 where a is, 4 where neither is."""
+        calls, per_node = [0], []
+        pow_, rows = oracle._pow, oracle._node_rows
+
+        def counted_pow(*args):
+            calls[0] += 1
+            return pow_(*args)
+
+        def counted_rows(*args):
+            for row in rows(*args):
+                before = calls[0]
+                yield row
+                per_node.append(calls[0] - before)
+
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_pow", counted_pow)
+            m.setattr(oracle, "_node_rows", counted_rows)
+            return _level_sum(digits, level, n, s), per_node
+
+    # every level each precision converges through (levels 0-4 of the 9 that
+    # 1000 digits uses, to keep the test short)
+    @pytest.mark.parametrize(
+        "digits,levels", [(30, 5), (50, 6), (100, 7), (200, 7), (300, 8), (1000, 4)]
+    )
+    def test_level_sums_are_the_mpf_loop(self, monkeypatch, digits, levels):
+        paths = set()
+        for text in LEVEL_SUM_SPECS:
+            n, s = parse_spec(text).args
+            for level in range(levels + 1):
+                got, per_node = self._paths(monkeypatch, digits, level, n, s)
+                want = _mpf_level_sum(_node_rows(digits, level), digits, n, s)
+                assert got == want, (text, digits, level)
+                paths.update(per_node)
+        # nodes skipped whole, nodes whose a is skipped, and nodes summed whole
+        assert paths == {0, 2, 4}
+
+    def test_streamed_level_is_the_mpf_loop(self, monkeypatch):
+        # past _TABLE_LEVELS _node_rows streams _level_nodes' tuples, bit counts
+        # and all; the level's rows are computed once here and streamed again
+        level = _TABLE_LEVELS + 1
+        rows = list(_level_nodes(30, level))
+        monkeypatch.setattr(oracle, "_level_nodes", lambda digits, lv: iter(rows))
+        for text in LEVEL_SUM_SPECS:
+            n, s = parse_spec(text).args
+            assert _level_sum(30, level, n, s) == _mpf_level_sum(rows, 30, n, s), text
+
+
+@st.composite
+def _operands(draw):
+    # (prec, x, y, gap, k): prec is the quadrature's at 30-1000 digits, x and y
+    # positive with odd mantissas of 1..prec bits (so bc k falls on both sides of
+    # mpf_pow_int's 1000), y's exponent gap below x from 0 to 3 prec (past 100 and
+    # past prec + 4, mpf_add's perturbation shortcut)
+    prec = dps_to_prec(draw(st.integers(30, 1000)) + 15)
+
+    def value():
+        bits = draw(st.integers(1, prec))
+        man = draw(st.integers(1 << (bits - 1), (1 << bits) - 1)) | 1
+        return man, draw(st.integers(-5000, 5000))
+
+    return prec, value(), value(), draw(st.integers(0, 3 * prec)), draw(st.integers(0, 60))
+
+
+def _raw(man, exp):
+    return (0, man, exp, man.bit_length())
+
+
+class TestIntegerHelpers:
+    # ties at 153 bits (30 digits): 2^152 + 3 times 3 and 2^152 + 1 times 3
+    # leave one dropped bit, a half, with the kept bit even and odd; 2^153 + 1
+    # and 2^153 + 3 as sums do the same
+    @given(_operands())
+    @example((153, ((1 << 152) + 3, 0), (3, 0), 0, 0))
+    @example((153, ((1 << 152) + 1, 0), (3, 0), 0, 0))
+    def test_round_is_mpf_mul(self, args):
+        prec, (m1, e1), (m2, e2), _, _ = args
+        want = mpf_mul(_raw(m1, e1), _raw(m2, e2), prec, round_nearest)
+        assert _raw(*_round(m1 * m2, e1 + e2, prec)) == want
+
+    @given(_operands())
+    @example((153, (1, 153), (1, 0), 153, 0))
+    @example((153, ((1 << 152) + 1, 1), (1, 0), 153, 0))
+    def test_add_is_mpf_add(self, args):
+        prec, (m1, e1), (m2, _), gap, _ = args
+        e2 = e1 + m1.bit_length() - m2.bit_length() - gap
+        want = mpf_add(_raw(m1, e1), _raw(m2, e2), prec, round_nearest)
+        assert _raw(*_add(m1, e1, m2, e2, prec)) == want
+        assert _raw(*_add(m2, e2, m1, e1, prec)) == want
+
+    @given(_operands())
+    @example((3375, ((1 << 3374) + 1, -3374), (1, 0), 0, 60))  # binary powering at 1000 digits
+    @example((153, (5, 0), (1, 0), 0, 2))  # 25: the square path
+    # binary powering, 153 bits to the 7th and the 60th: powers that round the
+    # other way if the working precision is 4 bits short
+    @example((153, (0x1C1AD8EF6F62C28E927DB486F62E63A1A5356B5, 0), (1, 0), 0, 7))
+    @example((153, (0x14BA9A641F28DE327560B401CE5B0709B6E5DCD, 0), (1, 0), 0, 60))
+    def test_pow_is_mpf_pow_int(self, args):
+        prec, (m, e), _, _, k = args
+        assert _raw(*_pow(m, e, k, prec)) == mpf_pow_int(_raw(m, e), k, prec, round_nearest)
