@@ -38,8 +38,8 @@ def _add_numeric_opts(p: argparse.ArgumentParser) -> None:
         type=int,
         default=NumericCfg.n_max,
         help="most terms a series sums (default %(default)s); the diagonal route stops at N* "
-        "(oracle.asymptotic_cutoff), the raw route at N_raw (oracle.raw_cutoff); each expands "
-        "the rest",
+        "(oracle.asymptotic_cutoff) and expands the rest, the raw route sums the box of this "
+        "side and bounds the rest",
     )
     p.add_argument(
         "--quad-levels",

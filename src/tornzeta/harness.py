@@ -158,10 +158,10 @@ def paper_full_manifest(digits: int = NumericCfg.digits) -> SuiteManifest:
         _entry("halfint:a", "diagonal", 1e-6, digits),
         _entry("halfint:b", "diagonal", 1e-6, digits),
         _entry("halfint:c", "diagonal", 1e-6, digits),
-        # defining double sums: up to 200 digits n_max reaches N_raw (``oracle.raw_cutoff``),
-        # so each sums the simplex to N_raw plus the certified tail; past that n_max is the box
-        _entry("S111", "raw", 1e-6, digits, n_max=1500),
-        _entry("halfint:c", "raw", 1e-6, digits, n_max=1000),
+        # quadrature on integrals derived from the defining double sums, a route that
+        # shares no code with the diagonal entries' atoms and asymptotic tails
+        _entry("S111", "quadrature", 1e-10, digits),
+        _entry("aXL:k=3", "quadrature", 1e-10, digits),
     )
     return SuiteManifest(entries)
 

@@ -3,19 +3,18 @@
 Three independent routes produce high-precision numeric values for each
 catalog series:
 
-* ``oracle_raw`` sums the defining multi-index form: once ``n_max``
-  reaches N_raw (``raw_cutoff``) over the simplex of index totals <= N_raw,
-  plus the diagonal route's certified tail; below N_raw over the box
-  [origin..n_max]^d.  A one-index series is its own regrouping, so its raw
-  route is the diagonal route;
+* ``oracle_raw`` sums the defining multi-index form over the box
+  [origin..n_max]^d and bounds the rest by the ``tail_estimate`` majorant,
+  a low-precision check of the summand.  A one-index series is its own
+  regrouping, so its raw route is the diagonal route;
 * ``oracle_diagonal`` sums the single-index regrouped form (indices
   grouped by their total), walking the row's harmonic atoms as running
   prefix sums.  Once ``n_max`` reaches the cutoff N* (``asymptotic_cutoff``)
   it sums N* terms and adds the certified asymptotic tail of
   ``asymptotic.py``; below N* it sums n_max terms and bounds the rest by
   the ``tail_estimate`` majorant;
-* ``oracle_quadrature`` integrates the log-power integral representation
-  of the A-family with tanh-sinh nodes.
+* ``oracle_quadrature`` integrates with tanh-sinh nodes the log-power
+  integral A_n(s) that a row's defining sum equals (``Family.integral``).
 
 Series accumulation uses scaled integer (fixed-point) arithmetic: every
 term is floored onto a 2^prec grid and added exactly, so a run is
@@ -65,8 +64,6 @@ _GUARD_BITS = 64
 _TAIL_GUARD_BITS = 32
 # a raw box of cutoff N over d indices sums N^d terms; refuse a runaway box
 _RAW_TERM_CAP = 5000**2
-# the most folded tuples (about N^d / d!^2) a raw simplex sums; past it the box stays
-_RAW_TUPLE_BUDGET = 2**16
 
 
 METHODS = ("raw", "diagonal", "quadrature")  # one per ``oracle_for`` branch
@@ -77,9 +74,9 @@ class NumericCfg:
     """Oracle configuration; the defaults are 50 digits, n_max 10^6, 10 levels, diagonal.
 
     digits: working precision (>= 30); n_max: the most terms a series route
-    sums (>= 10), a ceiling: the diagonal route stops at N* (``asymptotic_cutoff``),
-    the raw route at N_raw (``raw_cutoff``), else in a box of at most ``_RAW_TERM_CAP``
-    terms; quad_levels: max tanh-sinh halvings (3..16); method: one of ``METHODS``.
+    sums (>= 10): the diagonal route stops at N* (``asymptotic_cutoff``), and the raw
+    route sums the box of side n_max, of at most ``_RAW_TERM_CAP`` terms;
+    quad_levels: max tanh-sinh halvings (3..16); method: one of ``METHODS``.
     """
 
     digits: int = 50
@@ -340,8 +337,8 @@ def _prefix_sum(spec: SeriesSpec, n_max: int, one: int) -> int:
 # the defining multi-index form
 #
 # A row's ``summand`` is num / (lead(m_1) ... lead(m_{d-1}) last(m_d) total(g))
-# with g = m_1 + ... + m_d.  The fixed-point raw box or simplex and the
-# exact triangle and box partials all walk the same tables, built once per
+# with g = m_1 + ... + m_d.  The fixed-point raw box and the exact
+# triangle and box partials all walk the same tables, built once per
 # call: the factors of each index value and of each total, and the (product,
 # total) of every prefix m_1..m_{d-1}; the last index is one pass along them.
 # Where lead and last agree the summand is symmetric (num and total depend
@@ -523,48 +520,22 @@ def tail_estimate(spec: SeriesSpec, n_cut: int):
 
 
 def oracle_raw(spec: SeriesSpec, cfg: NumericCfg) -> OracleResult:
-    """The defining form from the row's ``summand``: once cfg.n_max reaches N_raw =
-    ``raw_cutoff``, over index totals <= N_raw plus the diagonal route's certified tail
-    from the row's ``atoms`` (an error in the atoms over the head's range shows in the
-    exact diagonal == triangle check, one inside ``asymptotic.py`` hits both routes);
-    else over the box [origin..N]^d, N = cfg.n_max, of at most ``_RAW_TERM_CAP`` terms,
-    with the ``tail_estimate`` majorant.  A one-index series is its own regrouping: the
-    diagonal route."""
+    """The defining form from the row's ``summand`` over the box [origin..N]^d,
+    N = cfg.n_max, of at most ``_RAW_TERM_CAP`` terms, plus the ``tail_estimate``
+    majorant: a low-precision check of the summand, sharing no code with ``atoms``.
+    A one-index series is its own regrouping: the diagonal route."""
     dims = spec.family.dims(*spec.args)
     if dims == 1:
         return _diagonal(spec, cfg, "raw")
-    n_raw = raw_cutoff(spec, cfg.digits)
-    if n_raw is None or cfg.n_max < n_raw:
-        if cfg.n_max**dims > _RAW_TERM_CAP:
-            widest = math.isqrt(_RAW_TERM_CAP)  # the largest n_max whose box fits the cap
-            while widest**dims > _RAW_TERM_CAP:
-                widest -= 1
-            raise ValueError(
-                f"raw box {cfg.n_max}^{dims} is out of reach: past raw_cutoff's digits, or for "
-                f"a row without atoms, the raw route sums a box, and its cap of {_RAW_TERM_CAP} "
-                f"terms admits n_max <= {widest} for {dims} indices (else use diagonal)"
-            )
-        return _series(spec, cfg, "raw", lambda n, one: _defining_sum(spec, n, dims * n, one))
-    # a folded tuple's term floors once (An's H numerators once more) and its
-    # orderings share it: the head errs by under 3 ulps per ordered tuple
-    ordered = math.comb(n_raw - dims * spec.family.origin + dims, dims)
-    return _series(spec, cfg, "raw", lambda n, one: _defining_sum(spec, n, n, one), n_raw, ordered)
-
-
-def raw_cutoff(spec: SeriesSpec, digits: int) -> int | None:
-    """N_raw: the index total through which the raw route sums the defining
-    form before the asymptotic tail takes over: 256 for two indices and 128
-    for more, doubled while below that times digits/100 or 64 (shift + 1),
-    which keeps the expansion's order near digits/2; None (the box stays)
-    for a row without atoms or past ``_RAW_TUPLE_BUDGET``."""
-    fam, args = spec.family, spec.args
-    if fam.atoms is None:
-        return None
-    dims, shift = fam.dims(*args), fam.shift(*args)
-    base = n = 256 if dims == 2 else 128
-    while 100 * n < base * digits or n < 64 * (shift + 1):
-        n *= 2
-    return n if n**dims // math.factorial(dims) ** 2 <= _RAW_TUPLE_BUDGET else None
+    if cfg.n_max**dims > _RAW_TERM_CAP:
+        widest = math.isqrt(_RAW_TERM_CAP)  # the largest n_max whose box fits the cap
+        while widest**dims > _RAW_TERM_CAP:
+            widest -= 1
+        raise ValueError(
+            f"raw box {cfg.n_max}^{dims} is out of reach: its cap of {_RAW_TERM_CAP} terms "
+            f"admits n_max <= {widest} for {dims} indices (else use diagonal)"
+        )
+    return _series(spec, cfg, "raw", lambda n, one: _defining_sum(spec, n, dims * n, one))
 
 
 def asymptotic_cutoff(spec: SeriesSpec, digits: int) -> int:
@@ -597,15 +568,15 @@ def _diagonal(spec: SeriesSpec, cfg: NumericCfg, method: str) -> OracleResult:
     n_star = asymptotic_cutoff(spec, cfg.digits)
     below = cfg.n_max < n_star
     head = partial(_prefix_sum if below else _regrouped_sum, spec)
-    return _series(spec, cfg, method, head, None if below else n_star, n_star)
+    return _series(spec, cfg, method, head, None if below else n_star)
 
 
-def _series(spec: SeriesSpec, cfg: NumericCfg, method: str, head, cutoff=None, allowance=0):
+def _series(spec: SeriesSpec, cfg: NumericCfg, method: str, head, cutoff=None):
     """head(n, one), a fixed-point engine's sum through n on the grid ONE, plus
     the tail past n: without a cutoff n = cfg.n_max and ``tail_estimate``
     bounds the tail; at one, n = cutoff on a grid _TAIL_GUARD_BITS finer, the
     certified asymptotic tail is added and ``tail_bound`` gives each of the
-    ``allowance`` summed terms 2^_TAIL_GUARD_BITS ulps, far more than one takes.
+    n summed terms 2^_TAIL_GUARD_BITS ulps, far more than one takes.
     A bound that leaves fewer than digits - 5 digits of the value raises OracleError."""
     t0 = time.perf_counter()
     if cutoff is None:
@@ -622,7 +593,7 @@ def _series(spec: SeriesSpec, cfg: NumericCfg, method: str, head, cutoff=None, a
         n, prec = cutoff, _prec_bits(cfg.digits) + _TAIL_GUARD_BITS
         acc = head(n, 1 << prec)
         tail, bound = asymptotic.tail(spec, n, cfg.digits, prec)
-        bound += allowance << _TAIL_GUARD_BITS
+        bound += n << _TAIL_GUARD_BITS
         value = from_man_exp(acc + tail, -prec, prec + 64, round_nearest)
         # padded so that rounding the integer to 64 bits cannot lower it
         tail_bound = mp.make_mpf(from_man_exp(bound + (bound >> 40) + 1, -prec, 64, round_nearest))
@@ -799,10 +770,10 @@ def _level_sum(digits: int, level: int, n: int, s: int) -> tuple:
 
 
 def oracle_quadrature(spec: SeriesSpec, cfg: NumericCfg) -> OracleResult:
-    """Tanh-sinh integration of the A-family integral representation.
+    """Tanh-sinh integration of the integral that the row's defining sum equals.
 
-    A_n(s) = (-1)^n Int_0^1 (1-t)^(s-1) ln(t)^n dt.  The substitution
-    t = (1 + tanh((pi/2) sinh u))/2 sends both endpoints to double-
+    A_n(s) = (-1)^n Int_0^1 (1-t)^(s-1) ln(t)^n dt, (n, s) = ``Family.integral``.
+    The substitution t = (1 + tanh((pi/2) sinh u))/2 sends both endpoints to double-
     exponentially decaying tails, and 1-t is available without cancellation
     as the mirrored node (``_level_nodes``, the E = exp(-2w) form).  Levels
     halve the step and reuse prior nodes; the level-to-level difference is
@@ -821,9 +792,9 @@ def oracle_quadrature(spec: SeriesSpec, cfg: NumericCfg) -> OracleResult:
     digits take about 7 s cold.  ``_level_sum`` only evaluates the integrand
     on them, so a warm table gives the same bits as a cold one.
     """
-    if not spec.family.quadrature:
-        raise ValueError(f"quadrature covers the A-family only, not {spec}")
-    n, s = spec.args
+    if spec.family.integral is None:
+        raise ValueError(f"quadrature needs the row's integral A_n(s), and {spec} has none")
+    n, s = spec.family.integral(*spec.args)
     t0 = time.perf_counter()
     prec, rnd = dps_to_prec(cfg.digits + 15), round_nearest
     target = mpf_pow_int(from_int(10), -(cfg.digits + 5), prec, rnd)

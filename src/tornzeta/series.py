@@ -8,7 +8,7 @@ command line and echoed in reports, e.g. ``A3:s=2``, ``An:n=4,s=0``,
 
 Everything the package knows about a family lives in its row of
 ``FAMILIES``: the parameter schema, the closed form, the defining summand,
-the regrouped term as harmonic atoms, and the tail majorant.  A fixed
+the regrouped term as harmonic atoms, the tail majorant and the integral.  A fixed
 closed form is written in its row; the A family's, which take an
 algorithm, come from ``closedform``.  ``closedform.closed_form_of`` and the
 oracles look the row up through ``SeriesSpec.family``; adding a family
@@ -47,15 +47,15 @@ class Family:
     gives (num, lead, last, total) of the defining multi-index summand
     num / (lead(m_1) ... lead(m_{d-1}) last(m_d) total(g)), indices from
     ``origin`` and g = m_1 + ... + m_d; num is a constant, or None for
-    H_{g + shift}.  The raw route's box or simplex and the exact triangle
-    and box partials all come from it; a one-index row without it is its
-    own regrouping.  ``atoms`` is the summand regrouped by the index total
+    H_{g + shift}.  The raw route's box and the exact triangle and box
+    partials all come from it; a one-index row without it is its own
+    regrouping.  ``atoms`` is the summand regrouped by the index total
     G, from G = ``origin``, as (terms, linear): the sum of coeff * product
     of harmonic atoms over the terms, divided by the product of (a G + b)
     over the linear factors, with atoms ``("H", a, b)`` = H_{aG+b},
     ``("O", b)`` = O_{G+b} and ``("E", j)`` = e_j(1, 1/2, ..., 1/(G-1)).
     The diagonal walk, the exact diagonal partial and the asymptotic tail
-    (``asymptotic.py``) of the diagonal and raw routes come from it.  The
+    (``asymptotic.py``) of the diagonal route come from it.  The
     two forms are written independently, so their exact partial sums
     agreeing is a check of the regrouping.  ``tail`` gives (A, c, k, p) of
     A (ln G + c)^k / G^p, whose integral past a cutoff of at least
@@ -76,7 +76,7 @@ class Family:
     valid: Callable[..., bool] = _const(True)
     rule: str = ""  # the range ``valid`` accepts, for error messages
     shift: Callable[..., int] = _const(0)
-    quadrature: bool = False  # the A-family integral representation applies
+    integral: Callable[..., tuple[int, int]] | None = None  # (*args) -> (n, s): the sum is A_n(s)
 
 
 def _single_sum(token, closed, atoms, tail) -> Family:
@@ -122,7 +122,7 @@ _AN = Family(
     # c_j(G) <= 2^(j-1) H_G^(j-1)/G and H_{G+s} <= ln G + 2 for s <= G
     tail=lambda n, s: (Fraction(2 ** (n - 2)), 2.0, n - 1, 2),
     shift=lambda n, s: s,
-    quadrature=True,
+    integral=lambda n, s: (n, s),
 )
 
 FAMILIES: dict[str, Family] = {
@@ -145,6 +145,9 @@ FAMILIES: dict[str, Family] = {
             summand=_const((1, _index, _index, _index)),
             atoms=_const((((2, (("H", 1, -1),)),), ((1, 0), (1, 0)))),
             tail=_const((Fraction(2), 2.0, 1, 2)),
+            # 1/(m+n) = Int_0^1 x^(m+n-1) dx and sum x^m/m = -ln(1-x) give Int_0^1
+            # ln(1-x)^2/x dx, and t = 1-x makes it Int_0^1 ln(t)^2/(1-t) dt = A_2(0)
+            integral=_const((2, 0)),
         ),
         _single_sum(
             "ln",

@@ -217,21 +217,23 @@ def test_diagonal_route_encloses_the_closed_form(digits):
 
 
 def test_asymptotic_tails_pinned():
-    # the (value, bound) integers of every paper-full entry that takes the
-    # tail, at 50 and 200 digits, hashed; they change only when the
+    # the (value, bound) integers of every paper-full diagonal entry's tail,
+    # then S111's and halfint:c's at the index totals 256 (50 digits) and 512
+    # (200 digits), at 50 and 200 digits, hashed; they change only when the
     # expansion is meant to move
     digest = hashlib.sha256()
     count = 0
     for digits in (50, 200):
         prec = oracle._prec_bits(digits) + oracle._TAIL_GUARD_BITS
-        for entry in paper_full_manifest(digits).entries:
-            method = entry.cfg.method
-            if method == "quadrature":
-                continue
-            cutoff = oracle.asymptotic_cutoff if method == "diagonal" else oracle.raw_cutoff
-            n = cutoff(entry.spec, digits)
-            value, bound = asymptotic.tail(entry.spec, n, digits, prec)
-            digest.update(f"{entry.spec.label()}|{method}|{digits}|{n}|{value}|{bound}\n".encode())
+        rows = [
+            (entry.spec, "diagonal", oracle.asymptotic_cutoff(entry.spec, digits))
+            for entry in paper_full_manifest(digits).entries
+            if entry.cfg.method == "diagonal"
+        ]
+        rows += [(parse_spec(text), "raw", 256 if digits == 50 else 512) for text in ("S111", "halfint:c")]
+        for spec, method, n in rows:
+            value, bound = asymptotic.tail(spec, n, digits, prec)
+            digest.update(f"{spec.label()}|{method}|{digits}|{n}|{value}|{bound}\n".encode())
             count += 1
     assert count == 48
     assert digest.hexdigest() == "7a2c5521e7339371be3a1a90a75033c742c24f743f0f908701441e8cdac88a06"
@@ -312,10 +314,9 @@ def test_paper_full_diagonal_entries_certify_45_digits():
     diagonal = [d for r, d in zip(reports, digits) if r.oracle.method == "diagonal"]
     assert len(diagonal) == 22
     assert min(diagonal) >= 45
-    # the raw entries sum the defining form to N_raw and add the same tail
-    raw = [d for r, d in zip(reports, digits) if r.oracle.method == "raw"]
-    assert len(raw) == 2
-    assert min(raw) >= 45
+    quadrature = [d for r, d in zip(reports, digits) if r.oracle.method == "quadrature"]
+    assert len(quadrature) == 6
+    assert min(quadrature) >= 45
     assert sum(digits) >= 1390
 
 
@@ -372,109 +373,30 @@ def test_three_hundred_digits():
         assert -mp.log10(slack / abs(report.closed_numeric)) >= 290
 
 
-RAW_ROUTE_SPECS = [
-    "S111",
-    "halfint:c",
-    "binter",
-    "A3:s=0",
-    "An:n=3,s=2",
-    "An:n=4,s=0",
-    "An:n=4,s=1",
-]
-
-
-def _ordered_tuples(spec, n: int) -> int:
-    # index tuples from the row's origin with total <= n, counted index by
-    # index; the route's allowance uses the closed count C(n - d o + d, d)
-    o, dims = spec.family.origin, spec.family.dims(*spec.args)
-
-    def count(d: int, budget: int) -> int:
-        if d == 1:
-            return max(budget - o + 1, 0)
-        return sum(count(d - 1, budget - m) for m in range(o, budget + 1))
-
-    tuples = count(dims, n)
-    assert tuples == math.comb(n - dims * o + dims, dims)
-    return tuples
-
-
-@pytest.mark.parametrize("text", RAW_ROUTE_SPECS)
-def test_raw_head_rounding_within_its_allowance(text):
-    # every floor goes down, so the head lies at or below the exact simplex
-    # partial, by under 3 ulps per ordered tuple; the route carries far more
-    spec = parse_spec(text)
-    n = oracle.raw_cutoff(spec, 50)
-    prec = oracle._prec_bits(50) + oracle._TAIL_GUARD_BITS
-    head = oracle._defining_sum(spec, n, n, 1 << prec)
-    deficit = triangle_partial_exact(spec, n) * (1 << prec) - head
-    ordered = _ordered_tuples(spec, n)
-    assert 0 <= deficit <= 3 * ordered
-    res = oracle_raw(spec, NumericCfg(digits=50, n_max=n, method="raw"))
-    assert res.n_used == n
-    assert res.tail_bound >= mp.ldexp(ordered << oracle._TAIL_GUARD_BITS, -prec)
-
-
 def test_raw_cutoff_boundary():
+    # the raw route sums the box of side n_max at any n_max and bounds the
+    # rest by the majorant
     spec = parse_spec("S111")
-    n_raw = oracle.raw_cutoff(spec, 50)
-    assert n_raw == 256
-    # below N_raw the box and its majorant stay
-    below = oracle_raw(spec, NumericCfg(digits=50, n_max=n_raw - 1, method="raw"))
-    assert below.n_used == n_raw - 1
-    assert below.tail_bound == tail_estimate(spec, n_raw - 1)
-    # from N_raw on, n_max is only a ceiling
-    for n_max in (n_raw, 1500, 5000):
+    for n_max in (255, 1500):
         res = oracle_raw(spec, NumericCfg(digits=50, n_max=n_max, method="raw"))
-        assert res.n_used == n_raw
-        assert res.tail_bound < mp.mpf("1e-52")
-    # tornheim has no atoms, so no tail past the simplex: its box stays
+        assert res.n_used == n_max
+        assert res.tail_bound == tail_estimate(spec, n_max)
     tornheim = parse_spec("tornheim:a=1,b=1,c=1")
-    assert oracle.raw_cutoff(tornheim, 50) is None
     res = oracle_raw(tornheim, NumericCfg(digits=50, n_max=1500, method="raw"))
     assert res.n_used == 1500
     assert res.tail_bound == tail_estimate(tornheim, 1500)
-    # the cutoff doubles with the digits and the shift, within its budget
-    assert oracle.raw_cutoff(parse_spec("An:n=4,s=0"), 50) == 128
-    assert oracle.raw_cutoff(parse_spec("An:n=4,s=0"), 101) is None
-    assert oracle.raw_cutoff(spec, 100) == 256
-    assert oracle.raw_cutoff(spec, 200) == 512
-    assert oracle.raw_cutoff(spec, 201) is None
-    assert oracle.raw_cutoff(parse_spec("A3:s=7"), 50) == 512
-    assert oracle.raw_cutoff(parse_spec("A3:s=8"), 50) is None
 
 
 def test_raw_route_fails_on_a_wrong_summand(monkeypatch):
-    # the head comes from ``summand`` and the tail from ``atoms``, so a wrong
-    # total factor fails the raw route while the diagonal route still passes
+    # the raw box comes from ``summand`` and the diagonal route from ``atoms``,
+    # so a wrong total factor fails the raw route while the diagonal one passes
     fam = series.FAMILIES["S111"]
     num, lead, last, _ = fam.summand()
     wrong = replace(fam, summand=lambda: (num, lead, last, lambda g: g + 1))
     monkeypatch.setitem(series.FAMILIES, "S111", wrong)
     spec = parse_spec("S111")
     raw = verify(spec, NumericCfg(digits=50, n_max=1500, method="raw"), 1e-6)
-    assert raw.oracle.n_used == 256
+    assert raw.oracle.n_used == 1500
     assert not raw.passed
     diagonal = verify(spec, NumericCfg(digits=50), 1e-6)
     assert diagonal.passed, diagonal.reason
-
-
-@pytest.mark.parametrize("digits", [50, 100])
-@pytest.mark.parametrize("text", ["An:n=4,s=0", "An:n=4,s=1"])
-def test_raw_route_on_three_indices_encloses_the_closed_form(text, digits):
-    # the three-index rows take the simplex at N_raw = 128 through 100 digits
-    spec = parse_spec(text)
-    res = oracle_raw(spec, NumericCfg(digits=digits, n_max=128, method="raw"))
-    assert res.n_used == 128
-    with workdps(digits + 40):
-        assert abs(res.value - _reference(closed_form_of(spec))) <= res.tail_bound
-        assert res.tail_bound < mp.mpf(10) ** -digits
-
-
-@pytest.mark.parametrize("text", ["S111", "halfint:c"])
-def test_raw_route_at_two_hundred_digits(text):
-    spec = parse_spec(text)
-    res = oracle_raw(spec, NumericCfg(digits=200, n_max=1000, method="raw"))
-    assert res.n_used == 512
-    with workdps(260):
-        assert abs(res.value - _reference(closed_form_of(spec))) <= res.tail_bound
-        assert res.tail_bound < mp.mpf("1e-200")

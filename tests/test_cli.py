@@ -77,14 +77,14 @@ class TestOracle:
         assert "levels:" in capsys.readouterr().out
 
     def test_raw_refusal_names_the_largest_nmax(self, capsys):
-        # past 200 digits S111 has no N_raw, so the default 10^6 box is refused
+        # the raw route sums a box of side --nmax, so the default 10^6 is refused
         assert main(["oracle", "S111", "--method", "raw", "--digits", "300"]) == 2
         err = capsys.readouterr().err
         assert "out of reach" in err and "n_max <= 5000 for 2 indices" in err
         assert main(["oracle", "S111", "--method", "raw", "--digits", "300", "--nmax", "1500"]) == 0
 
     def test_cap_violation_fails(self, capsys):
-        # tornheim has no N_raw, so its raw route sums the whole box
+        # the raw route sums the whole box, of 10^10 terms here
         assert main(["oracle", "tornheim:a=2,b=1,c=1", "--method", "raw", "--nmax", "100000"]) == 2
         assert "out of reach" in capsys.readouterr().err
 

@@ -106,7 +106,7 @@ class TestManifests:
         values = {(e.spec.kind, e.spec.values) for e in man.entries}
         assert {v for k, v in values if k == "halfint"} == {("a",), ("b",), ("c",)}
         assert {v for k, v in values if k == "baseT"} == {(1,), (2,), (3,)}
-        assert {e.cfg.method for e in man.entries} == {"quadrature", "diagonal", "raw"}
+        assert {e.cfg.method for e in man.entries} == {"quadrature", "diagonal"}
 
     @pytest.mark.parametrize("digits", [50, 1000, 2000, 3300])
     def test_paper_full_diagonal_ceiling_reaches_n_star(self, digits):
@@ -221,9 +221,9 @@ class TestEmission:
         # digests change only when a route or a rendering is meant to move
         reports = list(iter_suite(paper_full_manifest(50)))
         want = {
-            "json": "1aa29413edef6e8fc5dfb2c5744c98ea287b6ff8d256b42f2dd59d742833d3a4",
-            "csv": "c63f66793e2ee8dfee0b554a1628273c0faa07a570684e8a6706a2317f8c7f0a",
-            "text": "0dd042986508d4c457e7946d934498d1e589977dddc6e2be5bde092d77042dc3",
+            "json": "74814f22af2f3fe8eb391edeb844b523ab1fc362a6c81c753f5d10e6b0e37e6a",
+            "csv": "b54535f8665c12f93d2314493e5420073a6d4536772a52e362235b89cdfe476f",
+            "text": "13ce06b61830922c81d64ba62233f078e76123fdbb49ee9d6a1cc9a08d477f6e",
         }
         got = {f: hashlib.sha256(render_reports(reports, f).encode()).hexdigest() for f in want}
         assert got == want

@@ -10,7 +10,6 @@ from mpmath.libmp import dps_to_prec, fzero, mpf_add, mpf_mul, mpf_pow_int, roun
 
 from tornzeta import oracle
 from tornzeta.closedform import closed_form_of
-from tornzeta.harness import paper_full_manifest
 from tornzeta.oracle import (
     _SERIES_MAG,
     _TABLE_LEVELS,
@@ -26,9 +25,11 @@ from tornzeta.oracle import (
     _pow,
     _round,
     oracle_quadrature,
+    tail_estimate,
+    triangle_partial_exact,
     zx_numeric,
 )
-from tornzeta.series import parse_spec
+from tornzeta.series import SeriesSpec, parse_spec
 
 
 class TestAccuracy:
@@ -60,6 +61,43 @@ class TestAccuracy:
         res = oracle_quadrature(parse_spec("An:n=4,s=0"), NumericCfg(digits=50))
         with workdps(70):
             assert abs(res.value - 24 * mp.zeta(5)) < mp.mpf("1e-50")
+
+
+# a row and a cutoff N where its defining sum's enclosure is narrow enough
+# to exclude the integrals next to the row's own
+INTEGRAL_ROWS = [
+    ("S111", 100),
+    ("A3:s=0", 1000),
+    ("A3:s=2", 700),
+    ("An:n=2,s=3", 200),
+    ("aXL:k=1", 200),
+    ("aXL:k=3", 200),
+]
+
+
+class TestIntegrals:
+    @pytest.mark.parametrize("text,cutoff", INTEGRAL_ROWS)
+    def test_integral_lies_in_the_defining_sums_enclosure(self, text, cutoff):
+        # the positive terms' exact partial over index totals <= N, plus the
+        # majorant of the rest, encloses the sum with no closed form involved;
+        # the row's integral lands inside, A_n(s+1) and A_{n+1}(s) outside
+        spec = parse_spec(text)
+        n, s = spec.family.integral(*spec.args)
+        head = triangle_partial_exact(spec, cutoff)
+        cfg = NumericCfg(digits=40)
+        with workdps(60):
+            lo = mp.mpf(head.numerator) / head.denominator
+            hi = lo + tail_estimate(spec, cutoff)
+            assert lo <= oracle_quadrature(spec, cfg).value <= hi
+            for wrong in ((n, s + 1), (n + 1, s)):
+                assert not lo <= oracle_quadrature(SeriesSpec("An", wrong), cfg).value <= hi, wrong
+
+    @pytest.mark.parametrize("digits", [50, 200])
+    def test_s111_is_a2_of_zero_node_for_node(self, digits):
+        # after t = 1 - x, S111's integral of ln(1-x)^2/x is A_2(0)'s
+        cfg = NumericCfg(digits=digits)
+        got = oracle_quadrature(parse_spec("S111"), cfg)
+        assert _bits(got) == _bits(oracle_quadrature(parse_spec("An:n=2,s=0"), cfg))
 
 
 class TestConvergenceReporting:
@@ -251,11 +289,11 @@ class TestNodeBits:
 
 def test_quadrature_bits_pinned():
     # value, levels and every level estimate of hiprec-quad's five specs at
-    # 100/200/300 digits and paper-full's quadrature entries plus aXL:k=7 at
-    # 50 digits, hashed; any change to a node, the integrand or the level
-    # recursion changes the digest
+    # 100/200/300 digits and four A-family rows plus aXL:k=7 at 50 digits,
+    # hashed; any change to a node, the integrand or the level recursion
+    # changes the digest
     cases = [(parse_spec(t), NumericCfg(digits=d, quad_levels=16)) for d in (100, 200, 300) for t in HIPREC_SPECS]
-    cases += [(e.spec, e.cfg) for e in paper_full_manifest(50).entries if e.cfg.method == "quadrature"]
+    cases += [(parse_spec(t), NumericCfg(digits=50)) for t in ("A3:s=0", "An:n=2,s=0", "An:n=4,s=0", "An:n=5,s=3")]
     cases.append((parse_spec("aXL:k=7"), NumericCfg(digits=50)))
     digest = hashlib.sha256()
     for spec, cfg in cases:

@@ -758,7 +758,7 @@ class TestRawTupleBits:
 
     @pytest.mark.parametrize("digits", [30, 50, 77, 200])
     def test_series_value(self, digits):
-        # below N* (and N_raw) the value is acc / 2^prec at digits + 10; past
+        # below N*, and on a raw box, the value is acc / 2^prec at digits + 10; past
         # N* it is (acc + tail) 2^-prec at prec + 64 on the finer grid
         prec = oracle._prec_bits(digits)
         for text in ["A3:s=2", "An:n=4,s=1", "S111", "ln", "halfint:c", "binter"]:
@@ -834,14 +834,14 @@ class TestConfigAndGuards:
             oracle_diagonal(SeriesSpec("tornheim", (2, 1, 1)), cfg)
 
     def test_raw_caps(self):
-        # the cap refuses a box the route would sum: past the digits with an N_raw
+        # the cap refuses a box the route would sum, at any digits
         with pytest.raises(ValueError, match="out of reach"):
             oracle_raw(parse_spec("S111"), NumericCfg(digits=201, n_max=5001, method="raw"))
         with pytest.raises(ValueError, match="out of reach"):
             oracle_raw(parse_spec("An:n=4,s=0"), NumericCfg(digits=101, n_max=401, method="raw"))
-        # an n_max past N_raw sums only the simplex, so the default is in reach
-        spec = parse_spec("S111")
-        assert oracle_raw(spec, NumericCfg(digits=50, method="raw")).n_used == oracle.raw_cutoff(spec, 50)
+        # the default n_max is a 10^6 box, so a two-index row refuses it
+        with pytest.raises(ValueError, match="out of reach"):
+            oracle_raw(parse_spec("S111"), NumericCfg(digits=50, method="raw"))
         # the cap counts terms, so more indices lower the largest box
         with pytest.raises(ValueError, match="out of reach"):
             oracle_raw(parse_spec("An:n=6,s=0"), NumericCfg(n_max=400, method="raw"))
@@ -867,8 +867,10 @@ class TestConfigAndGuards:
         assert raw.tail_bound._mpf_ == diag.tail_bound._mpf_
 
     def test_quadrature_family_guard(self):
-        with pytest.raises(ValueError, match="A-family"):
-            oracle_quadrature(parse_spec("S111"), NumericCfg())
+        # halfint's integrand needs ln(1+x), which the A_n(s) kernel does not take
+        message = r"quadrature needs the row's integral A_n\(s\), and halfint:c has none"
+        with pytest.raises(ValueError, match=message):
+            oracle_quadrature(parse_spec("halfint:c"), NumericCfg())
 
     def test_tail_estimate_guards(self):
         with pytest.raises(ValueError):

@@ -19,17 +19,17 @@ from tornzeta.harness import render_reports, verify
 from tornzeta.oracle import NumericCfg
 from tornzeta.series import parse_spec
 
-# quadrature at three precisions, the diagonal route's tails and a raw simplex, each twice
+# quadrature at three precisions, the diagonal route's tails and a raw box, each twice
 _JOBS = [
-    (parse_spec(text), NumericCfg(digits=digits, method=method), tol)
-    for text, method, digits, tol in (
-        ("A3:s=0", "quadrature", 60, 1e-8),
-        ("An:n=4,s=0", "quadrature", 120, 1e-10),
-        ("An:n=2,s=0", "quadrature", 200, 1e-10),
-        ("ln", "diagonal", 80, 1e-8),
-        ("A3:s=2", "diagonal", 150, 1e-6),
-        ("S111", "raw", 100, 1e-6),
-        ("on", "diagonal", 200, 1e-8),
+    (parse_spec(text), NumericCfg(digits=digits, method=method, **box), tol)
+    for text, method, digits, tol, box in (
+        ("A3:s=0", "quadrature", 60, 1e-8, {}),
+        ("An:n=4,s=0", "quadrature", 120, 1e-10, {}),
+        ("An:n=2,s=0", "quadrature", 200, 1e-10, {}),
+        ("ln", "diagonal", 80, 1e-8, {}),
+        ("A3:s=2", "diagonal", 150, 1e-6, {}),
+        ("S111", "raw", 100, 1e-6, {"n_max": 200}),
+        ("on", "diagonal", 200, 1e-8, {}),
     )
 ] * 2
 # below N*, heads read from the shared prefix table, cutoffs asked out of order, each twice
