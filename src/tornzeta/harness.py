@@ -80,7 +80,7 @@ def verify(spec: SeriesSpec, cfg: NumericCfg, tol: float) -> EvalReport:
         abs_err=mp.make_mpf(abs_err),
         tolerance=tol,
         passed=passed,
-        reason="" if passed else note or "",
+        reason=note,
     )
 
 

@@ -289,34 +289,31 @@ def _regrouped_sum(spec: SeriesSpec, n_max: int, one: int) -> int:
     return sum(islice(_regrouped_terms(spec, one), n_max + 1 - spec.family.origin))
 
 
-_PREFIX: dict = {}  # (atoms, origin, grid bits) -> (width, blob), see ``_prefix_sum``
-_WALKS: dict = {}  # the same keys -> (terms walked, the live ``_regrouped_terms``)
+_PREFIX: dict = {}  # (atoms, origin, grid bits) -> (width, blob, walk), see ``_prefix_sum``
 _PREFIX_BUDGET = 4 * 2**20  # bytes; past it the table starts afresh
 _PREFIX_LOCK = threading.Lock()
 
 
 def _prefix_sum(spec: SeriesSpec, n_max: int, one: int) -> int:
-    """``_regrouped_sum(spec, n_max, one)``, read from the row's partial sums
-    S_origin..S_k in ``_PREFIX``, one blob of fixed-width little-endian signed
-    integers: a floored term does not depend on n_max, so S_n_max is the same
-    integer.  A cutoff past k resumes the row's live walk in ``_WALKS`` when
-    it stands at S_k, the blob's end, else walks from origin, and appends the
-    sums to n_max, re-encoding the blob only for a wider field: each term of
-    a row and grid is walked once, in any call order.  A prefix larger than
-    ``_PREFIX_BUDGET`` is summed and not stored."""
+    """``_regrouped_sum(spec, n_max, one)``, read from the row's entry in ``_PREFIX``:
+    partial sums S_origin..S_k, one blob of fixed-width little-endian signed
+    integers, and the live ``_regrouped_terms`` walk standing at S_k.  A floored
+    term does not depend on n_max, so S_n_max is the same integer.  A cutoff
+    past k resumes the entry's walk, or walks from origin for a row with no
+    entry, and appends the sums to n_max, re-encoding the blob only for a wider
+    field: each term of a row and grid is walked once, in any call order.
+    A prefix larger than ``_PREFIX_BUDGET`` is summed and not stored."""
     key, i = (_atoms(spec), spec.family.origin, one.bit_length()), n_max - spec.family.origin
     if (i + 1) * (one.bit_length() // 8) > _PREFIX_BUDGET:
         return _regrouped_sum(spec, n_max, one)
     with _PREFIX_LOCK:
-        width, blob = _PREFIX.get(key, (1, b""))
+        width, blob, walk = _PREFIX.get(key) or (1, b"", _regrouped_terms(spec, one))
         if (i + 1) * width <= len(blob):
             return int.from_bytes(blob[i * width : (i + 1) * width], "little", signed=True)
         # popped while it runs, so a walk cut short is never resumed
-        k, walk = _WALKS.pop(key, (0, None))
-        if walk is None or k * width != len(blob):
-            k, walk, width, blob = 0, _regrouped_terms(spec, one), 1, b""
+        _PREFIX.pop(key, None)
         last = int.from_bytes(blob[-width:], "little", signed=True)
-        sums = list(accumulate(islice(walk, i + 1 - k), initial=last))
+        sums = list(accumulate(islice(walk, i + 1 - len(blob) // width), initial=last))
         wide = max(s.bit_length() for s in sums) // 8 + 1
         if wide > width:  # the stored sums too, in the wider field
             sums[:1] = (int.from_bytes(blob[j : j + width], "little", signed=True)
@@ -326,10 +323,9 @@ def _prefix_sum(spec: SeriesSpec, n_max: int, one: int) -> int:
             del sums[0]
         blob += b"".join(s.to_bytes(width, "little", signed=True) for s in sums)
         if len(blob) <= _PREFIX_BUDGET:
-            if sum(len(v[1]) for key_, v in _PREFIX.items() if key_ != key) + len(blob) > _PREFIX_BUDGET:
+            if sum(len(v[1]) for v in _PREFIX.values()) + len(blob) > _PREFIX_BUDGET:
                 _PREFIX.clear()
-                _WALKS.clear()
-            _PREFIX[key], _WALKS[key] = (width, blob), (i + 1, walk)
+            _PREFIX[key] = width, blob, walk
         return sums[-1]
 
 
@@ -558,7 +554,7 @@ def oracle_diagonal(spec: SeriesSpec, cfg: NumericCfg) -> OracleResult:
     and ``tail_bound`` covers its remainder and N* 2^-prec of rounding in
     S_N*.  Below N*, S_n_max is read from the prefix sums shared by row and precision
     (``_prefix_sum``, at most ``_PREFIX_BUDGET`` = 4 MB), which a larger n_max extends
-    by walking on from their end, and ``tail_estimate`` bounds the rest.
+    by resuming the walk kept with them, and ``tail_estimate`` bounds the rest.
     """
     return _diagonal(spec, cfg, "diagonal")
 

@@ -2,7 +2,7 @@ import hashlib
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations, islice, product
 from math import comb, factorial, prod
 from operator import floordiv
 
@@ -400,6 +400,25 @@ class TestPrefixTable:
             assert len(pulled) == rounds * (max(cutoffs) - spec.family.origin + 1)
             oracle._PREFIX.clear()
 
+    def test_an_interrupted_extension_is_never_resumed(self, monkeypatch):
+        # a walk cut short mid-extension leaves no entry behind, so the next
+        # call walks from origin instead of resuming at the wrong term
+        spec, one = parse_spec("halfint:b"), 1 << oracle._prec_bits(50)
+        walk = oracle._regrouped_terms
+
+        def interrupted(*args):
+            yield from islice(walk(*args), 100)
+            raise KeyboardInterrupt
+
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_regrouped_terms", interrupted)
+            oracle._prefix_sum(spec, 40, one)
+            assert len(oracle._PREFIX) == 1
+            with pytest.raises(KeyboardInterrupt):
+                oracle._prefix_sum(spec, 300, one)
+        for n in (300, 50, 120, 20):
+            assert oracle._prefix_sum(spec, n, one) == oracle._regrouped_sum(spec, n, one), n
+
     def test_one_index_raw_route_reads_the_table(self, monkeypatch):
         spec = parse_spec("ln")
         one = 1 << oracle._prec_bits(50)
@@ -434,7 +453,7 @@ class TestPrefixTable:
             for n in (40, 90, 60, 130, 500, 145, 20, 100):
                 got = self._heads(monkeypatch, spec, 50, [n])
                 assert got == [oracle._regrouped_sum(spec, n, one)], (text, n)
-                assert sum(len(blob) for _, blob in oracle._PREFIX.values()) <= budget
+                assert sum(len(blob) for _, blob, _ in oracle._PREFIX.values()) <= budget
                 stored |= set(oracle._PREFIX)
         assert len(stored) == 4
 
@@ -730,6 +749,68 @@ class TestTailHonesty:
                 )
                 want = f2m(a_const) * integral * mp.mpf(n_cut) ** (1 - p_pow)
                 assert want <= bound <= want * (1 + mp.mpf("1e-33")), n_cut
+
+
+# rows of every family with a regrouped single sum
+ENCLOSED = [
+    "A3:s=0",
+    "A3:s=7",
+    "An:n=4,s=2",
+    "aXL:k=5",
+    "S111",
+    "ln",
+    "on",
+    "baseT:1",
+    "baseT:2",
+    "baseT:3",
+    "halfint:a",
+    "halfint:b",
+    "halfint:c",
+    "evenodd",
+    "oddsq",
+    "binter",
+]
+
+
+class TestEnclosuresMeet:
+    """Two certified enclosures of the same sum must intersect, whatever
+    produced them; checking that needs no reference value, so tornheim,
+    which has no closed form, is checked too."""
+
+    @staticmethod
+    def _enclosure(result, digits, terms=None):
+        # past N*: value +- tail_bound.  Below N*, or on a raw box, of TERMS
+        # positive terms: the head plus [0, tail_bound], widened by the
+        # 2^_TAIL_GUARD_BITS ulps a term that _series allows past N*, which
+        # also covers the value's rounding to digits + 10
+        if terms is None:
+            return result.value - result.tail_bound, result.value + result.tail_bound
+        slack = mp.ldexp(terms, oracle._TAIL_GUARD_BITS - oracle._prec_bits(digits))
+        return result.value - slack, result.value + slack + result.tail_bound
+
+    def test_enclosures_meet_across_cutoffs_precisions_and_routes(self):
+        def meet(a, b, where):
+            assert a[0] <= b[1] and b[0] <= a[1], where
+
+        with workdps(400):
+            for text in ENCLOSED:
+                spec = parse_spec(text)
+                past = {d: self._enclosure(oracle_diagonal(spec, NumericCfg(digits=d)), d) for d in (50, 60, 120)}
+                # below N* against past N*
+                for digits in (50, 120):
+                    for n in (150, 1500):
+                        below = oracle_diagonal(spec, NumericCfg(digits=digits, n_max=n))
+                        meet(self._enclosure(below, digits, n), past[digits], (text, digits, n))
+                # d against 2d digits
+                meet(past[60], past[120], (text, "60 against 120 digits"))
+                # the raw box, from the summand, against the diagonal route, from the atoms
+                if spec.family.dims(*spec.args) == 2:
+                    box = oracle_raw(spec, NumericCfg(n_max=60, method="raw"))
+                    meet(self._enclosure(box, 50, 60**2), past[50], (text, "raw box"))
+            spec = parse_spec("tornheim:a=2,b=1,c=1")
+            boxes = {n: oracle_raw(spec, NumericCfg(n_max=n, method="raw")) for n in (100, 300, 800)}
+            for a, b in combinations(boxes, 2):
+                meet(self._enclosure(boxes[a], 50, a**2), self._enclosure(boxes[b], 50, b**2), (a, b))
 
 
 def _mpf_tail_estimate(spec, n_cut: int):
