@@ -23,12 +23,14 @@ prec about 3.32*digits + 64 bits (230 at the default 50 digits), the
 diagonal route sums at most N* terms (2^11 at 50 digits), and the largest
 raw box, ``_RAW_TERM_CAP`` = 25*10^6 terms, stays within about 1.5e-62 of
 the true partial sum at 50 digits, far beneath every tolerance used here.
+Quadrature works on one fixed-point grid too, with a rounding bound
+(``_level_sum``).
 
 Every numeric routine takes its precision as an argument, or derives it
-from ``digits``, and works on raw libmp tuples or (the quadrature integrand)
-integer mantissas: it rounds to nearest as the mpf operators do, so it gives
-the bits of the mpf form, and never reads or sets mpmath's process-global
-precision.  Results are wrapped as mpf with ``mp.make_mpf``.
+from ``digits``, and never reads or sets mpmath's process-global precision.
+The constants, ``zx_numeric`` and ``tail_estimate`` work on raw libmp tuples
+and round to nearest as the mpf operators do, so they give the mpf form's bits.
+Results are wrapped as mpf with ``mp.make_mpf``.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ import io
 import math
 import threading
 import time
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache, partial, reduce
@@ -47,9 +48,8 @@ from typing import TYPE_CHECKING
 
 from mpmath import mp
 from mpmath.libmp import dps_to_prec, fone, from_float, from_int, from_man_exp, fzero, mpf_abs
-from mpmath.libmp import mpf_add, mpf_div, mpf_exp, mpf_ge, mpf_gt, mpf_le, mpf_log, mpf_lt, mpf_mul
-from mpmath.libmp import mpf_mul_int, mpf_pi, mpf_pos, mpf_pow_int, mpf_rdiv_int, mpf_sub
-from mpmath.libmp import round_nearest, to_str
+from mpmath.libmp import mpf_add, mpf_div, mpf_exp, mpf_ge, mpf_ln2, mpf_log, mpf_lt, mpf_mul
+from mpmath.libmp import mpf_mul_int, mpf_pi, mpf_pos, mpf_pow_int, round_nearest, to_fixed, to_str
 
 from .exact import bernoulli
 from .zexpr import ZExpr
@@ -608,161 +608,146 @@ def _series(spec: SeriesSpec, cfg: NumericCfg, method: str, head, cutoff=None):
 
 
 # tanh-sinh levels through the default quad_levels keep every per-node
-# quantity for reuse, keyed by (digits, level); deeper levels stream them
+# quantity for reuse, keyed by (digits, level, grid bits); deeper levels stream them
 _TABLE_LEVELS = NumericCfg.quad_levels
 _TABLE_PRECISIONS = 4
 _SERIES_MAG = 24  # below 2^-24 _log1p's series beats mpf_log, timed at 50-1000 digits
 
 
-def _log1p(e: tuple, prec: int) -> tuple:
-    """mp.log1p(e)'s bits for a positive raw tuple e of at most prec bits: ln(1+e) at
-    prec + 10, rounded to nearest at prec.  Below 2^-(prec+10) that is e, as mpmath's
-    e - e^2/2 rounds to e.  Below 2^-_SERIES_MAG, where mpf_log would add log2(1/e)
-    bits and past 2500 bits run the AGM, it is the series of ln(1+e), each term
-    floored about 40 bits below the result's last bit (under 2^-30 ulp in all)."""
-    wp, rnd = prec + 10, round_nearest
-    _, man, exp, bc = e
-    mag = exp + bc
-    if mag < -wp:
-        return e
-    if mag < -_SERIES_MAG:
-        fp = wp + 40 - mag
-        acc = p = x = man << (fp + exp)
-        for k in range(2, fp // -mag + 2):  # p < 2^(fp + k mag) is 0 past there
-            p = p * x >> fp
-            acc += p // k if k & 1 else -(p // k)
-        r = from_man_exp(acc, -fp, wp, rnd)
-    else:
-        r = mpf_log(mpf_add(fone, e, 2 * wp, rnd), wp, rnd)
-    return mpf_pos(r, prec, rnd)
+def _u_max(digits: int) -> float:
+    """The last node u of every level: there (pi/4) e^u = (e/2) ln(10) (digits + 25)."""
+    return math.log(math.log(10) * (digits + 25) * 2 / math.pi) + 1.0
 
 
-def _round(man: int, exp: int, prec: int) -> tuple[int, int]:
-    """libmp's normalize of positive man 2^exp at round_nearest: ties to even, zeros stripped."""
-    n = man.bit_length() - prec
-    if n > 0:
-        t = man >> (n - 1)
-        man = (t >> 1) + 1 if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)) else t >> 1
-        exp += n
-    if not man & 1:
-        n = (man & -man).bit_length() - 1
-        man, exp = man >> n, exp + n
-    return man, exp
+def _grid_bits(digits: int, n: int) -> int:
+    """g = prec + G, the bits of the grid 2^-g that quadrature of a row with
+    (-ln)^n works on, prec = dps_to_prec(digits + 15).  With m = max(n, 6),
+    Q = (pi/2) e^u_max + 2 above every weight and -ln(1-t), and 2 u_max nodes
+    per unit of u: G = log2(2 u_max) + log2(Q) + m log2(Q) + 4, the nodes
+    (weighted by h), weight, power of -ln(1-t) and slack of ``_level_sum``'s
+    bound, which then puts the value within 2^-prec.  G depends on (digits, n)
+    alone, and every row with n <= 6 shares one grid."""
+    u_max = _u_max(digits)
+    big_q = math.pi / 2 * math.exp(u_max) + 2
+    return dps_to_prec(digits + 15) + math.ceil(math.log2(32 * u_max) + (max(n, 6) + 1) * math.log2(big_q))
 
 
-def _add(m1: int, e1: int, m2: int, e2: int, prec: int) -> tuple[int, int]:
-    """The positive sum correctly rounded: mpf_add's bits for terms of <= prec bits."""
-    return _round((m1 << (e1 - e2)) + m2, e2, prec) if e1 >= e2 else _add(m2, e2, m1, e1, prec)
+def _log1p(e: int, g: int) -> int:
+    """ln(1 + x) floored onto the grid 2^-g, x = e 2^-g in [0, 1), within 2 ulps:
+    mpf_log at g + 4 bits from x >= 2^-_SERIES_MAG on, and below it (where mpf_log
+    would add log2(1/x) bits and past 2500 bits run the AGM) 2 atanh(y), y =
+    x/(2+x), summed as y^(2k+1)/(2k+1) on bitlen(g) more bits, whose under g/24 + 2
+    floors cost under an ulp."""
+    if e >> (g - _SERIES_MAG):
+        return to_fixed(mpf_log(from_man_exp((1 << g) + e, -g), g + 4, round_nearest), g)
+    fp = g + g.bit_length()
+    acc = p = (e << fp) // ((2 << g) + e)
+    y2 = p * p >> fp
+    for k in count(3, 2):
+        p = p * y2 >> fp
+        if not p:
+            return acc >> (g.bit_length() - 1)
+        acc += p // k
 
 
-def _pow(man: int, exp: int, k: int, prec: int) -> tuple[int, int]:
-    """mpf_pow_int's (man 2^exp)^k, not correctly rounded: exact then rounded when
-    k <= 2 or bc k < 1000, else binary powering truncated to prec + 4 bitlen(k) + 4."""
-    if man == 1 or k <= 2 or man.bit_length() * k < 1000:
-        return _round(man**k, exp * k, prec)
-    wp, pm, pe = prec + 4 * k.bit_length() + 4, 1, 0
-    while True:
-        if k & 1:
-            pm, pe, k = pm * man, pe + exp, k - 1
-            n = pm.bit_length() - wp
-            if n > 0:
-                pm, pe = pm >> n, pe + n
-            if not k:
-                return _round(pm, pe, prec)
-        man, exp, k = man * man, exp + exp, k >> 1
-        n = man.bit_length() - wp
-        if n > 0:
-            man, exp = man >> n, exp + n
+def _level_nodes(digits: int, level: int, g: int):
+    """(weight, t, 1-t, -ln t, -ln(1-t)) floored onto the grid 2^-g at the nodes
+    u = j h, h = 2^-level, of one tanh-sinh level, u <= u_max: t = (1 + tanh w)/2,
+    w = (pi/2) sinh u, and the weight is pi cosh u without its factor h, halved at u = 0.
 
+    j steps by 1 from 0 at level 0 and over the odd j after it, so e^u advances
+    by a multiply-and-shift with exp(stride h) and e^-u = 2^2f // e^u.  From
+    E = exp(-2w): t = 2^2g // (2^g + E), 1-t = E t >> g, -ln t = ln(1+E) and
+    -ln(1-t) = 2w + ln(1+E), none of which cancels.  Only exp(-2w), at the bits
+    its value needs, and ``_log1p`` for E >= 2^-_SERIES_MAG call libmp.
 
-def _level_nodes(digits: int, level: int):
-    """(weight, t, 1-t, -ln t, -ln(1-t)) as raw mpf tuples at the nodes
-    u = j*h, h = 2^-level, of one tanh-sinh level, u <= u_max, at
-    dps_to_prec(digits + 15) bits.  t = (1 + tanh w)/2, w = (pi/2) sinh u,
-    and the weight is (pi/2) cosh u without its factor h.
-
-    j steps by 1 at level 0 and over the odd j after it, so e^u advances by
-    one multiplication with exp(stride*h) and sinh u, cosh u follow from e^u
-    and 1/e^u.  From E = exp(-2w): t = 1/(1+E), 1-t = E*t, -ln t = log1p(E)
-    and -ln(1-t) = 2w + log1p(E).  None of these forms cancels, so the tail
-    where t rounds to 1 keeps full relative accuracy in 1-t and both logs.
-    log1p is ``_log1p``.
+    Error: each value lies within 5 ulps of its value at u.  e^u drifts by at
+    most 3 J e^u ulps of its own grid, J the level's last j, and 2w and the
+    weight carry that times the weight; so e^u, pi and 2w run on f = g + d bits,
+    2^d > 16 J g, and reach the grid g within 1.3 ulps, E within 1.5 and t, 1-t,
+    -ln t and -ln(1-t) within 2.5, 5, 3.5 and 4.8.  A level stops at its first
+    node with 2w > (g + 2) ln 2: there and past it E < 2^-(g+2), so 1-t and
+    -ln t floor to 0 and so does the integrand.
     """
-    u_max = math.log(math.log(10) * (digits + 25) * 2 / math.pi) + 1.0
-    prec, rnd = dps_to_prec(digits + 15), round_nearest
-    half_pi, quarter_pi = (mpf_div(mpf_pi(prec, rnd), from_int(q), prec, rnd) for q in (2, 4))
-    h = from_man_exp(1, -level)
-    stride = 2 if level else 1
-    eu, step = mpf_exp(h, prec, rnd), mpf_exp(mpf_mul_int(h, stride, prec, rnd), prec, rnd)
-    # j*h <= u_max, exactly: h is a power of two
-    for _ in range(1, math.floor(math.ldexp(u_max, level)) + 1, stride):
-        emu = mpf_rdiv_int(1, eu, prec, rnd)
-        w = mpf_mul(quarter_pi, mpf_sub(eu, emu, prec, rnd), prec, rnd)
-        e = mpf_exp(mpf_mul_int(w, -2, prec, rnd), prec, rnd)
-        lt = _log1p(e, prec)
-        t = mpf_rdiv_int(1, mpf_add(e, fone, prec, rnd), prec, rnd)
-        yield (mpf_mul(half_pi, mpf_add(eu, emu, prec, rnd), prec, rnd), t,
-               mpf_mul(e, t, prec, rnd), lt, mpf_add(mpf_mul_int(w, 2, prec, rnd), lt, prec, rnd))
-        eu = mpf_mul(eu, step, prec, rnd)
+    rnd, top = round_nearest, math.floor(math.ldexp(_u_max(digits), level))
+    d = (16 * top * g).bit_length()
+    f = g + d
+    pi, ln2 = (to_fixed(c(f + 8, rnd), f) for c in (mpf_pi, mpf_ln2))
+    stop, stride, one = (g + 2) * ln2, 2 if level else 1, 1 << g
+    eu, step = (to_fixed(mpf_exp(from_man_exp(k, -level), f + 8, rnd), f) for k in (stride - 1, stride))
+    # j h <= u_max, exactly: h is a power of two
+    for j in range(stride - 1, top + 1, stride):
+        emu = (1 << 2 * f) // eu
+        w2 = pi * (eu - emu) >> (f + 1)
+        if w2 > stop:
+            return
+        # exp(-2w) to 2^-(g+2): its bits past about g - 1.44 (2w) are below the grid
+        e = to_fixed(mpf_exp(from_man_exp(-w2, -f), max(g + 4 - (w2 >> f) * 36 // 25, 10), rnd), g)
+        t, lt = (one << g) // (one + e), _log1p(e, g)
+        # the node u = 0 is its own mirror: half its weight
+        yield pi * (eu + emu) >> (f + 1 + d + (j == 0)), t, e * t >> g, lt, (w2 >> d) + lt
+        eu = eu * step >> f
+
+
+def _node_width(g: int) -> int:
+    """Bytes of a stored node value: each is at most the weight, below 2w + pi < g."""
+    return (g + g.bit_length() + 7) // 8
 
 
 @lru_cache(maxsize=_TABLE_PRECISIONS * (_TABLE_LEVELS + 1))
-def _node_table(digits: int, level: int) -> tuple[bytes, array]:
-    """``_level_nodes`` at quadrature's digits + 15, stored densely: every
-    value is positive, so one blob of fixed-width little-endian mantissas
-    and an array of exponents, (prec/8 + 8) bytes per value."""
-    width = (dps_to_prec(digits + 15) + 7) // 8
-    mans, exps = io.BytesIO(), array("q")
-    for row in _level_nodes(digits, level):
-        for _, man, exp, _ in row:
-            mans.write(man.to_bytes(width, "little"))
-            exps.append(exp)
-    # getvalue() hands over the BytesIO buffer uncopied, so a build holds
-    # one blob at a time; array(exps) drops the append slack
-    return mans.getvalue(), array("q", exps)
+def _node_table(digits: int, level: int, g: int) -> bytes:
+    """``_level_nodes`` stored densely: one blob of ``_node_width(g)``-byte
+    little-endian integers, five a node."""
+    width, blob = _node_width(g), io.BytesIO()
+    for row in _level_nodes(digits, level, g):
+        for v in row:
+            blob.write(v.to_bytes(width, "little"))
+    # getvalue() hands over the BytesIO buffer uncopied, so a build holds one blob at a time
+    return blob.getvalue()
 
 
-def _node_rows(digits: int, level: int):
+def _node_rows(digits: int, level: int, g: int):
     """``_level_nodes``, decoded one node at a time from the shared table
     through _TABLE_LEVELS."""
     if level > _TABLE_LEVELS:
-        return _level_nodes(digits, level)
-    mans, exps = _node_table(digits, level)
-    width = len(mans) // len(exps)
-    view = memoryview(mans)
-    ints = (int.from_bytes(view[i : i + width], "little") for i in range(0, len(mans), width))
-    vals = ((0, m, x, m.bit_length()) for m, x in zip(ints, exps))
-    return zip(vals, vals, vals, vals, vals)
+        return _level_nodes(digits, level, g)
+    width, blob = _node_width(g), memoryview(_node_table(digits, level, g))
+    ints = (int.from_bytes(blob[i : i + width], "little") for i in range(0, len(blob), width))
+    return zip(ints, ints, ints, ints, ints)
 
 
-def _level_sum(digits: int, level: int, n: int, s: int) -> tuple:
-    """One level's folded +-u terms at dps_to_prec(digits + 15) bits, a raw tuple:
-    acc += weight (a + b) over the nodes u > 0, a = t (1-t)^s (-ln t)^n and
-    b = (1-t) t^s (-ln(1-t))^n, rounded step for step as mpf_pow_int, mpf_mul and
-    mpf_add round them.  A node value has x < 2^M(x), M(x) = exp + bc, and rounding
-    never passes the power of two above the exact value (truncation only lowers
-    it), so a <= 2^A, A = M(t) + s M(1-t) + n M(-ln t), b <= 2^B likewise, and the
-    term <= 2^(M(weight) + max(A, B) + 1); the tests keep a bit per rounded
-    operation, A + 4 and M(weight) + max(A, B) + 6.  A positive x below half an ulp
-    of y, 2^(M(y) - prec - 1), leaves y + x rounding to y, so a node whose term is
-    below half an ulp of acc is skipped and an a below half an ulp of b is not made.
+def _fpow(x: int, k: int, g: int) -> int:
+    """(x 2^-g)^k on the grid 2^-g by binary powering, each product floored."""
+    if k < 2:
+        return x if k else 1 << g
+    r = _fpow(x, k >> 1, g) ** 2 >> g
+    return r * x >> g if k & 1 else r
+
+
+def _level_sum(digits: int, level: int, n: int, s: int, g: int) -> int:
+    """One level's folded +-u terms on the grid 2^-g: sum weight (a + b) over its
+    nodes, a = t (1-t)^s (-ln t)^n and b = (1-t) t^s (-ln(1-t))^n, for s > 0 as
+    t (1-t) ((1-t)^(s-1) (-ln t)^n + t^(s-1) (-ln(1-t))^n), by ``_fpow`` and floors.
+
+    Bound.  Each node value errs by at most eps = 5 ulps (``_level_nodes``).
+    Only t (1-t)'s error reaches a + b through a large factor, t^(s-1)
+    (-ln(1-t))^n <= Q^n (``_grid_bits``); every other error and floor is
+    multiplied by values below 1, or by at most n (1-t) (-ln(1-t))^j <= n c,
+    c = e (n/e)^n.  So a + b errs by at most (eps + 1)(Q^n + R) ulps,
+    R = n (n + s)(c + 1) + 2, and a node by at most 7 Q^(m+1), m = max(n, 6),
+    while 6 R + 5 (c + 1) <= Q^m (s up to about 10^10).  Level v has at most
+    u_max 2^max(v-1, 0) + 1 nodes and errs by at most 2^(G+v-1) ulps, G = g - prec;
+    the value after level v, 2^-v times the sums of levels 0..v, by 2^-prec.
     """
-    am, ae, prec, rows = 0, 0, dps_to_prec(digits + 15), _node_rows(digits, level)
-    for (_, wm, we, wb), (_, tm, te, tb), (_, om, oe, ob), (_, lm, le, lb), (_, qm, qe, qb) in rows:
-        big_a = te + tb + s * (oe + ob) + n * (le + lb)
-        big_b = oe + ob + s * (te + tb) + n * (qe + qb)
-        if am and we + wb + (big_a if big_a > big_b else big_b) + 6 <= ae + am.bit_length() - prec - 1:
-            continue
-        (m, e), (pm, pe) = _pow(tm, te, s, prec), _pow(qm, qe, n, prec)
-        m, e = _round(om * m, oe + e, prec)
-        bm, be = _round(m * pm, e + pe, prec)
-        if big_a + 4 > be + bm.bit_length() - prec - 1:
-            (m, e), (pm, pe) = _pow(om, oe, s, prec), _pow(lm, le, n, prec)
-            m, e = _round(tm * m, te + e, prec)
-            bm, be = _add(bm, be, *_round(m * pm, e + pe, prec), prec)
-        m, e = _round(wm * bm, we + be, prec)
-        am, ae = _add(am, ae, m, e, prec) if am else (m, e)
-    return (0, am, ae, am.bit_length())
+    acc = 0
+    for wt, t, omt, lt, lo in _node_rows(digits, level, g):
+        ln, lon = _fpow(lt, n, g), _fpow(lo, n, g)
+        if s:
+            x = _fpow(omt, s - 1, g) * ln + _fpow(t, s - 1, g) * lon >> g
+            acc += wt * ((t * omt >> g) * x >> g)
+        else:
+            acc += wt * (t * ln + omt * lon >> g)
+    return acc >> g
 
 
 def oracle_quadrature(spec: SeriesSpec, cfg: NumericCfg) -> OracleResult:
@@ -771,51 +756,36 @@ def oracle_quadrature(spec: SeriesSpec, cfg: NumericCfg) -> OracleResult:
     A_n(s) = (-1)^n Int_0^1 (1-t)^(s-1) ln(t)^n dt, (n, s) = ``Family.integral``.
     The substitution t = (1 + tanh((pi/2) sinh u))/2 sends both endpoints to double-
     exponentially decaying tails, and 1-t is available without cancellation
-    as the mirrored node (``_level_nodes``, the E = exp(-2w) form).  Levels
-    halve the step and reuse prior nodes; the level-to-level difference is
-    the reported error estimate.  Within a level e^u advances by one
-    multiplication, each adding at most an ulp of relative drift: under 2^11
-    steps for the levels 300 digits need and 2^18 at level 16, against the
-    15 guard digits (about 50 bits) of the working precision.
+    as the mirrored node (``_level_nodes``).  Levels halve the step and reuse
+    prior nodes; the level-to-level difference is the reported error estimate.
+    All of it is summed on one grid 2^-g (``_grid_bits``): the value after level
+    v is the sum of the level sums through v times 2^-(g+v), within 2^-prec.
 
-    A node's weight, t, 1-t, -ln t and -ln(1-t) depend on (digits, level)
-    alone, so levels 0 through 10 (the default quad_levels) read them from a
-    table shared by every call at that precision (``_node_table``, an LRU of
-    4 precisions x 11 levels: 1.83 MB for 100, 200 and 300 digits through
-    levels 6, 7 and 8, 9.2 MB for 1000 digits through level 9, 18.3 MB
-    through level 10); deeper levels compute them as they go and keep
-    nothing.  A node costs one exp and one ``_log1p``: levels 0-9 at 1000
-    digits take about 7 s cold.  ``_level_sum`` only evaluates the integrand
-    on them, so a warm table gives the same bits as a cold one.
+    A node's values depend on (digits, level, g) alone, so levels 0 through 10
+    (the default quad_levels) read them from a table shared by every call on
+    that grid (``_node_table``, an LRU of 4 grids x 11 levels: 1.6 MB for 100,
+    200 and 300 digits through levels 6, 7 and 8, 8.2 MB for 1000 digits
+    through level 9, 16.4 MB through level 10); deeper levels compute them as
+    they go and keep nothing.  Levels 0-9 at 1000 digits take about 6 s cold.
     """
     if spec.family.integral is None:
         raise ValueError(f"quadrature needs the row's integral A_n(s), and {spec} has none")
     n, s = spec.family.integral(*spec.args)
     t0 = time.perf_counter()
-    prec, rnd = dps_to_prec(cfg.digits + 15), round_nearest
-    target = mpf_pow_int(from_int(10), -(cfg.digits + 5), prec, rnd)
-
-    # the u = 0 node, pi (1/2)^(s+1) ln(2)^n, and h = 1
-    total = mpf_mul(mpf_pi(prec, rnd), mpf_pow_int((0, 1, -1, 1), s + 1, prec, rnd), prec, rnd)
-    total = mpf_mul(total, mpf_pow_int(mpf_log(from_int(2), prec, rnd), n, prec, rnd), prec, rnd)
-    h = fone
-    value = mpf_mul(h, mpf_add(total, _level_sum(cfg.digits, 0, n, s), prec, rnd), prec, rnd)
+    prec, g = dps_to_prec(cfg.digits + 15), _grid_bits(cfg.digits, n)
+    total = _level_sum(cfg.digits, 0, n, s, g)  # h = 1
     estimates: list = []
-    converged = False
     for level in range(1, cfg.quad_levels + 1):
-        # value/2 + h _level_sum, converged once |new - value| <= target max(1, |new|)
-        h = mpf_div(h, from_int(2), prec, rnd)
-        new = mpf_mul(h, _level_sum(cfg.digits, level, n, s), prec, rnd)
-        new = mpf_add(mpf_div(value, from_int(2), prec, rnd), new, prec, rnd)
-        est = mpf_abs(mpf_sub(new, value, prec, rnd), prec, rnd)
-        estimates.append(mp.make_mpf(est))
-        value = new
-        size = mpf_abs(value, prec, rnd)
-        if mpf_le(est, mpf_mul(target, size if mpf_gt(size, fone) else fone, prec, rnd)):
-            converged = True
+        # value/2 + h S is (total + S) 2^-(g+level); converged once
+        # |new - value| <= 10^-(digits+5) max(1, |new|)
+        new = total + _level_sum(cfg.digits, level, n, s, g)
+        diff, total = abs(new - 2 * total), new
+        estimates.append(mp.make_mpf(from_man_exp(diff, -(g + level), prec, round_nearest)))
+        converged = diff * 10 ** (cfg.digits + 5) <= max(total, 1 << (g + level))
+        if converged:
             break
     result = OracleResult(
-        value=mp.make_mpf(value),
+        value=mp.make_mpf(from_man_exp(total, -(g + len(estimates)), prec, round_nearest)),
         method="quadrature",
         n_used=None,
         levels_used=len(estimates),
@@ -826,7 +796,7 @@ def oracle_quadrature(spec: SeriesSpec, cfg: NumericCfg) -> OracleResult:
     )
     if not converged:
         raise OracleError(
-            f"quadrature stalled at level {len(estimates)} with estimate {to_str(est, 5)}",
+            f"quadrature stalled at level {len(estimates)} with estimate {to_str(estimates[-1]._mpf_, 5)}",
             partial=result,
         )
     return result

@@ -221,8 +221,8 @@ class TestEmission:
         # digests change only when a route or a rendering is meant to move
         reports = list(iter_suite(paper_full_manifest(50)))
         want = {
-            "json": "74814f22af2f3fe8eb391edeb844b523ab1fc362a6c81c753f5d10e6b0e37e6a",
-            "csv": "b54535f8665c12f93d2314493e5420073a6d4536772a52e362235b89cdfe476f",
+            "json": "71fb88016d73f556b1ec31253fd92cc2108e490098b0b0266c4e124f55d084b5",
+            "csv": "44dcfbed55332e70f2663f0157ebabeda13deba80b3f8232d0d7522553a9a822",
             "text": "13ce06b61830922c81d64ba62233f078e76123fdbb49ee9d6a1cc9a08d477f6e",
         }
         got = {f: hashlib.sha256(render_reports(reports, f).encode()).hexdigest() for f in want}
@@ -253,8 +253,8 @@ def test_sweep_reports_pinned(monkeypatch):
     reports = [r for *_, r in _below_cutoff_reports(monkeypatch)]
     assert [r.passed for r in reports] == [True] * 44 + [False] * 2
     want = {
-        "json": "4ef1695f857ceba16ba9eb7a8739cb793a5a1f746343bf2a44b237120e93819e",
-        "csv": "8d6e8ece66781ced679f7ed5221d20d927c0f82d7c6000b17fbe5e2037432261",
+        "json": "93266d3f25d743aa8bde329e51ea9ba9bc6b8fa33bb28ee404897f930160e055",
+        "csv": "bc7af9a64fe93b82bcc878efb3827198a7fb39ffdfa42e8fefaf1fb6f4b6a8ca",
         "text": "1c486bfdd22a403a58c669f471aa705f3f57468c2040571f1e533febf8fcaeef",
     }
     got = {f: hashlib.sha256(render_reports(reports, f).encode()).hexdigest() for f in want}
