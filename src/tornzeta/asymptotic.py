@@ -373,11 +373,12 @@ def tail(spec: SeriesSpec, n: int, digits: int, prec: int) -> tuple[int, int]:
     for i > k), and the bound reported is the certified bound of the least
     such truncation that is below 10^-(digits+2), or the full expansion's
     own bound when that is larger.  The enclosure so has the width the
-    requested digits ask for, and the value's error is far inside it.  The
-    closed forms' own error at ``digits`` need not be: ``const_zeta`` stops
-    at 10^-(digits+5) and a closed form's coefficient scales that, so
-    A3:s=0 (6 zeta(4)) lands outside this bound at 200 and 1000 digits.
-    Bounding that error is ROADMAP item 2.
+    requested digits ask for, but the value's error can nearly fill it:
+    against mpmath, A3:s=0's error is 0.95-0.996 of the bound at 60, 120,
+    200, 250, 300 and 1000 digits (under 0.001 at 150, 400 and 500); which
+    order decides this is ROADMAP item 4's margin audit.  The closed forms'
+    own error is apart: ``const_zeta`` stops at 10^-(digits+5), so A3:s=0
+    (6 zeta(4)) lands outside this bound at 200 and 1000 digits (item 2).
     """
     top = order(spec, n, digits)
     t = term_expansion(spec, n, top, prec)

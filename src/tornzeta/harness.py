@@ -9,6 +9,9 @@ its asymptotic cutoff the diagonal oracle's tail_bound is about
 10^-(digits+2), below every tolerance used, so there the tolerance alone
 decides a pass, while abs_err and tail_bound still show how many digits
 the comparison pins down.
+
+Each process evaluates a closed form once per (spec, row, digits) in a
+bounded memo, and formats a report's numbers once for every format.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import io
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from json.encoder import encode_basestring_ascii
 
 from mpmath import mp
@@ -42,6 +45,21 @@ class EvalReport:
     passed: bool
     reason: str = ""
 
+    @cached_property
+    def _numbers(self) -> tuple[str, str, str]:
+        """oracle_value, abs_err and tail_bound at 30 digits, formatted once for
+        json and csv; ``dataclasses.replace`` gives a report without them."""
+        o = self.oracle
+        return _fmt(o.value, 30), _fmt(self.abs_err, 30), _fmt(o.tail_bound, 30)
+
+
+@lru_cache(maxsize=1024)
+def _closed(spec: SeriesSpec, closed, digits: int) -> tuple[ZExpr, object]:
+    """The spec's closed form and its value at ``digits``.  The row's ``closed``
+    callable is in the key, so a swapped row is never served an old form."""
+    form = closed_form_of(spec)
+    return form, zx_numeric(form, digits)
+
 
 def verify(spec: SeriesSpec, cfg: NumericCfg, tol: float) -> EvalReport:
     """Compare the closed form against the configured oracle.
@@ -52,8 +70,7 @@ def verify(spec: SeriesSpec, cfg: NumericCfg, tol: float) -> EvalReport:
     """
     if not 0 < tol < float("inf"):
         raise ValueError(f"tolerance must be > 0 and finite, got {tol}")
-    closed = closed_form_of(spec)
-    closed_num = zx_numeric(closed, cfg.digits)
+    closed, closed_num = _closed(spec, spec.family.closed, cfg.digits)
     # a note here means the oracle broke down; it fails the report
     note = ""
     try:
@@ -239,16 +256,17 @@ def _closed_strings(closed: ZExpr, value: tuple) -> tuple[str, str, str]:
 def _row(report: EvalReport) -> dict:
     o = report.oracle
     text, closed, _ = _closed_strings(report.closed_form, report.closed_numeric._mpf_)
+    value, abs_err, tail_bound = report._numbers
     return {
         "spec": report.spec.token(),
         "params": report.spec.params_text(),
         "closed_form_text": text,
         "closed_numeric": closed,
-        "oracle_value": _fmt(o.value, 30),
+        "oracle_value": value,
         "oracle_method": o.method,
         "n_used": _n_used(o),
-        "abs_err": _fmt(report.abs_err, 30),
-        "tail_bound": _fmt(o.tail_bound, 30),
+        "abs_err": abs_err,
+        "tail_bound": tail_bound,
         "pass": report.passed,
     }
 

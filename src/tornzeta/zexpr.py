@@ -70,9 +70,11 @@ class ZExpr:
 
     Zero coefficients are dropped on construction, so equality is plain
     coefficient-wise comparison and the zero expression has no terms.
+    The hash is computed on first use and never pickled: a str hash is
+    salted per process.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_coeffs", "_hash")
 
     def __init__(self, terms: Iterable[tuple[ConstSym, Fraction]] = ()) -> None:
         acc: dict[ConstSym, Fraction] = {}
@@ -140,7 +142,14 @@ class ZExpr:
         return self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._coeffs.items()))
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash(frozenset(self._coeffs.items())))
+            return self._hash
+
+    def __reduce__(self):
+        return ZExpr, (tuple(self._coeffs.items()),)
 
     def __repr__(self) -> str:
         return f"ZExpr({self.render()!r})"

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+from dataclasses import replace
 
 import pytest
 from mpmath import mp, workdps
@@ -20,8 +21,10 @@ from tornzeta.harness import (
     smoke_manifest,
     verify,
 )
-from tornzeta.oracle import NumericCfg, asymptotic_cutoff
+from tornzeta.closedform import closed_form_of
+from tornzeta.oracle import NumericCfg, asymptotic_cutoff, zx_numeric
 from tornzeta.series import FAMILIES, SeriesSpec, parse_spec
+from tornzeta.zexpr import ZExpr
 
 
 class TestVerify:
@@ -259,6 +262,39 @@ def test_sweep_reports_pinned(monkeypatch):
     }
     got = {f: hashlib.sha256(render_reports(reports, f).encode()).hexdigest() for f in want}
     assert got == want
+
+
+def test_sweep_reports_pinned_in_any_format_order(monkeypatch):
+    # the same reports rendered text first and json twice: each report's
+    # numbers, formatted once, serve every later render unchanged
+    reports = [r for *_, r in _below_cutoff_reports(monkeypatch)]
+    want = {
+        "json": "93266d3f25d743aa8bde329e51ea9ba9bc6b8fa33bb28ee404897f930160e055",
+        "csv": "bc7af9a64fe93b82bcc878efb3827198a7fb39ffdfa42e8fefaf1fb6f4b6a8ca",
+        "text": "1c486bfdd22a403a58c669f471aa705f3f57468c2040571f1e533febf8fcaeef",
+    }
+    for f in ("text", "csv", "json", "json"):
+        assert hashlib.sha256(render_reports(reports, f).encode()).hexdigest() == want[f], f
+
+
+def test_swapped_row_is_never_served_the_old_closed_form(monkeypatch):
+    spec, cfg = parse_spec("ln"), NumericCfg(digits=50, n_max=100, method="diagonal")
+    before = verify(spec, cfg, 1e-6)
+    swapped = ZExpr.rational(1)
+    monkeypatch.setitem(FAMILIES, "ln", replace(FAMILIES["ln"], closed=lambda: swapped))
+    after = verify(spec, cfg, 1e-6)
+    assert before.closed_form != swapped
+    assert after.closed_form == swapped and after.closed_numeric == 1
+    assert not after.passed
+
+
+@pytest.mark.parametrize("text", ["halfint:c", "A3:s=0", "aXL:k=3"])
+def test_memoized_closed_value_is_zx_numeric(text):
+    # warm and cold, at each precision, bit for bit
+    spec = parse_spec(text)
+    for digits in (50, 40, 120, 50, 40):
+        r = verify(spec, NumericCfg(digits=digits, n_max=100, method="diagonal"), 1e-6)
+        assert r.closed_numeric._mpf_ == zx_numeric(closed_form_of(spec), digits)._mpf_
 
 
 @pytest.mark.parametrize("count", [0, 1, 600])

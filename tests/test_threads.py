@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import tornzeta
-from tornzeta import asymptotic, oracle
+from tornzeta import asymptotic, harness, oracle
 from tornzeta.harness import render_reports, verify
 from tornzeta.oracle import NumericCfg
 from tornzeta.series import parse_spec
@@ -41,8 +41,9 @@ _JOBS += [
 
 
 def _clear_caches() -> None:
-    # const_*, _node_table, the prefix table and every memoized piece of the expansion
-    for module in (oracle, asymptotic):
+    # const_*, _node_table, the prefix table, every memoized piece of the
+    # expansion and harness's closed forms and report strings
+    for module in (oracle, asymptotic, harness):
         for f in vars(module).values():
             if hasattr(f, "cache_clear"):
                 f.cache_clear()

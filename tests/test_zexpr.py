@@ -1,4 +1,9 @@
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -77,6 +82,34 @@ class TestZExpr:
     def test_hashable(self):
         seen = {ZExpr.zeta(3, F(2)), ZExpr.zeta(3, F(2))}
         assert len(seen) == 1
+
+    def test_pickle_rehashes_under_another_hash_seed(self):
+        # a str hash is salted per process, so a hash taken here and pickled
+        # along would not be the hash that the same ZExpr has in the loader
+        text = "4 - 2*ln2 - z2"
+        a = ZExpr([(UNIT, F(4)), (LN2, F(-2)), (zeta_sym(2), F(-1))])
+        here = hash(a)
+        code = (
+            "import pickle, sys\n"
+            "from fractions import Fraction as F\n"
+            "from tornzeta.zexpr import LN2, UNIT, ZExpr, zeta_sym\n"
+            "loaded = pickle.loads(sys.stdin.buffer.read())\n"
+            "built = ZExpr([(UNIT, F(4)), (LN2, F(-2)), (zeta_sym(2), F(-1))])\n"
+            "print(hash(loaded), hash(built), loaded == built, loaded.render())\n"
+        )
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            input=pickle.dumps(a),
+            capture_output=True,
+            timeout=60,
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(filter(None, path))),
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded, built, equal, rendered = proc.stdout.decode().split(maxsplit=3)
+        assert (loaded, equal, rendered.strip()) == (built, "True", text)
+        assert int(built) != here  # the seeds differ, so this test can fail
 
 
 _SYMS = st.sampled_from(
