@@ -611,7 +611,6 @@ def _series(spec: SeriesSpec, cfg: NumericCfg, method: str, head, cutoff=None):
 # quantity for reuse, keyed by (digits, level, grid bits); deeper levels stream them
 _TABLE_LEVELS = NumericCfg.quad_levels
 _TABLE_PRECISIONS = 4
-_SERIES_MAG = 24  # below 2^-24 _log1p's series beats mpf_log, timed at 50-1000 digits
 
 
 def _u_max(digits: int) -> float:
@@ -632,22 +631,52 @@ def _grid_bits(digits: int, n: int) -> int:
     return dps_to_prec(digits + 15) + math.ceil(math.log2(32 * u_max) + (max(n, 6) + 1) * math.log2(big_q))
 
 
-def _log1p(e: int, g: int) -> int:
-    """ln(1 + x) floored onto the grid 2^-g, x = e 2^-g in [0, 1), within 2 ulps:
-    mpf_log at g + 4 bits from x >= 2^-_SERIES_MAG on, and below it (where mpf_log
-    would add log2(1/x) bits and past 2500 bits run the AGM) 2 atanh(y), y =
-    x/(2+x), summed as y^(2k+1)/(2k+1) on bitlen(g) more bits, whose under g/24 + 2
-    floors cost under an ulp."""
-    if e >> (g - _SERIES_MAG):
-        return to_fixed(mpf_log(from_man_exp((1 << g) + e, -g), g + 4, round_nearest), g)
-    fp = g + g.bit_length()
-    acc = p = (e << fp) // ((2 << g) + e)
-    y2 = p * p >> fp
+def _atanh(y: int, f: int) -> int:
+    """atanh(y 2^-f) on the grid 2^-f, y 2^-f <= 1/7, as the sum of y^(2k+1)/(2k+1), one
+    term per 5.6 bits of f: each after y errs by under 1.5 ulps, those dropped by under 0.4."""
+    acc = p = y
+    y2 = y * y >> f
     for k in count(3, 2):
-        p = p * y2 >> fp
+        p = p * y2 >> f
         if not p:
-            return acc >> (g.bit_length() - 1)
+            return acc
         acc += p // k
+
+
+@lru_cache(maxsize=_TABLE_PRECISIONS)
+def _log_factors(g: int) -> tuple:
+    """(b, T): b = bitlen(8 steps) guard bits for ``_log1p`` on the grid 2^-g, steps =
+    isqrt(g) + 2, and T_i = -ln(1 - 2^-i) = 2 atanh(1/(2^(i+1) - 1)), i = 2..steps,
+    within an ulp of 2^-(g+b): ``_atanh`` on bitlen(g+b) + 2 more bits, rounded."""
+    steps = math.isqrt(g) + 2
+    b = (8 * steps).bit_length()
+    f = g + b + (g + b).bit_length() + 2
+    atanh = (_atanh((1 << f) // ((2 << i) - 1), f) for i in range(2, steps + 1))
+    return b, tuple((a >> (f - g - b - 2)) + 1 >> 1 for a in atanh)
+
+
+def _log1p(e: int, g: int) -> int:
+    """ln(1 + E) floored onto the grid 2^-g, E = e 2^-g in [0, 1], within an ulp.
+
+    On f = g + b bits (``_log_factors``), x = 1 + E is reduced towards 1 by the
+    factors (1 - 2^-i), i = 2..steps: x -= x >> i while that leaves x >= 1 (at
+    most twice an i; none with x - 1 < 2^-i is tried), each adding T_i.  Then
+    ln x = 2 atanh(y), y = (x-1)/(x+1) < 2^-steps, in under steps/2 + 1 terms.
+
+    Error, in ulps of 2^-f: each factor's floor leaves x above its exact product
+    by under one, moving ln x by under one, and each T_i errs by under one: 4 (steps
+    - 1) for the at most 2 (steps - 1) factors.  Doubled, y's floor costs 2, each
+    later term 3 and the terms dropped 0.8.  The total, under 5.5 steps < 2^b, is
+    under an ulp of 2^-g before the last floor.
+    """
+    b, table = _log_factors(g)
+    f = g + b
+    one, acc = 1 << f, 0
+    x = one + (e << b)
+    for i in range(max(2, f + 1 - (x - one).bit_length()), len(table) + 2):
+        while (y := x - (x >> i)) >= one:
+            x, acc = y, acc + table[i - 2]
+    return acc + 2 * _atanh(((x - one) << f) // (x + one), f) >> b
 
 
 def _level_nodes(digits: int, level: int, g: int):
@@ -659,7 +688,7 @@ def _level_nodes(digits: int, level: int, g: int):
     by a multiply-and-shift with exp(stride h) and e^-u = 2^2f // e^u.  From
     E = exp(-2w): t = 2^2g // (2^g + E), 1-t = E t >> g, -ln t = ln(1+E) and
     -ln(1-t) = 2w + ln(1+E), none of which cancels.  Only exp(-2w), at the bits
-    its value needs, and ``_log1p`` for E >= 2^-_SERIES_MAG call libmp.
+    its value needs, calls libmp; ln(1+E) is ``_log1p``'s, in fixed point.
 
     Error: each value lies within 5 ulps of its value at u.  e^u drifts by at
     most 3 J e^u ulps of its own grid, J the level's last j, and 2w and the
@@ -766,7 +795,7 @@ def oracle_quadrature(spec: SeriesSpec, cfg: NumericCfg) -> OracleResult:
     that grid (``_node_table``, an LRU of 4 grids x 11 levels: 1.6 MB for 100,
     200 and 300 digits through levels 6, 7 and 8, 8.2 MB for 1000 digits
     through level 9, 16.4 MB through level 10); deeper levels compute them as
-    they go and keep nothing.  Levels 0-9 at 1000 digits take about 6 s cold.
+    they go and keep nothing.  Levels 0-9 at 1000 digits take about 3.5 s cold.
     """
     if spec.family.integral is None:
         raise ValueError(f"quadrature needs the row's integral A_n(s), and {spec} has none")

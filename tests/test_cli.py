@@ -17,6 +17,8 @@ from tornzeta.harness import PRESETS
 from tornzeta.oracle import NumericCfg
 
 ROOT = Path(__file__).resolve().parents[1]
+# src ahead of the caller's PYTHONPATH, which may be where mpmath is found
+SRC_PATH = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
 
 
 class TestEval:
@@ -287,7 +289,7 @@ class TestBernoulli:
 
 
 def test_module_entry_point_end_to_end():
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = dict(os.environ, PYTHONPATH=SRC_PATH)
     proc = subprocess.run(
         [sys.executable, "-m", "tornzeta", "eval", "S111"],
         capture_output=True,
@@ -337,7 +339,7 @@ def test_console_script_end_to_end(tmp_path):
         _write_launcher(tmp_path, "tornzeta")
         exe = shutil.which("tornzeta", path=tmp_path)
         assert exe, "console script should be on PATH after an editable install"
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        env = dict(os.environ, PYTHONPATH=SRC_PATH)
         proc = subprocess.run(
             [exe, "eval", "S111"], capture_output=True, text=True, timeout=60, env=env
         )

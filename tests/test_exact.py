@@ -63,13 +63,13 @@ class TestBernoulli:
             "sys.setrecursionlimit(100)\n"
             "print(bernoulli(300))\n"
         )
-        src = Path(__file__).resolve().parents[1] / "src"
+        path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
         proc = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True,
             text=True,
             timeout=60,
-            env=dict(os.environ, PYTHONPATH=str(src)),
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == str(bernoulli(300))

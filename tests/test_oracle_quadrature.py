@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 from mpmath import mp, workdps
-from mpmath.libmp import dps_to_prec
+from mpmath.libmp import dps_to_prec, libelefun
 
+from tornzeta import oracle
 from tornzeta.closedform import closed_form_of
 from tornzeta.oracle import (
-    _SERIES_MAG,
     _TABLE_LEVELS,
     _TABLE_PRECISIONS,
     NumericCfg,
@@ -19,6 +19,7 @@ from tornzeta.oracle import (
     _level_nodes,
     _level_sum,
     _log1p,
+    _log_factors,
     _node_rows,
     _node_table,
     _node_width,
@@ -230,22 +231,55 @@ class TestNodeTable:
 @st.composite
 def _log1p_args(draw):
     # e 2^-g at any magnitude from 1/2 down past 2^-g, on the grid 30-1000
-    # digit quadrature uses, on both sides of 2^-_SERIES_MAG
+    # digit quadrature uses, with and without reduction factors
     g = _grid_bits(draw(st.integers(min_value=30, max_value=1000)), 6)
     return g, draw(st.integers(1, (1 << g) - 1)) >> draw(st.integers(0, g))
 
 
+def _steps(g):
+    # the last reduction factor (1 - 2^-steps) that ``_log1p`` tries
+    return len(_log_factors(g)[1]) + 1
+
+
+G30, G100, G1000 = (_grid_bits(d, 6) for d in (30, 100, 1000))
+
+
 class TestLog1p:
     @given(_log1p_args())
-    @example((_grid_bits(1000, 6), 3 << (_grid_bits(1000, 6) - 2)))  # 3/4: mpf_log
-    @example((_grid_bits(100, 6), 12345 << (_grid_bits(100, 6) - 200)))  # ~2^-186: the series
-    @example((_grid_bits(30, 6), 1 << (_grid_bits(30, 6) - _SERIES_MAG)))  # the boundary
-    @example((_grid_bits(30, 6), (1 << (_grid_bits(30, 6) - _SERIES_MAG)) - 1))
+    @example((G1000, 1 << G1000))  # E = 1, the node u = 0
+    @example((G100, 7 << (G100 - 3)))  # 7/8: (1 - 1/4) twice, 15/8 9/16 >= 1
+    @example((G100, 12345 << (G100 - 200)))  # ~2^-186: the series alone
+    # just above 2^-steps, where (1 - 2^-steps) is taken once, and just below,
+    # where no factor is
+    @example((G30, (1 << (G30 - _steps(G30))) + (2 << (G30 - 2 * _steps(G30)))))
+    @example((G30, (1 << (G30 - _steps(G30))) - 1))
     def test_within_two_ulps_of_mp_log1p(self, args):
         g, e = args
         with workdps(int(g / 3.3) + 40):
             want = mp.floor(mp.log1p(mp.ldexp(e, -g)) * 2**g)
         assert abs(_log1p(e, g) - int(want)) <= 2
+
+    @pytest.mark.parametrize("digits", [30, 100, 300, 1000])
+    def test_factors_lie_within_an_ulp(self, digits):
+        g = _grid_bits(digits, 6)
+        b, table = _log_factors(g)
+        assert len(table) == math.isqrt(g) + 1
+        with workdps(int(g / 3.3) + 40):
+            for i, t in enumerate(table, 2):
+                assert abs(t - mp.ldexp(-mp.log1p(-mp.ldexp(1, -i)), g + b)) <= 1, i
+
+    @pytest.mark.parametrize("digits,levels", [(100, 6), (1000, 2)])
+    def test_cold_table_calls_no_log(self, digits, levels, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("mpf_log called")
+
+        monkeypatch.setattr(oracle, "mpf_log", refuse)
+        monkeypatch.setattr(libelefun, "mpf_log", refuse)
+        _node_table.cache_clear()
+        _log_factors.cache_clear()
+        g = _grid_bits(digits, 6)
+        for level in range(levels + 1):
+            assert _node_table(digits, level, g)
 
 
 class TestNodeValues:
@@ -258,7 +292,7 @@ class TestNodeValues:
         # ``_level_nodes`` states each value within 5 ulps of its value at u,
         # and a level that stops where E = exp(-2w) < 2^-(g+2)
         g = _grid_bits(digits, 6)
-        sides = set()
+        sides, edge = set(), mp.ldexp(1, -_steps(g))
         with workdps(digits + 100):
             for level in range(levels + 1):
                 rows, h = list(_level_nodes(digits, level, g)), mp.ldexp(1, -level)
@@ -272,12 +306,12 @@ class TestNodeValues:
                     want = (wt, 1 / (1 + e), e / (1 + e), lt, 2 * w + lt)
                     for got, r in zip(row, want):
                         assert abs(got - r * 2**g) <= 5, (digits, level, j)
-                    sides.add(e >= mp.ldexp(1, -_SERIES_MAG))
+                    sides.add((1 + e) * (1 - edge) >= 1)
                 u = (js[-1] + js.step) * h if rows else h
                 assert u > mp.ldexp(math.floor(math.ldexp(_u_max(digits), level)), -level) or (
                     mp.pi * mp.sinh(u) > (g + 2) * mp.log(2)
                 )
-        # ln(1+E) by mpf_log and by the series both run
+        # some nodes take reduction factors in ``_log1p`` and some take none
         assert sides == {True, False}
 
 
@@ -293,7 +327,7 @@ def test_quadrature_bits_pinned():
     for spec, cfg in cases:
         digest.update(f"{spec}|{cfg.digits}|{_bits(oracle_quadrature(spec, cfg))}\n".encode())
     assert len(cases) == 20
-    assert digest.hexdigest() == "f42cfd8f76a4ba869c05654fd2aacf1caf87f9a840ec8b6abd65cf5f7484fcff"
+    assert digest.hexdigest() == "2eb85bd097aee877ad2146a0d0568609189fd41d6177ee1084119df7e8ac03bc"
 
 
 LEVEL_SUM_SPECS = HIPREC_SPECS + ["An:n=2,s=6", "An:n=6,s=1", "An:n=12,s=0", "An:n=40,s=0", "An:n=7,s=20"]
