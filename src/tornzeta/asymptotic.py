@@ -376,9 +376,9 @@ def tail(spec: SeriesSpec, n: int, digits: int, prec: int) -> tuple[int, int]:
     requested digits ask for, but the value's error can nearly fill it:
     against mpmath, A3:s=0's error is 0.95-0.996 of the bound at 60, 120,
     200, 250, 300 and 1000 digits (under 0.001 at 150, 400 and 500); which
-    order decides this is ROADMAP item 4's margin audit.  The closed forms'
-    own error is apart: ``const_zeta`` stops at 10^-(digits+5), so A3:s=0
-    (6 zeta(4)) lands outside this bound at 200 and 1000 digits (item 2).
+    order decides this is ROADMAP item 4's margin audit.  The closed forms
+    err far less (``oracle._closed_bits``), so A3:s=0 (6 zeta(4)) stays inside
+    this bound: abs_err is 0.98 of it at 200 digits and 0.996 at 1000.
     """
     top = order(spec, n, digits)
     t = term_expansion(spec, n, top, prec)

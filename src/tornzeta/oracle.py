@@ -24,13 +24,13 @@ diagonal route sums at most N* terms (2^11 at 50 digits), and the largest
 raw box, ``_RAW_TERM_CAP`` = 25*10^6 terms, stays within about 1.5e-62 of
 the true partial sum at 50 digits, far beneath every tolerance used here.
 Quadrature works on one fixed-point grid too, with a rounding bound
-(``_level_sum``).
+(``_level_sum``), and so do the constants and ``zx_numeric``, each with its
+error budget, on the grid 2^-f of ``_closed_bits``.
 
 Every numeric routine takes its precision as an argument, or derives it
 from ``digits``, and never reads or sets mpmath's process-global precision.
-The constants, ``zx_numeric`` and ``tail_estimate`` work on raw libmp tuples
-and round to nearest as the mpf operators do, so they give the mpf form's bits.
-Results are wrapped as mpf with ``mp.make_mpf``.
+``tail_estimate`` works on raw libmp tuples and rounds to nearest as the mpf
+operators do.  Results are wrapped as mpf with ``mp.make_mpf``.
 """
 
 from __future__ import annotations
@@ -47,9 +47,9 @@ from operator import add, floordiv, mul, rshift
 from typing import TYPE_CHECKING
 
 from mpmath import mp
-from mpmath.libmp import dps_to_prec, fone, from_float, from_int, from_man_exp, fzero, mpf_abs
-from mpmath.libmp import mpf_add, mpf_div, mpf_exp, mpf_ge, mpf_ln2, mpf_log, mpf_lt, mpf_mul
-from mpmath.libmp import mpf_mul_int, mpf_pi, mpf_pos, mpf_pow_int, round_nearest, to_fixed, to_str
+from mpmath.libmp import dps_to_prec, from_float, from_int, from_man_exp, fzero, mpf_add, mpf_div
+from mpmath.libmp import mpf_exp, mpf_ln2, mpf_log, mpf_mul, mpf_mul_int, mpf_pi, mpf_pow_int
+from mpmath.libmp import round_nearest, to_fixed, to_str
 
 from .exact import bernoulli
 from .zexpr import ZExpr
@@ -129,91 +129,88 @@ def _check_digits(digits: int) -> None:
         raise ValueError(f"precision below 30 digits is not supported, got {digits}")
 
 
+def _closed_bits(digits: int) -> int:
+    """f of the grid 2^-f that every constant and closed form sums on: dps_to_prec(digits
+    + 10) and 32 guard bits, which keep the floors below (``const_zeta``'s 2300 at 1000
+    digits) far under 10^-(digits+10)."""
+    _check_digits(digits)
+    return dps_to_prec(digits + 10) + 32
+
+
 @cache
 def const_pi(digits: int):
-    """pi at digits + 10 (delegated to the mpfloat backend)."""
-    _check_digits(digits)
-    return mp.make_mpf(mpf_pi(dps_to_prec(digits + 10), round_nearest))
+    """pi on the grid 2^-f (``_closed_bits``): libmp's pi at f + 2 bits, whose
+    last bit is 2^-f, within half an ulp."""
+    f = _closed_bits(digits)
+    return mp.make_mpf(mpf_pi(f + 2, round_nearest))
 
 
 @cache
 def const_ln2(digits: int):
-    """ln 2 = 2 atanh(1/3), summed as 2 sum_{i>=0} (1/9)^i / (3 (2i+1))."""
-    _check_digits(digits)
-    prec, rnd = dps_to_prec(digits + 10), round_nearest
-    target = mpf_pow_int(from_int(10), -(digits + 8), prec, rnd)
-    x2, power = mpf_div(fone, from_int(9), prec, rnd), mpf_div(fone, from_int(3), prec, rnd)
-    acc = fzero
+    """ln 2 = 2 sum_{i>=0} 3^-(2i+1)/(2i+1) on the grid 2^-f (``_closed_bits``), each term
+    floored (nested floors of integer divisions are one) until one floors to 0; the terms
+    left out are under 9/8 of that one's value, under an ulp.  So the value lies under
+    n + 2 ulps below ln 2, for its n terms, n about f/3.17 (1.05 digits)."""
+    f = _closed_bits(digits)
+    acc, power = 0, (2 << f) // 3
     for i in count():
-        term = mpf_div(power, from_int(2 * i + 1), prec, rnd)
-        acc = mpf_add(acc, term, prec, rnd)
-        if mpf_lt(term, target):
-            return mp.make_mpf(mpf_mul_int(acc, 2, prec, rnd))
-        power = mpf_mul(power, x2, prec, rnd)
+        term = power // (2 * i + 1)
+        if not term:
+            return mp.make_mpf(from_man_exp(acc, -f))
+        acc, power = acc + term, power // 9
 
 
 @cache
 def const_zeta(k: int, digits: int):
-    """zeta(k) by Euler-Maclaurin with M = 2*digits.
+    """zeta(k) by Euler-Maclaurin with M = 2*digits, on the grid 2^-f (``_closed_bits``):
 
-    acc = sum_{i<M} i^-k + M^(1-k)/(k-1) + M^-k/2
-        + sum_i B_{2i}/(2i)! * k(k+1)...(k+2i-2) * M^(1-k-2i),
-    i.e. the tail from M onward replaced by its integral, half the boundary
-    term, and derivative corrections added until below 10^-(digits+5).  The
-    correction series is asymptotic; a growing term stops the loop before
-    it can poison the sum (never reached with M = 2*digits at supported
-    precisions).
+    zeta(k) = sum_{i<M} i^-k + M^(1-k)/(k-1) + M^-k/2
+            + sum_{j>=1} B_{2j}/(2j)! * k(k+1)...(k+2j-2) * M^(1-k-2j) + R.
+    The M - 1 head terms, the two end terms and each correction are floored onto
+    the grid, under an ulp each, until a correction floors to 0 or grows.  x^-k is
+    completely monotone, so R is under twice the first correction left out (DLMF
+    2.10), under 2 ulps.  With M = 2*digits the corrections fall far past 2^-f, so
+    the growth stop is a guard no supported precision reaches, and the value lies
+    within M + 3 + (corrections added) ulps of zeta(k), under 3 digits ulps.
     """
     if k < 2:
         raise ValueError(f"zeta needs k >= 2, got {k}")
-    _check_digits(digits)
-    wp, rnd = dps_to_prec(digits + 10), round_nearest
-    big_m = from_int(2 * digits)
-    acc = fzero
-    for i in range(1, 2 * digits):
-        acc = mpf_add(acc, mpf_div(fone, mpf_pow_int(from_int(i), k, wp, rnd), wp, rnd), wp, rnd)
-    # + (M^(1-k) / (k-1) + M^-k / 2)
-    ends = mpf_add(mpf_div(mpf_pow_int(big_m, 1 - k, wp, rnd), from_int(k - 1), wp, rnd),
-                   mpf_div(mpf_pow_int(big_m, -k, wp, rnd), from_int(2), wp, rnd), wp, rnd)
-    acc = mpf_add(acc, ends, wp, rnd)
-    target = mpf_pow_int(from_int(10), -(digits + 5), wp, rnd)
-    rising, power, prev = from_int(k), mpf_pow_int(big_m, -k - 1, wp, rnd), None
-    for i in count(1):
-        b = bernoulli(2 * i)
-        corr = mpf_div(from_int(b.numerator, wp, rnd), from_int(b.denominator), wp, rnd)
-        corr = mpf_div(corr, from_int(math.factorial(2 * i)), wp, rnd)
-        corr = mpf_mul(mpf_mul(corr, rising, wp, rnd), power, wp, rnd)
-        mag = mpf_abs(corr)
-        if prev is not None and mpf_ge(mag, prev):
-            break
-        acc = mpf_add(acc, corr, wp, rnd)
-        if mpf_lt(mag, target):
-            break
-        prev = mag
-        rising = mpf_mul_int(rising, (k + 2 * i - 1) * (k + 2 * i), wp, rnd)
-        power = mpf_div(power, mpf_mul(big_m, big_m), wp, rnd)
-    return mp.make_mpf(acc)
+    f, m = _closed_bits(digits), 2 * digits
+    one = 1 << f
+    acc = sum(one // i**k for i in range(1, m)) + one // ((k - 1) * m ** (k - 1)) + one // (2 * m**k)
+    # the j-th correction's magnitude is one |B_2j| rising / ((2j)! M^(k+2j-1))
+    rising, power, prev = k, m ** (k + 1), None
+    for j in count(1):
+        b = bernoulli(2 * j)
+        mag = one * abs(b.numerator) * rising // (b.denominator * math.factorial(2 * j) * power)
+        if not mag or (prev is not None and mag >= prev):
+            return mp.make_mpf(from_man_exp(acc, -f))
+        acc, prev = acc + (mag if b > 0 else -mag), mag
+        rising *= (k + 2 * j - 1) * (k + 2 * j)
+        power *= m * m
 
 
 def zx_numeric(a: ZExpr, digits: int):
-    """Numeric value of a symbolic combination at digits + 10, summed in
-    canonical term order: acc += mpf(num) / den * value."""
-    _check_digits(digits)
-    prec, rnd = dps_to_prec(digits + 10), round_nearest
-    acc = fzero
+    """A symbolic combination on the grid 2^-f (``_closed_bits``), in canonical term
+    order: acc += num * v // den, v the constant's grid integer and pi^k k - 1 floored
+    multiply-and-shifts.  Error, in ulps: |num/den| times v's (``const_*``; pi^k's is
+    under k pi^k), plus one floor a term.  The sum is returned on the grid as it is."""
+    f = _closed_bits(digits)
+    acc = 0
     for sym, coeff in a.terms():
         match sym.kind:
             case "unit":
-                v = fone
+                v = 1 << f
             case "ln2":
-                v = const_ln2(digits)._mpf_
+                v = to_fixed(const_ln2(digits)._mpf_, f)
             case "zeta":
-                v = const_zeta(sym.k, digits)._mpf_
+                v = to_fixed(const_zeta(sym.k, digits)._mpf_, f)
             case _:
-                v = mpf_pow_int(const_pi(digits)._mpf_, sym.k, prec, rnd)
-        c = mpf_div(from_int(coeff.numerator, prec, rnd), from_int(coeff.denominator), prec, rnd)
-        acc = mpf_add(acc, mpf_mul(c, v, prec, rnd), prec, rnd)
-    return mp.make_mpf(mpf_pos(acc, prec, rnd))
+                v = pi = to_fixed(const_pi(digits)._mpf_, f)
+                for _ in range(sym.k - 1):
+                    v = v * pi >> f
+        acc += coeff.numerator * v // coeff.denominator
+    return mp.make_mpf(from_man_exp(acc, -f))
 
 
 # ---------------------------------------------------------------------------

@@ -307,6 +307,24 @@ def _certified_digits(report, cap: int) -> float:
         return float(min(-mp.log10(slack / abs(report.closed_numeric)), cap))
 
 
+def test_passes_rest_on_the_certificate_not_on_tol():
+    # the closed form lies inside the oracle's own slack, so no entry needs its
+    # tol: every paper-full entry at 50 digits, every diagonal entry at 200
+    def outside(report):
+        o = report.oracle
+        return report.abs_err > o.tail_bound + o.error_estimate
+
+    at_50 = list(iter_suite(paper_full_manifest(50)))
+    assert [r.spec.label() for r in at_50 if outside(r)] == []
+    diagonal = [e for e in paper_full_manifest(200).entries if e.cfg.method == "diagonal"]
+    at_200 = [verify(e.spec, e.cfg, e.tol) for e in diagonal]
+    assert len(at_200) == 22
+    assert [r.spec.label() for r in at_200 if outside(r)] == []
+    # verify A3:s=0 --digits 60, which once passed on tol alone
+    report = verify(parse_spec("A3:s=0"), NumericCfg(digits=60), 1e-8)
+    assert report.passed and report.abs_err <= report.oracle.tail_bound
+
+
 def test_paper_full_diagonal_entries_certify_45_digits():
     reports = list(iter_suite(paper_full_manifest(50)))
     assert all(r.passed for r in reports), [r.reason for r in reports if not r.passed]

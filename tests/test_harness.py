@@ -224,9 +224,9 @@ class TestEmission:
         # digests change only when a route or a rendering is meant to move
         reports = list(iter_suite(paper_full_manifest(50)))
         want = {
-            "json": "71fb88016d73f556b1ec31253fd92cc2108e490098b0b0266c4e124f55d084b5",
-            "csv": "44dcfbed55332e70f2663f0157ebabeda13deba80b3f8232d0d7522553a9a822",
-            "text": "13ce06b61830922c81d64ba62233f078e76123fdbb49ee9d6a1cc9a08d477f6e",
+            "json": "f97479f83e266c282be81d807a11074f76f045c1679ff3dcc53328a414d1f9c6",
+            "csv": "0f9715aef0ec2ae0a7b93bc19774704325f552569f66cf938b335915e94e057f",
+            "text": "091b256bdfa038a59e231bddcd2509536c0f7da92bf4a3e17d2aad7a4ea026ff",
         }
         got = {f: hashlib.sha256(render_reports(reports, f).encode()).hexdigest() for f in want}
         assert got == want
@@ -256,9 +256,9 @@ def test_sweep_reports_pinned(monkeypatch):
     reports = [r for *_, r in _below_cutoff_reports(monkeypatch)]
     assert [r.passed for r in reports] == [True] * 44 + [False] * 2
     want = {
-        "json": "93266d3f25d743aa8bde329e51ea9ba9bc6b8fa33bb28ee404897f930160e055",
-        "csv": "bc7af9a64fe93b82bcc878efb3827198a7fb39ffdfa42e8fefaf1fb6f4b6a8ca",
-        "text": "1c486bfdd22a403a58c669f471aa705f3f57468c2040571f1e533febf8fcaeef",
+        "json": "8f04d51c2b9147a4a1e6c1b6ca34db5832623c997a82c0cf1c8ee719580bd9c0",
+        "csv": "55cd43c9a8373c900ec9b4b0b91e818590baef4a8b46d2799a60a06af730c958",
+        "text": "89cf932d34885824500609b4c65d6120fe12ae5d5cd5962c3117037b7a199fd5",
     }
     got = {f: hashlib.sha256(render_reports(reports, f).encode()).hexdigest() for f in want}
     assert got == want
@@ -269,9 +269,9 @@ def test_sweep_reports_pinned_in_any_format_order(monkeypatch):
     # numbers, formatted once, serve every later render unchanged
     reports = [r for *_, r in _below_cutoff_reports(monkeypatch)]
     want = {
-        "json": "93266d3f25d743aa8bde329e51ea9ba9bc6b8fa33bb28ee404897f930160e055",
-        "csv": "bc7af9a64fe93b82bcc878efb3827198a7fb39ffdfa42e8fefaf1fb6f4b6a8ca",
-        "text": "1c486bfdd22a403a58c669f471aa705f3f57468c2040571f1e533febf8fcaeef",
+        "json": "8f04d51c2b9147a4a1e6c1b6ca34db5832623c997a82c0cf1c8ee719580bd9c0",
+        "csv": "55cd43c9a8373c900ec9b4b0b91e818590baef4a8b46d2799a60a06af730c958",
+        "text": "89cf932d34885824500609b4c65d6120fe12ae5d5cd5962c3117037b7a199fd5",
     }
     for f in ("text", "csv", "json", "json"):
         assert hashlib.sha256(render_reports(reports, f).encode()).hexdigest() == want[f], f
