@@ -28,22 +28,22 @@ The term is built from its row's ``Family.atoms`` description:
 Products drop the terms above order K into the remainder (``_dropped``
 bounds them), and every coefficient carries a bound on its rounding
 error.  All arithmetic is on integers scaled by 2^P; an "ulp" below is
-2^-P.  gamma, logarithms and zeta(k) come from mpmath, never from the
-evaluator's ``const_*``, so the oracle shares no code with the closed forms.
+2^-P.  gamma, logarithms, zeta(k) and B_2r (``bernfrac``) come from mpmath, never
+from ``const_*`` or ``exact.bernoulli``, so the oracle shares no code with the closed forms.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cache, lru_cache, reduce
 from itertools import accumulate
 from typing import TYPE_CHECKING, NamedTuple
 
-from mpmath.libmp import from_int, mpf_add, mpf_div, mpf_euler, mpf_log, mpf_neg, mpf_nint
+from mpmath.libmp import bernfrac, from_int, mpf_add, mpf_div, mpf_euler, mpf_log, mpf_neg, mpf_nint
 from mpmath.libmp import mpf_pow_int, mpf_shift, mpf_zeta, round_nearest, to_int
 
-from .exact import bernoulli
+_bernfrac = cache(bernfrac)  # B_n as (p, q); each row asks for B_2r again
 
 if TYPE_CHECKING:
     from .series import SeriesSpec
@@ -197,8 +197,8 @@ def _power_sum(k: int, alpha: int, last: int, grid: _Grid) -> _Series:
     c[k][0] = (1 + 2 * last) * _rnd(1 << prec, 2 * x**k)
     r, rising = 1, k  # (k)_{2r-1}
     while True:
-        b, p = bernoulli(2 * r), k + 2 * r - 1
-        num, den = b.numerator * rising << prec, b.denominator * math.factorial(2 * r) * x**p
+        (bn, bd), p = _bernfrac(2 * r), k + 2 * r - 1
+        num, den = bn * rising << prec, bd * math.factorial(2 * r) * x**p
         if p > order:
             return _Series(c, 0, 1, [_up(2 * abs(num), den)])
         c[p][0] = -_rnd(num, den)
@@ -290,10 +290,10 @@ def _log_power_row(i: int, deg: int, n: int, prec: int) -> tuple[tuple[int, ...]
     last = math.inf
     r = 1
     while True:
-        b = bernoulli(2 * r)
-        den = b.denominator * math.factorial(2 * r) * x0 ** (2 * r - 1)
+        bn, bd = _bernfrac(2 * r)
+        den = bd * math.factorial(2 * r) * x0 ** (2 * r - 1)
         for j in range(deg + 1):
-            q[j] += _rnd(b.numerator * poch[j] << prec, den)
+            q[j] += _rnd(bn * poch[j] << prec, den)
         poch = _times_linear(_times_linear(poch, i + 2 * r - 1), i + 2 * r)
         r += 1
         # natural log of the next term: |B_2r|/(2r)! < 4/(2 pi)^2r, and the
@@ -316,13 +316,13 @@ def _log_power_row(i: int, deg: int, n: int, prec: int) -> tuple[tuple[int, ...]
     m2 = 2 * r
     p1 = i + m2 - 1
     poch = _times_linear(poch, p1)  # (i+eps)_{2r}
-    b = bernoulli(m2)
+    bn, bd = _bernfrac(m2)
     lam = math.ceil(log_x0) + 1  # > ln x0
     # em[j] bounds 2|B_2r|/(2r)! n^i sum_l poch[l] j!/(j-l)! I_{j-l}, with I_m the integral
     # of x^-(p1+1) ln^m x past x0: x0^-p1 sum_{u<=m} m!/u! ln^u x0 / p1^(m-u+1), at most
     # x0^-p1 s[m] / p1^(m+1) for s[m] = sum_{u<=m} (lam p1)^u m!/u! = m s[m-1] + (lam p1)^m
     s = list(accumulate(range(1, deg + 1), lambda v, m: m * v + (lam * p1) ** m, initial=1))
-    top, bottom = 2 * abs(b.numerator) * n**i, b.denominator * math.factorial(m2) * x0**p1
+    top, bottom = 2 * abs(bn) * n**i, bd * math.factorial(m2) * x0**p1
     em = []
     for j in range(deg + 1):
         inner = sum(poch[l] * s[j - l] * math.perm(j, l) * p1**l for l in range(j + 1))

@@ -214,19 +214,11 @@ def iter_suite(manifest: SuiteManifest, parallel: bool = False) -> Iterator[Eval
 # ---------------------------------------------------------------------------
 # rendering
 
-# the CSV header: ``_row``'s columns, in order
-_CSV_COLUMNS = (
-    "spec",
-    "params",
-    "closed_form",
-    "closed_numeric",
-    "oracle_value",
-    "method",
-    "n_used",
-    "abs_err",
-    "tail_bound",
-    "pass",
-)
+# ``_row``'s keys, in order; the CSV header names two of them shorter
+_COLUMNS = ("spec", "params", "closed_form_text", "closed_numeric", "oracle_value",
+            "oracle_method", "n_used", "abs_err", "tail_bound", "pass")
+_CSV_COLUMNS = tuple({"closed_form_text": "closed_form", "oracle_method": "method"}.get(k, k)
+                     for k in _COLUMNS)
 
 
 def _fmt(x, digits: int, guard: int = 10, strip_zeros: bool = False) -> str:
@@ -257,24 +249,13 @@ def _row(report: EvalReport) -> dict:
     o = report.oracle
     text, closed, _ = _closed_strings(report.closed_form, report.closed_numeric._mpf_)
     value, abs_err, tail_bound = report._numbers
-    return {
-        "spec": report.spec.token(),
-        "params": report.spec.params_text(),
-        "closed_form_text": text,
-        "closed_numeric": closed,
-        "oracle_value": value,
-        "oracle_method": o.method,
-        "n_used": _n_used(o),
-        "abs_err": abs_err,
-        "tail_bound": tail_bound,
-        "pass": report.passed,
-    }
+    return dict(zip(_COLUMNS, (
+        report.spec.token(), report.spec.params_text(), text, closed, value,
+        o.method, _n_used(o), abs_err, tail_bound, report.passed)))
 
 
-# ``_row``'s keys, in order, in json.dumps(row, indent=2) indented as a list element
-_JSON_ROW = "  {\n" + ",\n".join(f'    "{k}": %s' for k in (
-    "spec", "params", "closed_form_text", "closed_numeric", "oracle_value",
-    "oracle_method", "n_used", "abs_err", "tail_bound", "pass")) + "\n  }"
+# ``_row`` in json.dumps(row, indent=2), indented as a list element
+_JSON_ROW = "  {\n" + ",\n".join(f'    "{k}": %s' for k in _COLUMNS) + "\n  }"
 
 
 def _json_row(row: dict) -> str:

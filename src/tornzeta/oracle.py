@@ -35,7 +35,6 @@ operators do.  Results are wrapped as mpf with ``mp.make_mpf``.
 
 from __future__ import annotations
 
-import io
 import math
 import threading
 import time
@@ -715,31 +714,17 @@ def _level_nodes(digits: int, level: int, g: int):
         eu = eu * step >> f
 
 
-def _node_width(g: int) -> int:
-    """Bytes of a stored node value: each is at most the weight, below 2w + pi < g."""
-    return (g + g.bit_length() + 7) // 8
-
-
 @lru_cache(maxsize=_TABLE_PRECISIONS * (_TABLE_LEVELS + 1))
-def _node_table(digits: int, level: int, g: int) -> bytes:
-    """``_level_nodes`` stored densely: one blob of ``_node_width(g)``-byte
-    little-endian integers, five a node."""
-    width, blob = _node_width(g), io.BytesIO()
-    for row in _level_nodes(digits, level, g):
-        for v in row:
-            blob.write(v.to_bytes(width, "little"))
-    # getvalue() hands over the BytesIO buffer uncopied, so a build holds one blob at a time
-    return blob.getvalue()
+def _node_table(digits: int, level: int, g: int) -> tuple:
+    """``_level_nodes`` kept as the tuple of its rows."""
+    return tuple(_level_nodes(digits, level, g))
 
 
 def _node_rows(digits: int, level: int, g: int):
-    """``_level_nodes``, decoded one node at a time from the shared table
-    through _TABLE_LEVELS."""
+    """``_level_nodes``, read from the shared table through _TABLE_LEVELS."""
     if level > _TABLE_LEVELS:
         return _level_nodes(digits, level, g)
-    width, blob = _node_width(g), memoryview(_node_table(digits, level, g))
-    ints = (int.from_bytes(blob[i : i + width], "little") for i in range(0, len(blob), width))
-    return zip(ints, ints, ints, ints, ints)
+    return iter(_node_table(digits, level, g))
 
 
 def _fpow(x: int, k: int, g: int) -> int:
@@ -789,10 +774,11 @@ def oracle_quadrature(spec: SeriesSpec, cfg: NumericCfg) -> OracleResult:
 
     A node's values depend on (digits, level, g) alone, so levels 0 through 10
     (the default quad_levels) read them from a table shared by every call on
-    that grid (``_node_table``, an LRU of 4 grids x 11 levels: 1.6 MB for 100,
-    200 and 300 digits through levels 6, 7 and 8, 8.2 MB for 1000 digits
-    through level 9, 16.4 MB through level 10); deeper levels compute them as
-    they go and keep nothing.  Levels 0-9 at 1000 digits take about 3.5 s cold.
+    that grid (``_node_table``, an LRU of 4 grids x 11 levels: 2.2 MB for 100,
+    200 and 300 digits through levels 6, 7 and 8, 9.0 MB for 1000 digits
+    through level 9, 18.1 MB through level 10, in tuple and int objects); deeper
+    levels compute them as they go and keep nothing.  Levels 0-9 at 1000 digits
+    take about 2.8 s cold.
     """
     if spec.family.integral is None:
         raise ValueError(f"quadrature needs the row's integral A_n(s), and {spec} has none")

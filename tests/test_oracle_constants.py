@@ -1,8 +1,11 @@
+import ast
 import hashlib
+import inspect
 
 import pytest
 from mpmath import mp, workdps
 
+from tornzeta import asymptotic, exact
 from tornzeta.oracle import _closed_bits, const_ln2, const_pi, const_zeta, zx_numeric
 from tornzeta.zexpr import ZExpr, zeta_even_to_pi
 
@@ -111,3 +114,16 @@ def test_evaluator_shares_no_code_with_the_oracles(fn):
     banned = {"_atanh", "_log1p", "_log_factors", "_fpow", "asymptotic"}
     prefixes = ("_level_", "_node_", "_regrouped_")
     assert not {n for n in names if n in banned or n.startswith(prefixes)}, fn
+
+
+def test_tails_take_no_bernoulli_from_the_evaluator():
+    # const_zeta takes B_2r from exact.bernoulli and the tails from mpmath's
+    # bernfrac, so a wrong B_2r cannot move a closed form and its tail together
+    nodes = list(ast.walk(ast.parse(inspect.getsource(asymptotic))))
+    names = {n.id for n in nodes if isinstance(n, ast.Name)}
+    names |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+    dotted = [n.name for n in nodes if isinstance(n, ast.alias)]
+    dotted += [n.module or "" for n in nodes if isinstance(n, ast.ImportFrom)]
+    names.update(part for name in dotted for part in name.split("."))
+    assert not names & {"bernoulli", "exact"}
+    assert exact.bernoulli not in vars(asymptotic).values()

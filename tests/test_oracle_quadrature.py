@@ -22,7 +22,6 @@ from tornzeta.oracle import (
     _log_factors,
     _node_rows,
     _node_table,
-    _node_width,
     _u_max,
     oracle_quadrature,
     tail_estimate,
@@ -218,14 +217,13 @@ class TestNodeTable:
         assert _node_table.cache_info().currsize == maxsize
 
     @pytest.mark.parametrize("digits,level", [(50, 0), (50, 6), (300, 8)])
-    def test_store_is_dense(self, digits, level):
-        # one blob of five fixed-width integers a node, each at most two bytes
-        # wider than the grid; one int object per value would take several times that
+    def test_table_bytes_per_node_are_bounded(self, digits, level):
+        # the level's tuple, its rows and their ints, in real bytes: five ints a node,
+        # each at most one 30-bit digit wider than the grid, plus the row and its slot
         g = _grid_bits(digits, 6)
-        blob = _node_table(digits, level, g)
-        nodes = sum(1 for _ in _level_nodes(digits, level, g))
-        assert len(blob) == 5 * nodes * _node_width(g)
-        assert sys.getsizeof(blob) <= 5 * ((g + 7) // 8 + 2) * nodes + 64
+        table = _node_table(digits, level, g)
+        size = sys.getsizeof(table) + sum(sys.getsizeof(row) + sum(map(sys.getsizeof, row)) for row in table)
+        assert size <= len(table) * (5 * (28 + 4 * math.ceil(g / 30)) + 96)
 
 
 @st.composite

@@ -770,6 +770,8 @@ ENCLOSED = [
     "oddsq",
     "binter",
 ]
+# rows with an integral A_n(s), for quadrature's pairs
+QUADRATURE_ENCLOSED = ["A3:s=0", "An:n=4,s=2", "An:n=5,s=3", "aXL:k=3", "S111"]
 
 
 class TestEnclosuresMeet:
@@ -787,6 +789,14 @@ class TestEnclosuresMeet:
             return result.value - result.tail_bound, result.value + result.tail_bound
         slack = mp.ldexp(terms, oracle._TAIL_GUARD_BITS - oracle._prec_bits(digits))
         return result.value - slack, result.value + slack + result.tail_bound
+
+    @staticmethod
+    def _quadrature(spec, digits):
+        # the level loop's stop target 10^-(digits+5) max(1, |v|) as the
+        # half-width, until quadrature's error is certified
+        v = oracle_quadrature(spec, NumericCfg(digits=digits)).value
+        half = mp.mpf(10) ** -(digits + 5) * max(1, abs(v))
+        return v - half, v + half
 
     def test_enclosures_meet_across_cutoffs_precisions_and_routes(self):
         def meet(a, b, where):
@@ -811,6 +821,13 @@ class TestEnclosuresMeet:
             boxes = {n: oracle_raw(spec, NumericCfg(n_max=n, method="raw")) for n in (100, 300, 800)}
             for a, b in combinations(boxes, 2):
                 meet(self._enclosure(boxes[a], 50, a**2), self._enclosure(boxes[b], 50, b**2), (a, b))
+            # quadrature at d against 2d digits, and against the diagonal route
+            for text in QUADRATURE_ENCLOSED:
+                spec = parse_spec(text)
+                quad = {d: self._quadrature(spec, d) for d in (50, 100)}
+                meet(quad[50], quad[100], (text, "quadrature at 50 against 100 digits"))
+                diagonal = self._enclosure(oracle_diagonal(spec, NumericCfg(digits=50)), 50)
+                meet(quad[50], diagonal, (text, "quadrature against the diagonal route"))
 
 
 def _mpf_tail_estimate(spec, n_cut: int):
