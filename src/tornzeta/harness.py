@@ -1,7 +1,8 @@
 """Closed-form vs oracle comparisons, suite presets, and report rendering.
 
 The pass rule credits the oracle's own honesty budget: a report passes
-when abs_err <= max(tolerance, tail_bound + quadrature error estimate).
+when abs_err <= max(tolerance, tail_bound + quadrature error estimate),
+decided exactly on the values the routes return; only rendering rounds.
 A truncated sum that lands inside its certified tail bound is correct to
 the extent it can be checked at that cutoff; only a discrepancy exceeding
 both the tolerance and the bound is evidence against an identity.  Past
@@ -25,7 +26,7 @@ from functools import cached_property, lru_cache
 from json.encoder import encode_basestring_ascii
 
 from mpmath import mp
-from mpmath.libmp import dps_to_prec, from_float, mpf_abs, mpf_add, mpf_gt, mpf_le, mpf_pos
+from mpmath.libmp import dps_to_prec, from_float, mpf_abs, mpf_add, mpf_le, mpf_pos
 from mpmath.libmp import mpf_sub, round_nearest, to_str
 
 from .closedform import closed_form_of
@@ -78,12 +79,10 @@ def verify(spec: SeriesSpec, cfg: NumericCfg, tol: float) -> EvalReport:
     except OracleError as exc:
         note = str(exc)
         result = exc.partial
-    # abs(closed - value) <= max(mpf(tol), tail_bound + error_estimate) at digits + 10
-    prec, rnd = dps_to_prec(cfg.digits + 10), round_nearest
-    abs_err = mpf_abs(mpf_sub(closed_num._mpf_, result.value._mpf_, prec, rnd))
-    slack = mpf_add(result.tail_bound._mpf_, result.error_estimate._mpf_, prec, rnd)
-    tol_ = from_float(tol, prec, rnd)
-    passed = not note and mpf_le(abs_err, slack if mpf_gt(slack, tol_) else tol_)
+    # abs(closed - value) <= max(tol, tail_bound + error_estimate), exactly
+    abs_err = mpf_abs(mpf_sub(closed_num._mpf_, result.value._mpf_))
+    slack = mpf_add(result.tail_bound._mpf_, result.error_estimate._mpf_)
+    passed = not note and (mpf_le(abs_err, from_float(tol)) or mpf_le(abs_err, slack))
     if not passed and not note:
         note = (
             f"abs_err {to_str(abs_err, 6)} exceeds tolerance {tol:g} "

@@ -17,9 +17,9 @@ catalog series:
   integral A_n(s) that a row's defining sum equals (``Family.integral``).
 
 Series accumulation uses scaled integer (fixed-point) arithmetic: every
-term is floored onto a 2^prec grid and added exactly, so a run is
-bit-reproducible and the only error is one downward ulp per term.  With
-prec about 3.32*digits + 64 bits (230 at the default 50 digits), the
+term is floored onto a 2^prec grid and added exactly, and the value is
+that sum, so a run is bit-reproducible and errs by one downward ulp per term.
+With prec about 3.32*digits + 64 bits (230 at the default 50 digits), the
 diagonal route sums at most N* terms (2^11 at 50 digits), and the largest
 raw box, ``_RAW_TERM_CAP`` = 25*10^6 terms, stays within about 1.5e-62 of
 the true partial sum at 50 digits, far beneath every tolerance used here.
@@ -30,7 +30,7 @@ error budget, on the grid 2^-f of ``_closed_bits``.
 Every numeric routine takes its precision as an argument, or derives it
 from ``digits``, and never reads or sets mpmath's process-global precision.
 ``tail_estimate`` works on raw libmp tuples and rounds to nearest as the mpf
-operators do.  Results are wrapped as mpf with ``mp.make_mpf``.
+operators do.  Each result is the dyadic its route summed, as an exact mpf.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ class OracleResult:
     method: str
     n_used: int | None
     levels_used: int | None
-    tail_bound: object  # mpf, 0 for quadrature
+    tail_bound: object  # mpf: the tail's bound, or quadrature's grid bound
     error_estimate: object  # mpf, 0 for summation methods
     elapsed: float
     level_estimates: tuple = ()
@@ -546,9 +546,9 @@ def oracle_diagonal(spec: SeriesSpec, cfg: NumericCfg) -> OracleResult:
 
     cfg.n_max caps the terms summed.  When it reaches N* =
     ``asymptotic_cutoff``, the first N* terms are summed and the rest is
-    the certified asymptotic tail: ``value`` is S_N* plus the expanded tail
-    and ``tail_bound`` covers its remainder and N* 2^-prec of rounding in
-    S_N*.  Below N*, S_n_max is read from the prefix sums shared by row and precision
+    the certified asymptotic tail: ``value`` is S_N* plus the expanded tail,
+    exactly, and ``tail_bound`` covers its remainder and N* 2^-prec of rounding
+    in S_N*.  Below N*, S_n_max is read from the prefix sums shared by row and precision
     (``_prefix_sum``, at most ``_PREFIX_BUDGET`` = 4 MB), which a larger n_max extends
     by resuming the walk kept with them, and ``tail_estimate`` bounds the rest.
     """
@@ -568,15 +568,14 @@ def _series(spec: SeriesSpec, cfg: NumericCfg, method: str, head, cutoff=None):
     the tail past n: without a cutoff n = cfg.n_max and ``tail_estimate``
     bounds the tail; at one, n = cutoff on a grid _TAIL_GUARD_BITS finer, the
     certified asymptotic tail is added and ``tail_bound`` gives each of the
-    n summed terms 2^_TAIL_GUARD_BITS ulps, far more than one takes.
+    n summed terms 2^_TAIL_GUARD_BITS ulps, far more than one takes; the value
+    and that bound are their integers times 2^-prec, exactly.
     A bound that leaves fewer than digits - 5 digits of the value raises OracleError."""
     t0 = time.perf_counter()
     if cutoff is None:
         n, prec = cfg.n_max, _prec_bits(cfg.digits)
         acc = head(n, 1 << prec)
         tail_bound = tail_estimate(spec, n)
-        # acc / 2^prec at digits + 10; the division by a power of two is exact
-        value = from_man_exp(acc, -prec, dps_to_prec(cfg.digits + 10), round_nearest)
     else:
         # imported here, so a run that stays below the cutoffs does not load
         # (and, without cached bytecode, compile) the expansion code
@@ -585,12 +584,11 @@ def _series(spec: SeriesSpec, cfg: NumericCfg, method: str, head, cutoff=None):
         n, prec = cutoff, _prec_bits(cfg.digits) + _TAIL_GUARD_BITS
         acc = head(n, 1 << prec)
         tail, bound = asymptotic.tail(spec, n, cfg.digits, prec)
+        acc += tail
         bound += n << _TAIL_GUARD_BITS
-        value = from_man_exp(acc + tail, -prec, prec + 64, round_nearest)
-        # padded so that rounding the integer to 64 bits cannot lower it
-        tail_bound = mp.make_mpf(from_man_exp(bound + (bound >> 40) + 1, -prec, 64, round_nearest))
+        tail_bound = mp.make_mpf(from_man_exp(bound, -prec))
     result = OracleResult(
-        value=mp.make_mpf(value),
+        value=mp.make_mpf(from_man_exp(acc, -prec)),
         method=method,
         n_used=n,
         levels_used=None,
@@ -598,7 +596,7 @@ def _series(spec: SeriesSpec, cfg: NumericCfg, method: str, head, cutoff=None):
         error_estimate=mp.make_mpf(fzero),
         elapsed=time.perf_counter() - t0,
     )
-    if cutoff is not None and bound * 10 ** (cfg.digits - 5) > abs(acc + tail):
+    if cutoff is not None and bound * 10 ** (cfg.digits - 5) > abs(acc):
         raise OracleError(f"the tail past {n} certifies fewer than {cfg.digits - 5} digits", result)
     return result
 
@@ -770,7 +768,8 @@ def oracle_quadrature(spec: SeriesSpec, cfg: NumericCfg) -> OracleResult:
     as the mirrored node (``_level_nodes``).  Levels halve the step and reuse
     prior nodes; the level-to-level difference is the reported error estimate.
     All of it is summed on one grid 2^-g (``_grid_bits``): the value after level
-    v is the sum of the level sums through v times 2^-(g+v), within 2^-prec.
+    v is the sum of the level sums through v times 2^-(g+v), exactly, as is each
+    estimate; it lies within 2^-prec, the tail_bound, of the exact node sum.
 
     A node's values depend on (digits, level, g) alone, so levels 0 through 10
     (the default quad_levels) read them from a table shared by every call on
@@ -792,16 +791,16 @@ def oracle_quadrature(spec: SeriesSpec, cfg: NumericCfg) -> OracleResult:
         # |new - value| <= 10^-(digits+5) max(1, |new|)
         new = total + _level_sum(cfg.digits, level, n, s, g)
         diff, total = abs(new - 2 * total), new
-        estimates.append(mp.make_mpf(from_man_exp(diff, -(g + level), prec, round_nearest)))
+        estimates.append(mp.make_mpf(from_man_exp(diff, -(g + level))))
         converged = diff * 10 ** (cfg.digits + 5) <= max(total, 1 << (g + level))
         if converged:
             break
     result = OracleResult(
-        value=mp.make_mpf(from_man_exp(total, -(g + len(estimates)), prec, round_nearest)),
+        value=mp.make_mpf(from_man_exp(total, -(g + len(estimates)))),
         method="quadrature",
         n_used=None,
         levels_used=len(estimates),
-        tail_bound=mp.make_mpf(fzero),
+        tail_bound=mp.make_mpf(from_man_exp(1, -prec)),
         error_estimate=estimates[-1],
         elapsed=time.perf_counter() - t0,
         level_estimates=tuple(estimates),

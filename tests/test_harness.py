@@ -3,10 +3,13 @@ import hashlib
 import io
 import json
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from mpmath import mp, workdps
+from mpmath.libmp import from_man_exp
 
+import tornzeta.harness as harness_mod
 import tornzeta.oracle as oracle_mod
 from tornzeta.harness import (
     _fmt,
@@ -224,9 +227,9 @@ class TestEmission:
         # digests change only when a route or a rendering is meant to move
         reports = list(iter_suite(paper_full_manifest(50)))
         want = {
-            "json": "f97479f83e266c282be81d807a11074f76f045c1679ff3dcc53328a414d1f9c6",
-            "csv": "0f9715aef0ec2ae0a7b93bc19774704325f552569f66cf938b335915e94e057f",
-            "text": "091b256bdfa038a59e231bddcd2509536c0f7da92bf4a3e17d2aad7a4ea026ff",
+            "json": "c042de370cd4d8068a40e74cc44981a6657ba33ba9e912597199b936c6ef6e78",
+            "csv": "9af894544af7b55195fcd59ba16a03890ae687f01a490bf71d30e4a0b57fc494",
+            "text": "adf5670c57e660d07db7b09576ad5c0a203c2d23dcb88a156bdfe1c3bf4d4329",
         }
         got = {f: hashlib.sha256(render_reports(reports, f).encode()).hexdigest() for f in want}
         assert got == want
@@ -256,9 +259,9 @@ def test_sweep_reports_pinned(monkeypatch):
     reports = [r for *_, r in _below_cutoff_reports(monkeypatch)]
     assert [r.passed for r in reports] == [True] * 44 + [False] * 2
     want = {
-        "json": "8f04d51c2b9147a4a1e6c1b6ca34db5832623c997a82c0cf1c8ee719580bd9c0",
-        "csv": "55cd43c9a8373c900ec9b4b0b91e818590baef4a8b46d2799a60a06af730c958",
-        "text": "89cf932d34885824500609b4c65d6120fe12ae5d5cd5962c3117037b7a199fd5",
+        "json": "b6fcad8e71d3b02c4de5b387a9663dc594b9ee0178a435db8c9e953d52faaeea",
+        "csv": "669ee046c49de645903557cccc251ccbbf15848f85aa6d0052a712d660fc93f1",
+        "text": "7c63aea2fc8f0b1bda07edaef169c0ba3c3591bc59b183e17364c74dc0f5fe99",
     }
     got = {f: hashlib.sha256(render_reports(reports, f).encode()).hexdigest() for f in want}
     assert got == want
@@ -269,9 +272,9 @@ def test_sweep_reports_pinned_in_any_format_order(monkeypatch):
     # numbers, formatted once, serve every later render unchanged
     reports = [r for *_, r in _below_cutoff_reports(monkeypatch)]
     want = {
-        "json": "8f04d51c2b9147a4a1e6c1b6ca34db5832623c997a82c0cf1c8ee719580bd9c0",
-        "csv": "55cd43c9a8373c900ec9b4b0b91e818590baef4a8b46d2799a60a06af730c958",
-        "text": "89cf932d34885824500609b4c65d6120fe12ae5d5cd5962c3117037b7a199fd5",
+        "json": "b6fcad8e71d3b02c4de5b387a9663dc594b9ee0178a435db8c9e953d52faaeea",
+        "csv": "669ee046c49de645903557cccc251ccbbf15848f85aa6d0052a712d660fc93f1",
+        "text": "7c63aea2fc8f0b1bda07edaef169c0ba3c3591bc59b183e17364c74dc0f5fe99",
     }
     for f in ("text", "csv", "json", "json"):
         assert hashlib.sha256(render_reports(reports, f).encode()).hexdigest() == want[f], f
@@ -336,19 +339,60 @@ def test_parallel_renders_are_the_serial_bytes():
         assert len({child.closed_form, local.closed_form}) == 1
 
 
-def test_comparison_is_the_mpf_form(monkeypatch):
-    # verify's abs_err, pass and mismatch note against a test-local copy of
-    # the comparison in mpf operators, bit for bit
+def m2f(x) -> Fraction:
+    """The mpf x as the Fraction its raw tuple denotes, exactly."""
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * man * Fraction(2) ** exp
+
+
+def _mpf(q: Fraction):
+    """The dyadic Fraction q as an mpf, exactly."""
+    k = q.denominator.bit_length() - 1
+    assert q.denominator == 1 << k
+    return mp.make_mpf(from_man_exp(q.numerator, -k))
+
+
+def test_comparison_is_exact(monkeypatch):
+    # verify's abs_err, pass and mismatch note against Fraction arithmetic on
+    # the raw tuples: abs_err is |closed - value| and the rule
+    # abs_err <= max(tol, tail_bound + error_estimate) holds or fails exactly
     for cfg, tol, r in _below_cutoff_reports(monkeypatch):
         o = r.oracle
-        with workdps(cfg.digits + 10):
-            abs_err = abs(r.closed_numeric - o.value)
-            slack = o.tail_bound + o.error_estimate
-            passed = bool(abs_err <= max(mp.mpf(tol), slack))
-            note = f"abs_err {mp.nstr(abs_err, 6)} exceeds tolerance {tol:g} and slack {mp.nstr(slack, 6)}"
-        assert r.abs_err._mpf_ == abs_err._mpf_
+        abs_err = abs(m2f(r.closed_numeric) - m2f(o.value))
+        slack = m2f(o.tail_bound) + m2f(o.error_estimate)
+        passed = abs_err <= max(Fraction(tol), slack)
+        note = f"abs_err {mp.nstr(_mpf(abs_err), 6)} exceeds tolerance {tol:g} and slack {mp.nstr(_mpf(slack), 6)}"
+        assert m2f(r.abs_err) == abs_err
         if "stalled" not in r.reason:
             assert (r.passed, r.reason) == (passed, "" if passed else note)
+
+
+@pytest.mark.parametrize("short, passed", [(0, True), (1, False)])
+def test_touching_enclosure_is_decided_exactly(monkeypatch, short, passed):
+    # a tail_bound equal to |closed - value| passes, and one unit of the finer
+    # of their two grids less fails; the gap spans over 220 bits of that unit,
+    # more than the 203 bits of 60 digits, at which a rounded comparison could not tell them apart
+    spec, cfg, tol = parse_spec("ln"), NumericCfg(digits=50, n_max=100, method="diagonal"), 1e-30
+    result = oracle_mod.oracle_for(spec, cfg)
+    closed = verify(spec, cfg, tol).closed_numeric
+    gap = abs(m2f(closed) - m2f(result.value))
+    unit = Fraction(2) ** min(closed._mpf_[2], result.value._mpf_[2])
+    assert Fraction(tol) < gap - unit and gap / unit > 2**220
+    touching = replace(result, tail_bound=_mpf(gap - short * unit))
+    monkeypatch.setattr(harness_mod, "oracle_for", lambda spec, cfg: touching)
+    report = verify(spec, cfg, tol)
+    assert m2f(report.abs_err) == gap
+    assert report.passed is passed
+
+
+def test_paper_full_rests_on_its_enclosures():
+    # every paper-full entry at 50 and 200 digits has its closed form inside
+    # tail_bound + error_estimate, so no pass needs its tol
+    for digits in (50, 200):
+        for report in iter_suite(paper_full_manifest(digits)):
+            o = report.oracle
+            slack = m2f(o.tail_bound) + m2f(o.error_estimate)
+            assert m2f(report.abs_err) <= slack, (digits, report.spec.label(), o.method)
 
 
 def test_fmt_is_nstr():

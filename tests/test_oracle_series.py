@@ -32,6 +32,12 @@ def f2m(fr: F):
     return mp.mpf(fr.numerator) / mp.mpf(fr.denominator)
 
 
+def m2f(x) -> F:
+    """The mpf x as the Fraction its raw tuple denotes, exactly."""
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * man * F(2) ** exp
+
+
 class TestExactPartialSpots:
     def test_box_single_terms(self):
         assert box_partial_exact(parse_spec("A3:s=0"), 1) == F(3, 4)
@@ -289,7 +295,7 @@ class TestFixedPointEngines:
         # summed by hand-written per-family loops, check the transcription
         res = oracle_raw(parse_spec(text), NumericCfg(digits=50, n_max=box, method="raw"))
         with workdps(60):
-            assert res.value == mp.mpf(value)
+            assert +res.value == mp.mpf(value)
 
     @pytest.mark.parametrize("text", DIAG_FAMILIES)
     @pytest.mark.parametrize("cutoff", [37, 500])
@@ -315,13 +321,19 @@ class TestFixedPointEngines:
         assert peak < 2 * 2**20, peak
 
     def test_rounding_is_downward(self):
-        # fixed-point truncation may only under-shoot the exact partial
-        spec = parse_spec("ln")
-        cfg = NumericCfg(digits=40, n_max=200, method="diagonal")
-        got = oracle_for(spec, cfg)
-        want = diagonal_partial_exact(spec, 200)
-        with workdps(60):
-            assert got.value <= f2m(want)
+        # fixed-point truncation may only under-shoot the exact partial: the
+        # value, read exactly from its raw tuple, never lies above it
+        diag = ["A3:s=2", "ln", "on", "S111", "halfint:c", "baseT:2", "binter",
+                "evenodd", "oddsq", "aXL:k=3", "An:n=4,s=1"]
+        raw = ["S111", "A3:s=2", "halfint:c", "baseT:2", "binter", "tornheim:a=2,b=1,c=1"]
+        cases = [("ln", NumericCfg(digits=40, n_max=200, method="diagonal"), diagonal_partial_exact)]
+        cases += [(t, NumericCfg(n_max=n, method="diagonal"), diagonal_partial_exact)
+                  for n in (100, 137, 317, 1000) for t in diag]
+        cases += [(t, NumericCfg(n_max=n, method="raw"), box_partial_exact) for n in (20, 37, 80) for t in raw]
+        for text, cfg, exact in cases:
+            spec = parse_spec(text)
+            got = oracle_for(spec, cfg)
+            assert m2f(got.value) <= exact(spec, cfg.n_max), (text, cfg.method, cfg.n_max)
 
     def test_deterministic_repeats(self):
         spec = parse_spec("halfint:c")
@@ -844,7 +856,8 @@ def _mpf_tail_estimate(spec, n_cut: int):
 
 
 class TestRawTupleBits:
-    # each raw-tuple step against a test-local copy of its mpf-operator form, bit for bit
+    # each raw-tuple step against a test-local copy of its mpf-operator form, or
+    # against its exact value, bit for bit
 
     @pytest.mark.parametrize("text", TAIL_ROWS)
     def test_tail_estimate(self, text):
@@ -856,25 +869,21 @@ class TestRawTupleBits:
 
     @pytest.mark.parametrize("digits", [30, 50, 77, 200])
     def test_series_value(self, digits):
-        # below N*, and on a raw box, the value is acc / 2^prec at digits + 10; past
-        # N* it is (acc + tail) 2^-prec at prec + 64 on the finer grid
+        # below N*, and on a raw box, the value is acc 2^-prec exactly; past N*
+        # it is (acc + tail) 2^-prec on the finer grid, and tail_bound is bound 2^-prec
         prec = oracle._prec_bits(digits)
         for text in ["A3:s=2", "An:n=4,s=1", "S111", "ln", "halfint:c", "binter"]:
             spec = parse_spec(text)
             for n in (10, 100, 317):
                 acc = oracle._regrouped_sum(spec, n, 1 << prec)
-                with workdps(digits + 10):
-                    want = mp.mpf(acc) / mp.mpf(1 << prec)
                 got = oracle_diagonal(spec, NumericCfg(digits=digits, n_max=n)).value
-                assert got._mpf_ == want._mpf_, (text, n)
+                assert m2f(got) == F(acc, 1 << prec), (text, n)
             if spec.family.summand is not None:
                 for n in (10, 20):
                     dims = spec.family.dims(*spec.args)
                     acc = oracle._defining_sum(spec, n, dims * n, 1 << prec)
-                    with workdps(digits + 10):
-                        want = mp.mpf(acc) / mp.mpf(1 << prec)
                     got = oracle_raw(spec, NumericCfg(digits=digits, n_max=n)).value
-                    assert got._mpf_ == want._mpf_, (text, n)
+                    assert m2f(got) == F(acc, 1 << prec), (text, n)
         from tornzeta import asymptotic
 
         fine = prec + oracle._TAIL_GUARD_BITS
@@ -884,12 +893,9 @@ class TestRawTupleBits:
             acc = oracle._regrouped_sum(spec, n_star, 1 << fine)
             tail, bound = asymptotic.tail(spec, n_star, digits, fine)
             bound += n_star << oracle._TAIL_GUARD_BITS
-            with mp.workprec(fine + 64):
-                want = mp.ldexp(mp.mpf(acc + tail), -fine)
-            with mp.workprec(64):
-                want_bound = mp.ldexp(mp.mpf(bound + (bound >> 40) + 1), -fine)
             got = oracle_diagonal(spec, NumericCfg(digits=digits))
-            assert (got.value._mpf_, got.tail_bound._mpf_) == (want._mpf_, want_bound._mpf_)
+            assert m2f(got.value) == F(acc + tail, 1 << fine)
+            assert m2f(got.tail_bound) == F(bound, 1 << fine)
 
 
 class TestMonotoneApproach:
