@@ -1,15 +1,15 @@
 """Closed-form vs oracle comparisons, suite presets, and report rendering.
 
 The pass rule credits the oracle's own honesty budget: a report passes
-when abs_err <= max(tolerance, tail_bound + quadrature error estimate),
-decided exactly on the values the routes return; only rendering rounds.
-A truncated sum that lands inside its certified tail bound is correct to
-the extent it can be checked at that cutoff; only a discrepancy exceeding
-both the tolerance and the bound is evidence against an identity.  Past
-its asymptotic cutoff the diagonal oracle's tail_bound is about
-10^-(digits+2), below every tolerance used, so there the tolerance alone
-decides a pass, while abs_err and tail_bound still show how many digits
-the comparison pins down.
+when |closed - mid| <= max(tol, rad + est) for the oracle's enclosure
+(``OracleResult``), decided in integers on the finer of the two grids,
+with tol as its exact ratio; only rendering rounds.  A truncated sum
+inside its certified tail bound is correct as far as that cutoff can
+check; only a discrepancy exceeding both the tolerance and the bound is
+evidence against an identity.  Past its asymptotic cutoff the diagonal
+oracle's rad is about 10^-(digits+2), below every tolerance used; each
+paper-full entry still lands inside its enclosure, so none passes on its
+tolerance alone, and abs_err and tail_bound show the digits it pins.
 
 Each process evaluates a closed form once per (spec, row, digits) in a
 bounded memo, and formats a report's numbers once for every format.
@@ -26,8 +26,7 @@ from functools import cached_property, lru_cache
 from json.encoder import encode_basestring_ascii
 
 from mpmath import mp
-from mpmath.libmp import dps_to_prec, from_float, mpf_abs, mpf_add, mpf_le, mpf_pos
-from mpmath.libmp import mpf_sub, round_nearest, to_str
+from mpmath.libmp import dps_to_prec, from_man_exp, mpf_pos, round_nearest, to_str
 
 from .closedform import closed_form_of
 from .oracle import NumericCfg, OracleError, OracleResult, oracle_for, zx_numeric
@@ -79,25 +78,18 @@ def verify(spec: SeriesSpec, cfg: NumericCfg, tol: float) -> EvalReport:
     except OracleError as exc:
         note = str(exc)
         result = exc.partial
-    # abs(closed - value) <= max(tol, tail_bound + error_estimate), exactly
-    abs_err = mpf_abs(mpf_sub(closed_num._mpf_, result.value._mpf_))
-    slack = mpf_add(result.tail_bound._mpf_, result.error_estimate._mpf_)
-    passed = not note and (mpf_le(abs_err, from_float(tol)) or mpf_le(abs_err, slack))
+    # |closed - mid| <= max(tol, rad + est) in integers on 2^low, the finer grid (at most 1)
+    sign, man, e, _ = closed_num._mpf_
+    low = min(e, result.exp, 0)
+    err = abs(((-man if sign else man) << (e - low)) - (result.mid << (result.exp - low)))
+    slack, (num, den) = result.rad + result.est, tol.as_integer_ratio()
+    passed = not note and (err <= slack << (result.exp - low) or err * den <= num << -low)
+    abs_err = from_man_exp(err, low)
     if not passed and not note:
-        note = (
-            f"abs_err {to_str(abs_err, 6)} exceeds tolerance {tol:g} "
-            f"and slack {to_str(slack, 6)}"
-        )
-    return EvalReport(
-        spec=spec,
-        closed_form=closed,
-        closed_numeric=closed_num,
-        oracle=result,
-        abs_err=mp.make_mpf(abs_err),
-        tolerance=tol,
-        passed=passed,
-        reason=note,
-    )
+        note = (f"abs_err {to_str(abs_err, 6)} exceeds tolerance {tol:g} "
+                f"and slack {to_str(from_man_exp(slack, result.exp), 6)}")
+    return EvalReport(spec=spec, closed_form=closed, closed_numeric=closed_num, oracle=result,
+                      abs_err=mp.make_mpf(abs_err), tolerance=tol, passed=passed, reason=note)
 
 
 @dataclass(frozen=True)

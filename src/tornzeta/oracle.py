@@ -30,7 +30,8 @@ error budget, on the grid 2^-f of ``_closed_bits``.
 Every numeric routine takes its precision as an argument, or derives it
 from ``digits``, and never reads or sets mpmath's process-global precision.
 ``tail_estimate`` works on raw libmp tuples and rounds to nearest as the mpf
-operators do.  Each result is the dyadic its route summed, as an exact mpf.
+operators do.  Each result holds its route's integers on one grid (``OracleResult``),
+and ``harness.verify`` decides |closed - mid| <= max(tol, rad + est) on them exactly.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from operator import add, floordiv, mul, rshift
 from typing import TYPE_CHECKING
 
 from mpmath import mp
-from mpmath.libmp import dps_to_prec, from_float, from_int, from_man_exp, fzero, mpf_add, mpf_div
+from mpmath.libmp import dps_to_prec, from_float, from_int, from_man_exp, mpf_add, mpf_div
 from mpmath.libmp import mpf_exp, mpf_ln2, mpf_log, mpf_mul, mpf_mul_int, mpf_pi, mpf_pow_int
 from mpmath.libmp import round_nearest, to_fixed, to_str
 
@@ -98,14 +99,26 @@ class NumericCfg:
 
 @dataclass(frozen=True)
 class OracleResult:
-    value: object  # mpf
+    """A route's sum as integers on one grid 2^exp.  mid 2^exp is the value;
+    rad 2^exp is the certified bound (the series tail past n_used, with the
+    head's rounding past N*; quadrature's rounding against its exact node sum);
+    est 2^exp is estimated, not a bound: quadrature's last level difference,
+    0 for the series routes.  ``value``, ``tail_bound`` and ``error_estimate``
+    are the three as exact mpfs."""
+
+    mid: int
+    rad: int
+    est: int
+    exp: int
     method: str
     n_used: int | None
     levels_used: int | None
-    tail_bound: object  # mpf: the tail's bound, or quadrature's grid bound
-    error_estimate: object  # mpf, 0 for summation methods
     elapsed: float
     level_estimates: tuple = ()
+
+    value = property(lambda self: mp.make_mpf(from_man_exp(self.mid, self.exp)))
+    tail_bound = property(lambda self: mp.make_mpf(from_man_exp(self.rad, self.exp)))
+    error_estimate = property(lambda self: mp.make_mpf(from_man_exp(self.est, self.exp)))
 
 
 class OracleError(Exception):
@@ -546,8 +559,8 @@ def oracle_diagonal(spec: SeriesSpec, cfg: NumericCfg) -> OracleResult:
 
     cfg.n_max caps the terms summed.  When it reaches N* =
     ``asymptotic_cutoff``, the first N* terms are summed and the rest is
-    the certified asymptotic tail: ``value`` is S_N* plus the expanded tail,
-    exactly, and ``tail_bound`` covers its remainder and N* 2^-prec of rounding
+    the certified asymptotic tail: ``mid`` is S_N* plus the expanded tail,
+    exactly, and ``rad`` covers its remainder and N* 2^-prec of rounding
     in S_N*.  Below N*, S_n_max is read from the prefix sums shared by row and precision
     (``_prefix_sum``, at most ``_PREFIX_BUDGET`` = 4 MB), which a larger n_max extends
     by resuming the walk kept with them, and ``tail_estimate`` bounds the rest.
@@ -567,15 +580,20 @@ def _series(spec: SeriesSpec, cfg: NumericCfg, method: str, head, cutoff=None):
     """head(n, one), a fixed-point engine's sum through n on the grid ONE, plus
     the tail past n: without a cutoff n = cfg.n_max and ``tail_estimate``
     bounds the tail; at one, n = cutoff on a grid _TAIL_GUARD_BITS finer, the
-    certified asymptotic tail is added and ``tail_bound`` gives each of the
-    n summed terms 2^_TAIL_GUARD_BITS ulps, far more than one takes; the value
-    and that bound are their integers times 2^-prec, exactly.
+    certified asymptotic tail is added and the bound gives each of the n summed
+    terms 2^_TAIL_GUARD_BITS ulps, far more than one takes.  The result is the
+    sum and the bound as integers on the grid 2^-prec (``OracleResult``).
     A bound that leaves fewer than digits - 5 digits of the value raises OracleError."""
     t0 = time.perf_counter()
     if cutoff is None:
         n, prec = cfg.n_max, _prec_bits(cfg.digits)
         acc = head(n, 1 << prec)
-        tail_bound = tail_estimate(spec, n)
+        # the majorant, exactly, on the finer of its own grid and 2^-prec
+        _, bound, e, _ = tail_estimate(spec, n)._mpf_
+        if e < -prec:
+            acc, prec = acc << (-prec - e), -e
+        else:
+            bound <<= e + prec
     else:
         # imported here, so a run that stays below the cutoffs does not load
         # (and, without cached bytecode, compile) the expansion code
@@ -586,16 +604,8 @@ def _series(spec: SeriesSpec, cfg: NumericCfg, method: str, head, cutoff=None):
         tail, bound = asymptotic.tail(spec, n, cfg.digits, prec)
         acc += tail
         bound += n << _TAIL_GUARD_BITS
-        tail_bound = mp.make_mpf(from_man_exp(bound, -prec))
-    result = OracleResult(
-        value=mp.make_mpf(from_man_exp(acc, -prec)),
-        method=method,
-        n_used=n,
-        levels_used=None,
-        tail_bound=tail_bound,
-        error_estimate=mp.make_mpf(fzero),
-        elapsed=time.perf_counter() - t0,
-    )
+    result = OracleResult(mid=acc, rad=bound, est=0, exp=-prec, method=method, n_used=n,
+                          levels_used=None, elapsed=time.perf_counter() - t0)
     if cutoff is not None and bound * 10 ** (cfg.digits - 5) > abs(acc):
         raise OracleError(f"the tail past {n} certifies fewer than {cfg.digits - 5} digits", result)
     return result
@@ -795,16 +805,10 @@ def oracle_quadrature(spec: SeriesSpec, cfg: NumericCfg) -> OracleResult:
         converged = diff * 10 ** (cfg.digits + 5) <= max(total, 1 << (g + level))
         if converged:
             break
-    result = OracleResult(
-        value=mp.make_mpf(from_man_exp(total, -(g + len(estimates)))),
-        method="quadrature",
-        n_used=None,
-        levels_used=len(estimates),
-        tail_bound=mp.make_mpf(from_man_exp(1, -prec)),
-        error_estimate=estimates[-1],
-        elapsed=time.perf_counter() - t0,
-        level_estimates=tuple(estimates),
-    )
+    v = g + len(estimates)
+    result = OracleResult(mid=total, rad=1 << (v - prec), est=diff, exp=-v, method="quadrature",
+                          n_used=None, levels_used=len(estimates), elapsed=time.perf_counter() - t0,
+                          level_estimates=tuple(estimates))
     if not converged:
         raise OracleError(
             f"quadrature stalled at level {len(estimates)} with estimate {to_str(estimates[-1]._mpf_, 5)}",

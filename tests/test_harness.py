@@ -2,10 +2,12 @@ import csv
 import hashlib
 import io
 import json
+import math
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 from mpmath import mp, workdps
 from mpmath.libmp import from_man_exp
 
@@ -25,7 +27,7 @@ from tornzeta.harness import (
     verify,
 )
 from tornzeta.closedform import closed_form_of
-from tornzeta.oracle import NumericCfg, asymptotic_cutoff, zx_numeric
+from tornzeta.oracle import NumericCfg, OracleResult, asymptotic_cutoff, zx_numeric
 from tornzeta.series import FAMILIES, SeriesSpec, parse_spec
 from tornzeta.zexpr import ZExpr
 
@@ -369,30 +371,105 @@ def test_comparison_is_exact(monkeypatch):
 
 @pytest.mark.parametrize("short, passed", [(0, True), (1, False)])
 def test_touching_enclosure_is_decided_exactly(monkeypatch, short, passed):
-    # a tail_bound equal to |closed - value| passes, and one unit of the finer
-    # of their two grids less fails; the gap spans over 220 bits of that unit,
-    # more than the 203 bits of 60 digits, at which a rounded comparison could not tell them apart
+    # a rad equal to |closed - mid| passes, and one unit of the finer of their
+    # two grids less fails; the gap spans over 220 bits of that unit, more than
+    # the 203 bits of 60 digits, at which a rounded comparison could not tell them apart
     spec, cfg, tol = parse_spec("ln"), NumericCfg(digits=50, n_max=100, method="diagonal"), 1e-30
     result = oracle_mod.oracle_for(spec, cfg)
     closed = verify(spec, cfg, tol).closed_numeric
     gap = abs(m2f(closed) - m2f(result.value))
-    unit = Fraction(2) ** min(closed._mpf_[2], result.value._mpf_[2])
-    assert Fraction(tol) < gap - unit and gap / unit > 2**220
-    touching = replace(result, tail_bound=_mpf(gap - short * unit))
+    low = min(closed._mpf_[2], result.exp)
+    unit = Fraction(2) ** low
+    assert Fraction(tol) < gap - unit and gap / unit > 2**220 and (gap / unit).denominator == 1
+    # the same enclosure on the finer grid 2^low, its rad SHORT units below the gap
+    touching = replace(result, mid=result.mid << (result.exp - low), rad=int(gap / unit) - short, exp=low)
     monkeypatch.setattr(harness_mod, "oracle_for", lambda spec, cfg: touching)
     report = verify(spec, cfg, tol)
     assert m2f(report.abs_err) == gap
     assert report.passed is passed
 
 
+def _smallest_float_at_least(q: Fraction) -> float:
+    t = float(q)
+    return t if Fraction(t) >= q else math.nextafter(t, math.inf)
+
+
+@given(
+    man=st.integers(-(2**80), 2**80),
+    e=st.integers(-300, -60),
+    dx=st.integers(-40, 40),
+    off=st.integers(-(2**30), 2**30),
+    near=st.sampled_from([-1, 0]) | st.none(),
+    wide=st.integers(0, 2**32),
+    eighths=st.integers(0, 8),
+    tol_at=st.sampled_from(["at", "below", "tiny", "one"]),
+)
+@example(man=-(3 << 70), e=-100, dx=-20, off=5, near=0, wide=0, eighths=3, tol_at="tiny")
+@example(man=-(3 << 70), e=-100, dx=-20, off=5, near=-1, wide=0, eighths=3, tol_at="tiny")
+@example(man=12345, e=-100, dx=10, off=-7, near=0, wide=0, eighths=8, tol_at="below")
+@example(man=12345, e=-100, dx=10, off=-7, near=-1, wide=0, eighths=8, tol_at="below")
+def test_enclosure_decision_is_fraction_arithmetic(man, e, dx, off, near, wide, eighths, tol_at):
+    # a closed form man 2^e and an enclosure on 2^x, x = e + dx, its grid finer
+    # or coarser: verify's pass, abs_err and note against Fraction arithmetic on
+    # the same integers.  NEAR puts rad + est at the least S with S 2^x >= abs_err
+    # (touching, where abs_err lies on 2^x) or one unit below it; TOL_AT puts tol
+    # at the least float >= abs_err, the float below it, or far off either way
+    x = e + dx
+    closed = Fraction(man) * Fraction(2) ** e
+    mid = math.floor(closed / Fraction(2) ** x) + off
+    abs_err = abs(closed - mid * Fraction(2) ** x)
+    least = math.ceil(abs_err / Fraction(2) ** x)
+    s = wide if near is None else max(least + near, 0)
+    est = s * eighths // 8
+    result = OracleResult(mid=mid, rad=s - est, est=est, exp=x, method="diagonal", n_used=100,
+                          levels_used=None, elapsed=0.0)
+    at = _smallest_float_at_least(abs_err) if abs_err else 1e-300
+    tol = {"at": at, "below": math.nextafter(at, 0), "tiny": 1e-300, "one": 1.0}[tol_at]
+    spec, cfg = parse_spec("ln"), NumericCfg(n_max=100)
+    with pytest.MonkeyPatch.context() as patch:
+        form = closed_form_of(spec)
+        patch.setattr(harness_mod, "_closed", lambda *key: (form, mp.make_mpf(from_man_exp(man, e))))
+        patch.setattr(harness_mod, "oracle_for", lambda spec, cfg: result)
+        report = verify(spec, cfg, tol)
+    slack = s * Fraction(2) ** x
+    passed = abs_err <= max(Fraction(tol), slack)
+    note = f"abs_err {mp.nstr(_mpf(abs_err), 6)} exceeds tolerance {tol:g} and slack {mp.nstr(_mpf(slack), 6)}"
+    assert m2f(report.abs_err) == abs_err
+    assert (report.passed, report.reason) == (passed, "" if passed else note)
+
+
+@pytest.mark.parametrize("text, digits, n_max, method", [
+    ("ln", 50, 10**6, "diagonal"),
+    ("A3:s=0", 50, 10**6, "quadrature"),
+    ("ln", 1000, 100, "diagonal"),
+])
+def test_tol_alone_decides_outside_the_enclosure(monkeypatch, text, digits, n_max, method):
+    # the route's enclosure moved by 2 (rad + est) + 1 units, so abs_err > rad + est:
+    # the least float tol >= abs_err passes and the float below it fails; at 1000
+    # digits the grid is finer than 2^-3300, far past a float's exponent range
+    spec, cfg = parse_spec(text), NumericCfg(digits=digits, n_max=n_max, method=method)
+    result = oracle_mod.oracle_for(spec, cfg)
+    moved = replace(result, mid=result.mid + 2 * (result.rad + result.est) + 1)
+    monkeypatch.setattr(harness_mod, "oracle_for", lambda spec, cfg: moved)
+    closed = m2f(verify(spec, cfg, 1.0).closed_numeric)
+    abs_err = abs(closed - m2f(moved.value))
+    assert abs_err > (moved.rad + moved.est) * Fraction(2) ** moved.exp
+    assert -moved.exp > 3300 or digits < 1000
+    tol = _smallest_float_at_least(abs_err)
+    assert verify(spec, cfg, tol).passed
+    short = verify(spec, cfg, math.nextafter(tol, 0))
+    assert not short.passed and short.reason.startswith("abs_err")
+    assert m2f(short.abs_err) == abs_err
+
+
 def test_paper_full_rests_on_its_enclosures():
-    # every paper-full entry at 50 and 200 digits has its closed form inside
-    # tail_bound + error_estimate, so no pass needs its tol
-    for digits in (50, 200):
-        for report in iter_suite(paper_full_manifest(digits)):
-            o = report.oracle
-            slack = m2f(o.tail_bound) + m2f(o.error_estimate)
-            assert m2f(report.abs_err) <= slack, (digits, report.spec.label(), o.method)
+    # every paper-full entry at 50 and 200 digits passes with its closed form
+    # inside rad + est, so no pass needs its tol
+    entries = (*paper_full_manifest(50).entries, *paper_full_manifest(200).entries)
+    for entry, report in zip(entries, iter_suite(SuiteManifest(entries))):
+        o = report.oracle
+        inside = m2f(report.abs_err) <= (o.rad + o.est) * Fraction(2) ** o.exp
+        assert report.passed and inside, (entry.cfg.digits, report.spec.label(), o.method)
 
 
 def test_fmt_is_nstr():

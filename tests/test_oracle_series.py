@@ -682,13 +682,23 @@ TAIL_ROWS = HONESTY_FAMILIES + [
 
 
 def majorant_sum(spec, n_cut: int, digits: int = 50):
-    """(S_N, tail_estimate) from the fixed-point regrouped walk: what
-    oracle_diagonal returns below the asymptotic cutoff, at any cutoff."""
+    """(S_N, tail_estimate) from the fixed-point regrouped walk, S_N the exact
+    acc 2^-prec: oracle_diagonal's value and tail_bound below the asymptotic
+    cutoff, at any cutoff."""
     prec = oracle._prec_bits(digits)
     acc = oracle._regrouped_sum(spec, n_cut, 1 << prec)
-    with workdps(digits + 10):
-        value = mp.mpf(acc) / mp.mpf(1 << prec)
-    return value, tail_estimate(spec, n_cut)
+    return mp.ldexp(acc, -prec), tail_estimate(spec, n_cut)
+
+
+@pytest.mark.parametrize("text, digits, n_max", [("ln", 50, 100), ("halfint:c", 30, 2047)])
+def test_below_cutoff_result_is_the_head_and_the_majorant_exactly(text, digits, n_max):
+    # mid 2^exp is the head's acc 2^-prec and rad 2^exp the majorant, on the
+    # finer of their grids; at 30 digits and 2047 terms the majorant's lies below 2^-prec
+    spec = parse_spec(text)
+    result = oracle_diagonal(spec, NumericCfg(digits=digits, n_max=n_max))
+    value, bound = majorant_sum(spec, n_max, digits)
+    assert (result.value, result.tail_bound, result.est) == (value, bound, 0)
+    assert result.exp == min(-oracle._prec_bits(digits), bound._mpf_[2])
 
 
 class TestTailHonesty:
@@ -795,8 +805,8 @@ class TestEnclosuresMeet:
     def _enclosure(result, digits, terms=None):
         # past N*: value +- tail_bound.  Below N*, or on a raw box, of TERMS
         # positive terms: the head plus [0, tail_bound], widened by the
-        # 2^_TAIL_GUARD_BITS ulps a term that _series allows past N*, which
-        # also covers the value's rounding to digits + 10
+        # 2^_TAIL_GUARD_BITS ulps a term that _series allows past N*, far
+        # more than each term's floor takes
         if terms is None:
             return result.value - result.tail_bound, result.value + result.tail_bound
         slack = mp.ldexp(terms, oracle._TAIL_GUARD_BITS - oracle._prec_bits(digits))
