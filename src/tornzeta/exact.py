@@ -1,9 +1,9 @@
 """Exact rational arithmetic: Bernoulli numbers and harmonic sums.
 
 Everything here returns ``fractions.Fraction`` in lowest terms.  The Bernoulli
-numbers feed ``const_zeta`` and the zeta(2n) <-> pi^(2n) rewrite in ``zexpr`` (the
-asymptotic tails take B_2r from mpmath's ``bernfrac``, sharing no code with them);
-the harmonic numbers give aXL's closed form and the tests' exact references.
+numbers feed the zeta(2n) <-> pi^(2n) rewrite in ``zexpr`` and the ``bernoulli``
+command (``const_zeta`` needs none, and the asymptotic tails take B_2r from mpmath's
+``bernfrac``); the harmonic numbers give aXL's closed form and the tests' references.
 """
 
 from __future__ import annotations

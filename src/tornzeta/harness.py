@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache
 from json.encoder import encode_basestring_ascii
 
 from mpmath import mp
-from mpmath.libmp import dps_to_prec, from_man_exp, mpf_pos, round_nearest, to_str
+from mpmath.libmp import from_man_exp, to_str
 
 from .closedform import closed_form_of
 from .oracle import NumericCfg, OracleError, OracleResult, oracle_for, zx_numeric
@@ -212,10 +212,9 @@ _CSV_COLUMNS = tuple({"closed_form_text": "closed_form", "oracle_method": "metho
                      for k in _COLUMNS)
 
 
-def _fmt(x, digits: int, guard: int = 10, strip_zeros: bool = False) -> str:
-    """mp.nstr(x, digits) of the mpf x rounded to digits + guard digits."""
-    x = mpf_pos(x._mpf_, dps_to_prec(digits + guard), round_nearest)
-    return to_str(x, digits, strip_zeros=strip_zeros)
+def _fmt(x, digits: int, strip_zeros: bool = False) -> str:
+    """mp.nstr(x, digits) of the mpf x."""
+    return to_str(x._mpf_, digits, strip_zeros=strip_zeros)
 
 
 def status(report: EvalReport) -> str:
@@ -233,7 +232,7 @@ def _closed_strings(closed: ZExpr, value: tuple) -> tuple[str, str, str]:
     """The closed form's text and its value (a raw mpf) at 30 digits and in
     the text report's 15-digit column: reports repeat a few closed forms."""
     x = mp.make_mpf(value)
-    return closed.render(), _fmt(x, 30), _fmt(x, 15, 25, strip_zeros=True)
+    return closed.render(), _fmt(x, 30), _fmt(x, 15, strip_zeros=True)
 
 
 def _row(report: EvalReport) -> dict:
@@ -279,16 +278,13 @@ def render_reports(reports: list[EvalReport], format: str) -> str:
             f"{'abs_err':>12} {'tail_bound':>12}  status"
         ]
 
-        def col(x, digits):  # each column rounded at 40 digits
-            return _fmt(x, digits, 40 - digits, strip_zeros=True)
-
         for r in reports:
             o = r.oracle
             closed = _closed_strings(r.closed_form, r.closed_numeric._mpf_)[2]
             lines.append(
                 f"{r.spec.label():<18} {o.method:<10} {_n_used(o)!s:>8} "
-                f"{closed:>22} {col(r.abs_err, 4):>12} "
-                f"{col(o.tail_bound, 4):>12}  {status(r)}"
+                f"{closed:>22} {_fmt(r.abs_err, 4, strip_zeros=True):>12} "
+                f"{_fmt(o.tail_bound, 4, strip_zeros=True):>12}  {status(r)}"
             )
         lines.append(f"{sum(r.passed for r in reports)}/{len(reports)} identities verified")
         return "\n".join(lines) + "\n"

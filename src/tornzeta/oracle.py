@@ -25,7 +25,8 @@ raw box, ``_RAW_TERM_CAP`` = 25*10^6 terms, stays within about 1.5e-62 of
 the true partial sum at 50 digits, far beneath every tolerance used here.
 Quadrature works on one fixed-point grid too, with a rounding bound
 (``_level_sum``), and so do the constants and ``zx_numeric``, each with its
-error budget, on the grid 2^-f of ``_closed_bits``.
+error budget, on the grid 2^-f of ``_closed_bits``: ln 2 and zeta(k), by
+Borwein's integer series, within 2 ulps, and pi within half of one.
 
 Every numeric routine takes its precision as an argument, or derives it
 from ``digits``, and never reads or sets mpmath's process-global precision.
@@ -51,7 +52,6 @@ from mpmath.libmp import dps_to_prec, from_float, from_int, from_man_exp, mpf_ad
 from mpmath.libmp import mpf_exp, mpf_ln2, mpf_log, mpf_mul, mpf_mul_int, mpf_pi, mpf_pow_int
 from mpmath.libmp import round_nearest, to_fixed, to_str
 
-from .exact import bernoulli
 from .zexpr import ZExpr
 
 if TYPE_CHECKING:
@@ -143,8 +143,8 @@ def _check_digits(digits: int) -> None:
 
 def _closed_bits(digits: int) -> int:
     """f of the grid 2^-f that every constant and closed form sums on: dps_to_prec(digits
-    + 10) and 32 guard bits, which keep the floors below (``const_zeta``'s 2300 at 1000
-    digits) far under 10^-(digits+10)."""
+    + 10) and 32 guard bits, which keep the floors below (under 2 ulps a constant, times
+    its term's |coeff|, and one a term) far under 10^-(digits+10)."""
     _check_digits(digits)
     return dps_to_prec(digits + 10) + 32
 
@@ -159,54 +159,48 @@ def const_pi(digits: int):
 
 @cache
 def const_ln2(digits: int):
-    """ln 2 = 2 sum_{i>=0} 3^-(2i+1)/(2i+1) on the grid 2^-f (``_closed_bits``), each term
-    floored (nested floors of integer divisions are one) until one floors to 0; the terms
-    left out are under 9/8 of that one's value, under an ulp.  So the value lies under
-    n + 2 ulps below ln 2, for its n terms, n about f/3.17 (1.05 digits)."""
+    """ln 2 = 2 sum_{i>=0} 3^-(2i+1)/(2i+1) on the grid 2^-f (``_closed_bits``), summed g =
+    bitlen(f) bits finer and floored once.  Each term is floored (nested floors of integer
+    divisions are one) until one floors to 0, and those left out are under 9/8 of it: n + 2 fine
+    ulps for n < (f+g+1)/3.17 + 1 < f/2 terms, so 2^g > f > 2n makes them under an ulp, and with
+    the last floor the value lies under 2 ulps below ln 2."""
     f = _closed_bits(digits)
-    acc, power = 0, (2 << f) // 3
+    g = f.bit_length()
+    acc, power = 0, (2 << (f + g)) // 3
     for i in count():
         term = power // (2 * i + 1)
         if not term:
-            return mp.make_mpf(from_man_exp(acc, -f))
+            return mp.make_mpf(from_man_exp(acc >> g, -f))
         acc, power = acc + term, power // 9
 
 
 @cache
 def const_zeta(k: int, digits: int):
-    """zeta(k) by Euler-Maclaurin with M = 2*digits, on the grid 2^-f (``_closed_bits``):
-
-    zeta(k) = sum_{i<M} i^-k + M^(1-k)/(k-1) + M^-k/2
-            + sum_{j>=1} B_{2j}/(2j)! * k(k+1)...(k+2j-2) * M^(1-k-2j) + R.
-    The M - 1 head terms, the two end terms and each correction are floored onto
-    the grid, under an ulp each, until a correction floors to 0 or grows.  x^-k is
-    completely monotone, so R is under twice the first correction left out (DLMF
-    2.10), under 2 ulps.  With M = 2*digits the corrections fall far past 2^-f, so
-    the growth stop is a guard no supported precision reaches, and the value lies
-    within M + 3 + (corrections added) ulps of zeta(k), under 3 digits ulps.
-    """
+    """zeta(k) on the grid 2^-f (``_closed_bits``) by Borwein's sum (P. Borwein, "An efficient
+    algorithm for the Riemann zeta function", 2000): with t_0 = 1, t_(i+1) = t_i 2(n+i)(n-i) /
+    ((i+1)(2i+1)), integers, and d_j = t_0 + ... + t_j, zeta(k) = 2^(k-1) / (d_n (2^(k-1) - 1))
+    sum_{j<n} (-1)^j (d_n - d_j) / (j+1)^k + R.  Error, in ulps: |R| <= 2 / ((3+sqrt 8)^n (k-1)!
+    (1 - 2^(1-k))) <= 1, as n = floor((f+2)/2.5431) + 1 makes (3+sqrt 8)^n > 2^(f+2); the n
+    floored terms add under 2n/d_n and the last floor 1: under 2 ulps in all.  mpmath's zeta
+    sums it too for most k, and the tails take zeta(k) from it, but this shares no code with them
+    or the heads (which sum the series directly), and a proved identity with a proved remainder
+    leaves no shared bug to move a closed form and an oracle together."""
     if k < 2:
         raise ValueError(f"zeta needs k >= 2, got {k}")
-    f, m = _closed_bits(digits), 2 * digits
-    one = 1 << f
-    acc = sum(one // i**k for i in range(1, m)) + one // ((k - 1) * m ** (k - 1)) + one // (2 * m**k)
-    # the j-th correction's magnitude is one |B_2j| rising / ((2j)! M^(k+2j-1))
-    rising, power, prev = k, m ** (k + 1), None
-    for j in count(1):
-        b = bernoulli(2 * j)
-        mag = one * abs(b.numerator) * rising // (b.denominator * math.factorial(2 * j) * power)
-        if not mag or (prev is not None and mag >= prev):
-            return mp.make_mpf(from_man_exp(acc, -f))
-        acc, prev = acc + (mag if b > 0 else -mag), mag
-        rising *= (k + 2 * j - 1) * (k + 2 * j)
-        power *= m * m
+    f = _closed_bits(digits)
+    n = int((f + 2) / 2.5431) + 1
+    terms = accumulate(range(n), lambda t, i: t * 2 * (n + i) * (n - i) // ((i + 1) * (2 * i + 1)),
+                       initial=1)
+    d = list(accumulate(terms))
+    acc = sum((-1) ** j * (((d[n] - dj) << f) // (j + 1) ** k) for j, dj in enumerate(d[:n]))
+    return mp.make_mpf(from_man_exp((acc << (k - 1)) // (d[n] * ((1 << (k - 1)) - 1)), -f))
 
 
 def zx_numeric(a: ZExpr, digits: int):
     """A symbolic combination on the grid 2^-f (``_closed_bits``), in canonical term
     order: acc += num * v // den, v the constant's grid integer and pi^k k - 1 floored
-    multiply-and-shifts.  Error, in ulps: |num/den| times v's (``const_*``; pi^k's is
-    under k pi^k), plus one floor a term.  The sum is returned on the grid as it is."""
+    multiply-and-shifts.  Error, in ulps: |num/den| times v's (under 2 for ln 2 and zeta,
+    1/2 for pi, k pi^k for pi^k), plus one floor a term; the sum is returned as it is."""
     f = _closed_bits(digits)
     acc = 0
     for sym, coeff in a.terms():

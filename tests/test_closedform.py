@@ -206,7 +206,7 @@ def test_closed_forms_pinned():
         c = _closed(text)
         digest.update(f"{text}|{c.render()}|{zx_numeric(c, 60)._mpf_}\n".encode())
     assert len(_PINNED_SPECS) == 103
-    assert digest.hexdigest() == "0b3649962c2693ba3fe05c2fd26f16319136d64f2ef714ac88e974ecb0bae686"
+    assert digest.hexdigest() == "8276e6e676104785089cac793fd3f4c0be974cd84d279372494e9e95afc9f1e5"
 
 
 def _mpmath_value(a: ZExpr, digits: int):
@@ -229,8 +229,8 @@ def _mpmath_value(a: ZExpr, digits: int):
 
 @pytest.mark.parametrize("digits", [30, 50, 77, 100, 200, 300, 1000])
 def test_zx_numeric_lies_within_its_bound(digits):
-    # every catalog closed form within 10^-(digits+15) relative of mpmath's value
-    # (the constants' budgets give about 10^-(digits+17)), and so the pi powers,
+    # every catalog closed form within 10^-(digits+19) relative of mpmath's value
+    # (the constants' budgets give about 10^-(digits+20)), and so the pi powers,
     # which the catalog writes as even zetas
     forms = [(text, _closed(text)) for text in _PINNED_SPECS]
     forms += [(k, zx_normalize(ZExpr.zeta(k, F(3, 7)), "prefer-pi")) for k in (2, 4, 6, 20)]
@@ -238,4 +238,4 @@ def test_zx_numeric_lies_within_its_bound(digits):
         want = _mpmath_value(c, digits)
         with workdps(digits + 30):
             err = abs(zx_numeric(c, digits) - want)
-            assert err <= mp.mpf(10) ** -(digits + 15) * max(1, abs(want)), label
+            assert err <= mp.mpf(10) ** -(digits + 19) * max(1, abs(want)), label

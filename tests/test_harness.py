@@ -229,9 +229,9 @@ class TestEmission:
         # digests change only when a route or a rendering is meant to move
         reports = list(iter_suite(paper_full_manifest(50)))
         want = {
-            "json": "c042de370cd4d8068a40e74cc44981a6657ba33ba9e912597199b936c6ef6e78",
-            "csv": "9af894544af7b55195fcd59ba16a03890ae687f01a490bf71d30e4a0b57fc494",
-            "text": "adf5670c57e660d07db7b09576ad5c0a203c2d23dcb88a156bdfe1c3bf4d4329",
+            "json": "56c29145364fa2b537cfacd143fdd0ccb453f01aa3b0d7f70d5218876dd1adab",
+            "csv": "33a1da45f42f38e437e08db03838ea7d09ac5a44456c8de58ee1b53740cbbdfb",
+            "text": "97910d41b0c61421ea0785aefa6c8ed9c26a5a7da35b15368f4bdd48deaf61b4",
         }
         got = {f: hashlib.sha256(render_reports(reports, f).encode()).hexdigest() for f in want}
         assert got == want
@@ -261,9 +261,9 @@ def test_sweep_reports_pinned(monkeypatch):
     reports = [r for *_, r in _below_cutoff_reports(monkeypatch)]
     assert [r.passed for r in reports] == [True] * 44 + [False] * 2
     want = {
-        "json": "b6fcad8e71d3b02c4de5b387a9663dc594b9ee0178a435db8c9e953d52faaeea",
-        "csv": "669ee046c49de645903557cccc251ccbbf15848f85aa6d0052a712d660fc93f1",
-        "text": "7c63aea2fc8f0b1bda07edaef169c0ba3c3591bc59b183e17364c74dc0f5fe99",
+        "json": "8ad5b1be314a5abc3ec4a0c488b0e9ae99a54bbce9457058ee09a3f15d28ece1",
+        "csv": "5320436610835007bb6a84116a83d2c1f9b78fae5e8273aef0b62beb1e34d66f",
+        "text": "0d546f341bd3d0f45e2b0ca85b0a86a860150d16c1b2cbf2d8c706704765bbd1",
     }
     got = {f: hashlib.sha256(render_reports(reports, f).encode()).hexdigest() for f in want}
     assert got == want
@@ -274,9 +274,9 @@ def test_sweep_reports_pinned_in_any_format_order(monkeypatch):
     # numbers, formatted once, serve every later render unchanged
     reports = [r for *_, r in _below_cutoff_reports(monkeypatch)]
     want = {
-        "json": "b6fcad8e71d3b02c4de5b387a9663dc594b9ee0178a435db8c9e953d52faaeea",
-        "csv": "669ee046c49de645903557cccc251ccbbf15848f85aa6d0052a712d660fc93f1",
-        "text": "7c63aea2fc8f0b1bda07edaef169c0ba3c3591bc59b183e17364c74dc0f5fe99",
+        "json": "8ad5b1be314a5abc3ec4a0c488b0e9ae99a54bbce9457058ee09a3f15d28ece1",
+        "csv": "5320436610835007bb6a84116a83d2c1f9b78fae5e8273aef0b62beb1e34d66f",
+        "text": "0d546f341bd3d0f45e2b0ca85b0a86a860150d16c1b2cbf2d8c706704765bbd1",
     }
     for f in ("text", "csv", "json", "json"):
         assert hashlib.sha256(render_reports(reports, f).encode()).hexdigest() == want[f], f
@@ -473,15 +473,13 @@ def test_paper_full_rests_on_its_enclosures():
 
 
 def test_fmt_is_nstr():
-    # _fmt against mp.nstr at digits + guard, each value first rounded there
+    # _fmt against mp.nstr of the 300-digit value as it is, unrounded
     with workdps(300):
         values = [+mp.pi, -mp.e, mp.zeta(3) * mp.mpf(10) ** -20, 1 - mp.mpf(10) ** -40,
                   mp.mpf("9.99999999999999999999999999999999949"), mp.mpf(2) ** -200,
                   mp.mpf(10) ** 25 + mp.pi, mp.mpf(0), mp.mpf("0.0112565"), mp.mpf("2.5e-7")]
     for digits in (4, 6, 15, 30):
-        for guard in (10, 40 - digits):
-            for strip in (False, True):
-                for x in values:
-                    with workdps(digits + guard):
-                        want = mp.nstr(mp.mpf(x), digits, strip_zeros=strip)
-                    assert _fmt(x, digits, guard, strip) == want, (digits, guard, strip, x)
+        for strip in (False, True):
+            for x in values:
+                want = mp.nstr(x, digits, strip_zeros=strip)
+                assert _fmt(x, digits, strip) == want, (digits, strip, x)
