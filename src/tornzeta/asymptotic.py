@@ -27,9 +27,10 @@ The term is built from its row's ``Family.atoms`` description:
 
 Products drop the terms above order K into the remainder (``_dropped``
 bounds them), and every coefficient carries a bound on its rounding
-error.  All arithmetic is on integers scaled by 2^P; an "ulp" below is
-2^-P.  gamma, logarithms, zeta(k) and B_2r (``bernfrac``) come from mpmath, never
-from ``const_*`` or ``exact.bernoulli``, so the oracle shares no code with the closed forms.
+error.  All arithmetic is on integers scaled by 2^P; an "ulp" below is 2^-P.
+Each log jet (-ln(N+1))^j/j! is one rounded division, from ln(N+1) floored once.
+gamma, logarithms, zeta(k) and B_2r (``bernfrac``) come from mpmath, never from
+``const_*`` or ``exact.bernoulli``, so the oracle shares no code with the closed forms.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from functools import cache, lru_cache, reduce
 from itertools import accumulate
 from typing import TYPE_CHECKING, NamedTuple
 
-from mpmath.libmp import bernfrac, from_int, mpf_add, mpf_div, mpf_euler, mpf_log, mpf_neg, mpf_nint
-from mpmath.libmp import mpf_pow_int, mpf_shift, mpf_zeta, round_nearest, to_int
+from mpmath.libmp import bernfrac, from_int, mpf_add, mpf_euler, mpf_log, mpf_nint, mpf_shift, mpf_zeta
+from mpmath.libmp import round_floor, round_nearest, to_fixed, to_int
 
 _bernfrac = cache(bernfrac)  # B_n as (p, q); each row asks for B_2r again
 
@@ -328,13 +329,10 @@ def _log_power_row(i: int, deg: int, n: int, prec: int) -> tuple[tuple[int, ...]
         inner = sum(poch[l] * s[j - l] * math.perm(j, l) * p1**l for l in range(j + 1))
         em.append(_up(top * inner << prec, bottom * p1 ** (j + 1)))
     err_q = r + 1  # half an ulp per rounded term
-    # x0^-eps = sum_j (-ln x0)^j / j! eps^j
-    wp, rnd = prec + 64, round_nearest
-    neg = mpf_neg(mpf_log(from_int(x0), wp, rnd), wp, rnd)
-    ell = [
-        _fixed(mpf_div(mpf_pow_int(neg, j, wp, rnd), from_int(math.factorial(j)), wp, rnd), prec)
-        for j in range(deg + 1)
-    ]
+    # x0^-eps = sum_j (-ln x0)^j / j! eps^j: ln x0 floored once, then one rounded division per jet
+    wp = prec + 64
+    lg = -to_fixed(mpf_log(from_int(x0), wp, round_floor), wp)
+    ell = [_rnd(lg**j << prec, math.factorial(j) << wp * j) for j in range(deg + 1)]
     num, den = n**i, x0**i << prec
     ys, err = [], 0
     for j in range(deg + 1):

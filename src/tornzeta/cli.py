@@ -152,44 +152,44 @@ def build_parser() -> argparse.ArgumentParser:
         default=NumericCfg.digits,
         help="working precision (default %(default)s)",
     )
+    spec = argparse.ArgumentParser(add_help=False)
+    spec.add_argument("spec", help="series spec, e.g. A3:s=2 or halfint:c")
 
     p = sub.add_parser(
-        "eval", parents=[digits], help="print the exact closed form and its numeric value"
+        "eval", parents=[digits, spec], help="print the exact closed form and its numeric value"
     )
-    p.add_argument("spec", help="series spec, e.g. A3:s=2 or halfint:c")
     p.add_argument("--prefer-pi", action="store_true", help="show even zeta values as pi powers")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser(
-        "oracle", parents=[digits], help="numerically estimate a series by one oracle route"
+        "oracle", parents=[digits, spec], help="numerically estimate a series by one oracle route"
     )
-    p.add_argument("spec")
     _add_numeric_opts(p)
     p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("verify", parents=[digits], help="compare closed form against an oracle")
-    p.add_argument("spec")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p = sub.add_parser("verify", parents=[digits, spec], help="compare closed form against an oracle")
+    tol = "also pass when |closed − value| ≤ tol, default %(default)s"
+    p.add_argument("--tol", type=float, default=1e-8, help=tol)
     _add_numeric_opts(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser(
         "suite", parents=[digits], help="run a preset identity suite and write a report"
     )
-    p.add_argument("--preset", choices=sorted(PRESETS), default="smoke")
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    p.add_argument("--preset", choices=sorted(PRESETS), default="smoke", help="default %(default)s")
+    p.add_argument("--format", choices=("text", "json", "csv"), default="text", help="default %(default)s")
     p.add_argument("--out", default="-", help="output file, - for stdout")
-    p.add_argument("--parallel", action="store_true")
+    p.add_argument("--parallel", action="store_true", help="spawned processes, the same bytes as serial")
     p.set_defaults(func=_cmd_suite)
 
     p = sub.add_parser("constants", parents=[digits], help="print high-precision constants")
-    p.add_argument("--zeta", type=int, default=None, metavar="K")
-    p.add_argument("--ln2", action="store_true")
-    p.add_argument("--pi", action="store_true")
+    p.add_argument("--zeta", type=int, default=None, metavar="K", help="print zeta(K)")
+    p.add_argument("--ln2", action="store_true", help="print ln 2")
+    p.add_argument("--pi", action="store_true", help="print pi")
     p.set_defaults(func=_cmd_constants)
 
     p = sub.add_parser("bernoulli", help="print an exact Bernoulli number")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=int, help="print B_n as an exact fraction")
     p.set_defaults(func=_cmd_bernoulli)
 
     return parser

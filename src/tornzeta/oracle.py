@@ -30,8 +30,8 @@ Borwein's integer series, within 2 ulps, and pi within half of one.
 
 Every numeric routine takes its precision as an argument, or derives it
 from ``digits``, and never reads or sets mpmath's process-global precision.
-``tail_estimate`` works on raw libmp tuples and rounds to nearest as the mpf
-operators do.  Each result holds its route's integers on one grid (``OracleResult``),
+``tail_estimate`` is exact integers from one floored logarithm, 2 ulps and ceil(c 2^q),
+rounded up once.  Each result holds its route's integers on one grid (``OracleResult``),
 and ``harness.verify`` decides |closed - mid| <= max(tol, rad + est) on them exactly.
 """
 
@@ -48,9 +48,8 @@ from operator import add, floordiv, mul, rshift
 from typing import TYPE_CHECKING
 
 from mpmath import mp
-from mpmath.libmp import dps_to_prec, from_float, from_int, from_man_exp, mpf_add, mpf_div
-from mpmath.libmp import mpf_exp, mpf_ln2, mpf_log, mpf_mul, mpf_mul_int, mpf_pi, mpf_pow_int
-from mpmath.libmp import round_nearest, to_fixed, to_str
+from mpmath.libmp import dps_to_prec, from_int, from_man_exp, from_rational, mpf_exp, mpf_ln2, mpf_log
+from mpmath.libmp import mpf_pi, round_ceiling, round_floor, round_nearest, to_fixed, to_str
 
 from .zexpr import ZExpr
 
@@ -486,9 +485,12 @@ def tail_estimate(spec: SeriesSpec, n_cut: int):
     """Upper bound on the tail discarded beyond cutoff n_cut.
 
     Integral comparison: sum_{G>N} A (ln G + c)^k / G^p <= A I_k(N) with
-    I_0 = N^(1-p)/(p-1) and I_k = (ln N + c)^k N^(1-p)/(p-1) + k I_{k-1}/(p-1).
-    Raw boxes contain the triangle of the same cutoff, so the bound covers
-    both summation methods.
+    I_k(N) = sum_i k!/(k-i)! (ln N + c)^(k-i) N^(1-p)/(p-1)^(i+1).  Raw boxes
+    contain the triangle of the same cutoff, so the bound covers both methods.
+    It is exact integers on 2^-q, q = dps_to_prec(40) = 136, from l >= ln N + c:
+    ln N floored once from one logarithm, 2 ulps for that floor and the
+    logarithm's error, and ceil(c 2^q) for c's exact binary value.  A I_k(N) at l
+    is rounded up once at q bits: it exceeds A I_k(N) by under (1.4 k + 2) 2^-q of it.
     """
     if n_cut < 10:
         raise ValueError(f"tail bounds need cutoff >= 10, got {n_cut}")
@@ -497,21 +499,13 @@ def tail_estimate(spec: SeriesSpec, n_cut: int):
     if offset > n_cut:
         raise ValueError(f"tail bound needs cutoff >= shift {offset}, got {n_cut}")
     a_const, c_log, k_pow, p_pow = fam.tail(*args)
-    # positive terms at 40 digits err far below the 2^-116 (1.2e-35) relative
-    # pad that makes the result an upper bound, far below the 30 digits reported
-    prec, rnd = dps_to_prec(40), round_nearest
-    p1 = from_int(p_pow - 1)
-    # base = mpf(N)^(1-p) / (p-1), ln_c = log(N) + c
-    base = mpf_div(mpf_pow_int(from_int(n_cut, prec, rnd), 1 - p_pow, prec, rnd), p1, prec, rnd)
-    ln_c = mpf_add(mpf_log(from_int(n_cut), prec, rnd), from_float(c_log), prec, rnd)
-    integral = base
-    for i in range(1, k_pow + 1):
-        # ln_c^i * base + i * integral / (p-1)
-        head = mpf_mul(mpf_pow_int(ln_c, i, prec, rnd), base, prec, rnd)
-        integral = mpf_add(head, mpf_div(mpf_mul_int(integral, i, prec, rnd), p1, prec, rnd), prec, rnd)
-    a = mpf_div(from_int(a_const.numerator, prec, rnd), from_int(a_const.denominator), prec, rnd)
-    pad = (0, 2**116 + 1, -116, 117)  # 1 + 2^-116, exact
-    return mp.make_mpf(mpf_mul(mpf_mul(a, integral, prec, rnd), pad, prec, rnd))
+    q, c_num, c_den = dps_to_prec(40), *c_log.as_integer_ratio()
+    wp = q + 8 + n_cut.bit_length().bit_length()  # ln N < 2^(wp-q-8): it errs under 2^-(q+8)
+    ell = to_fixed(mpf_log(from_int(n_cut), wp, round_floor), q) + 2 - (-c_num << q) // c_den
+    # s_k = sum_i k!/(k-i)! (l (p-1))^(k-i) 2^(qi) = I_k(N) (p-1)^(k+1) N^(p-1) 2^(qk) at l
+    s = reduce(lambda v, m: (m * v << q) + (ell * (p_pow - 1)) ** m, range(1, k_pow + 1), 1)
+    den = a_const.denominator * (p_pow - 1) ** (k_pow + 1) * n_cut ** (p_pow - 1) << q * k_pow
+    return mp.make_mpf(from_rational(a_const.numerator * s, den, q, round_ceiling))
 
 
 # ---------------------------------------------------------------------------

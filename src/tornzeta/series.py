@@ -57,10 +57,10 @@ class Family:
     The diagonal walk, the exact diagonal partial and the asymptotic tail
     (``asymptotic.py``) of the diagonal route come from it.  The
     two forms are written independently, so their exact partial sums
-    agreeing is a check of the regrouping.  ``tail`` gives (A, c, k, p) of
-    A (ln G + c)^k / G^p, whose integral past a cutoff of at least
-    ``shift`` bounds the discarded terms: for every row but oddsq it
-    majorizes each term, and oddsq's bound holds by convexity (see its row).
+    agreeing is a check of the regrouping.  ``tail`` gives (A, c, k, p) of A (ln G + c)^k
+    / G^p, whose integral past a cutoff of at least ``shift`` bounds the discarded terms:
+    for every row but oddsq it majorizes each term, and oddsq's bound holds by convexity
+    (see its row).  The float c is used as its exact binary value, rounded up.
     """
 
     token: str  # the family's one name, in spec syntax and reports

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import importlib.metadata
 import io
@@ -277,6 +278,15 @@ class TestDefaults:
         assert _cfg_from(build_parser().parse_args([cmd, "S111"])) == NumericCfg()
 
 
+def test_every_subcommand_and_argument_has_help():
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert all(c.help for c in commands._choices_actions)
+    for name, sub in commands.choices.items():
+        for action in sub._actions:
+            assert action.help and action.help != argparse.SUPPRESS, (name, action.dest)
+        sub.format_help()  # every %(default)s in the help renders
+
+
 class TestBernoulli:
     def test_values(self, capsys):
         assert main(["bernoulli", "12"]) == 0
@@ -309,12 +319,29 @@ def _is_installed(dist):
     return True
 
 
+def _script_entry(name):
+    """``name``'s ``[project.scripts]`` entry, read with tomllib where Python
+    has it (3.11 on), else from its ``name = "module:attr"`` line."""
+    text = (ROOT / "pyproject.toml").read_text()
+    try:
+        import tomllib
+    except ImportError:
+        section = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        entries = dict(line.replace(" ", "").split("=", 1) for line in section.splitlines() if "=" in line)
+        return entries[name].strip('"')
+    return tomllib.loads(text)["project"]["scripts"][name]
+
+
+def test_script_entry_is_read_without_tomllib(monkeypatch):
+    # Python 3.10 has no tomllib; with it hidden the entry must read the same
+    entry = _script_entry("tornzeta")
+    monkeypatch.setitem(sys.modules, "tomllib", None)
+    assert _script_entry("tornzeta") == entry == "tornzeta.cli:main"
+
+
 def _write_launcher(directory, name):
     """Write the launcher an installer makes for ``name`` in ``[project.scripts]``."""
-    tomllib = pytest.importorskip("tomllib")
-    with open(ROOT / "pyproject.toml", "rb") as f:
-        entry = tomllib.load(f)["project"]["scripts"][name]
-    module, _, attr = entry.partition(":")
+    module, _, attr = _script_entry(name).partition(":")
     launcher = directory / name
     launcher.write_text(
         f"#!{sys.executable}\n"

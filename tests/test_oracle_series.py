@@ -3,12 +3,13 @@ import tracemalloc
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations, islice, product
-from math import comb, factorial, prod
+from math import ceil, comb, factorial, floor, prod
 from operator import floordiv
 
 import pytest
 from hypothesis import given, strategies as st
 from mpmath import mp, workdps
+from mpmath.libmp import from_int, mpf_log, round_floor
 
 from tornzeta import oracle
 from tornzeta.closedform import closed_form_of
@@ -755,10 +756,10 @@ class TestTailHonesty:
     def test_bound_rounds_up(self, text):
         # the majorant integral A sum_i k!/(k-i)! (ln N + c)^(k-i) N^(1-p)/(p-1)^(i+1),
         # evaluated here at 80 digits: the returned bound must not lie below
-        # it, and may exceed it only by a pad far below the 30 digits reported
+        # it, and may exceed it only by the 2^-128 its integer budget allows
         spec = parse_spec(text)
         a_const, c_log, k_pow, p_pow = spec.family.tail(*spec.args)
-        for n_cut in (10, 11, 37, 100, 1000, 1500, 10**5):
+        for n_cut in (*range(10, 201), *range(997, 1004), 1500, 10**5, 2**40 + 1):
             if n_cut < spec.family.shift(*spec.args):
                 continue
             bound = tail_estimate(spec, n_cut)
@@ -770,7 +771,7 @@ class TestTailHonesty:
                     for i in range(k_pow + 1)
                 )
                 want = f2m(a_const) * integral * mp.mpf(n_cut) ** (1 - p_pow)
-                assert want <= bound <= want * (1 + mp.mpf("1e-33")), n_cut
+                assert want <= bound <= want * (1 + mp.ldexp(1, -128)), n_cut
 
 
 # rows of every family with a regrouped single sum
@@ -852,22 +853,28 @@ class TestEnclosuresMeet:
                 meet(quad[50], diagonal, (text, "quadrature against the diagonal route"))
 
 
-def _mpf_tail_estimate(spec, n_cut: int):
-    """tail_estimate's majorant in mpf operators at 40 digits, the form its
-    raw-tuple calls reproduce."""
+def _fraction_tail_estimate(spec, n_cut: int) -> F:
+    """tail_estimate's rational, from its upper bound l on ln N + c, as the
+    closed sum A sum_i k!/(k-i)! l^(k-i) N^(1-p)/(p-1)^(i+1) in Fractions,
+    not its recurrence, rounded up at q = 136 bits."""
     a_const, c_log, k_pow, p_pow = spec.family.tail(*spec.args)
-    with workdps(40):
-        base = mp.mpf(n_cut) ** (1 - p_pow) / (p_pow - 1)
-        ln_c = mp.log(n_cut) + c_log
-        integral = base
-        for i in range(1, k_pow + 1):
-            integral = ln_c**i * base + i * integral / (p_pow - 1)
-        return mp.mpf(a_const.numerator) / a_const.denominator * integral * (1 + mp.ldexp(1, -116))
+    q = 136
+    wp = q + 8 + n_cut.bit_length().bit_length()
+    ln_n = m2f(mp.make_mpf(mpf_log(from_int(n_cut), wp, round_floor)))
+    ell = F(floor(ln_n * 2**q) + 2 + ceil(F(c_log) * 2**q), 2**q)
+    x = a_const * F(n_cut) ** (1 - p_pow) * sum(
+        F(factorial(k_pow) // factorial(k_pow - i)) * ell ** (k_pow - i) / (p_pow - 1) ** (i + 1)
+        for i in range(k_pow + 1)
+    )
+    # the ulp of x's q-bit mantissa
+    top = x.numerator.bit_length() - x.denominator.bit_length()
+    ulp = F(2) ** ((top if x >= F(2) ** top else top - 1) - q + 1)
+    return -(-x // ulp) * ulp
 
 
 class TestRawTupleBits:
-    # each raw-tuple step against a test-local copy of its mpf-operator form, or
-    # against its exact value, bit for bit
+    # tail_estimate against its exact rational rounded up, and the series
+    # values against their routes' integers, bit for bit
 
     @pytest.mark.parametrize("text", TAIL_ROWS)
     def test_tail_estimate(self, text):
@@ -875,7 +882,7 @@ class TestRawTupleBits:
         cutoffs = [*range(10, 61), 99, 100, 101, 317, 1000, 2047, 10**5, 10**6, 2**40 + 1]
         for n_cut in cutoffs:
             if n_cut >= spec.family.shift(*spec.args):
-                assert tail_estimate(spec, n_cut)._mpf_ == _mpf_tail_estimate(spec, n_cut)._mpf_, n_cut
+                assert m2f(tail_estimate(spec, n_cut)) == _fraction_tail_estimate(spec, n_cut), n_cut
 
     @pytest.mark.parametrize("digits", [30, 50, 77, 200])
     def test_series_value(self, digits):
