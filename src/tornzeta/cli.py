@@ -168,8 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("verify", parents=[digits, spec], help="compare closed form against an oracle")
-    tol = "also pass when |closed − value| ≤ tol, default %(default)s"
-    p.add_argument("--tol", type=float, default=1e-8, help=tol)
+    tol = "widen the pass to |closed − value| ≤ tol ≥ 0; default %(default)s, the enclosure alone"
+    p.add_argument("--tol", type=float, default=0.0, help=tol)
     _add_numeric_opts(p)
     p.set_defaults(func=_cmd_verify)
 

@@ -1,15 +1,12 @@
 """Closed-form vs oracle comparisons, suite presets, and report rendering.
 
-The pass rule credits the oracle's own honesty budget: a report passes
-when |closed - mid| <= max(tol, rad + est) for the oracle's enclosure
-(``OracleResult``), decided in integers on the finer of the two grids,
-with tol as its exact ratio; only rendering rounds.  A truncated sum
-inside its certified tail bound is correct as far as that cutoff can
-check; only a discrepancy exceeding both the tolerance and the bound is
-evidence against an identity.  Past its asymptotic cutoff the diagonal
-oracle's rad is about 10^-(digits+2), below every tolerance used; each
-paper-full entry still lands inside its enclosure, so none passes on its
-tolerance alone, and abs_err and tail_bound show the digits it pins.
+The pass rule is the oracle's enclosure (``OracleResult``): a report
+passes when |closed - mid| <= rad + est, decided in integers on the
+finer of the two grids; only rendering rounds.  A truncated sum inside
+its certified tail bound is correct as far as that cutoff can check;
+only a discrepancy exceeding the bound is evidence against an identity.
+A tol >= 0 widens the rule to max(tol, rad + est), taken as its exact
+ratio, only when the caller asks; presets and the CLI ask for none.
 
 Each process evaluates a closed form once per (spec, row, digits) in a
 bounded memo, and formats a report's numbers once for every format.
@@ -62,14 +59,14 @@ def _closed(spec: SeriesSpec, closed, digits: int) -> tuple[ZExpr, object]:
 
 
 def verify(spec: SeriesSpec, cfg: NumericCfg, tol: float) -> EvalReport:
-    """Compare the closed form against the configured oracle.
-
-    Never raises on a numeric mismatch or an oracle breakdown; those come
-    back as passed=False with a reason.  Invalid usage (a spec with no
-    closed form, a tol outside (0, inf)) still raises: no comparison is defined.
+    """Compare the closed form against the configured oracle: pass when |closed - mid|
+    <= max(tol, rad + est), where a tol >= 0 widens the enclosure only as the caller asks
+    (presets and the CLI ask for none, tol 0).  Never raises on a numeric mismatch or an
+    oracle breakdown; those come back as passed=False with a reason.  Invalid usage (a spec
+    with no closed form, a tol outside [0, inf)) still raises: no comparison is defined.
     """
-    if not 0 < tol < float("inf"):
-        raise ValueError(f"tolerance must be > 0 and finite, got {tol}")
+    if not 0 <= tol < float("inf"):
+        raise ValueError(f"tolerance must be >= 0 and finite, got {tol}")
     closed, closed_num = _closed(spec, spec.family.closed, cfg.digits)
     # a note here means the oracle broke down; it fails the report
     note = ""
@@ -96,7 +93,6 @@ def verify(spec: SeriesSpec, cfg: NumericCfg, tol: float) -> EvalReport:
 class SuiteEntry:
     spec: SeriesSpec
     cfg: NumericCfg
-    tol: float
 
 
 @dataclass(frozen=True)
@@ -107,16 +103,12 @@ class SuiteManifest:
         if not self.entries:
             raise ValueError("a suite manifest needs at least one entry")
         for e in self.entries:
-            if not 0 < e.tol < float("inf"):
-                raise ValueError(f"entry {e.spec}: tolerance must be > 0 and finite, got {e.tol}")
             if e.spec.family.closed is None:
-                raise ValueError(
-                    f"entry {e.spec}: oracle-only family has no closed form to verify"
-                )
+                raise ValueError(f"entry {e.spec}: oracle-only family has no closed form to verify")
 
 
-def _entry(text: str, method: str, tol: float, digits: int, **cfg) -> SuiteEntry:
-    return SuiteEntry(parse_spec(text), NumericCfg(digits=digits, method=method, **cfg), tol)
+def _entry(text: str, method: str, digits: int) -> SuiteEntry:
+    return SuiteEntry(parse_spec(text), NumericCfg(digits=digits, method=method))
 
 
 def smoke_manifest(digits: int = NumericCfg.digits) -> SuiteManifest:
@@ -124,12 +116,12 @@ def smoke_manifest(digits: int = NumericCfg.digits) -> SuiteManifest:
     (2048 terms at 50 digits) and adds the asymptotic tail, so each certifies
     about digits + 2 digits at any precision."""
     entries = (
-        _entry("A3:s=0", "diagonal", 1e-6, digits),
-        _entry("An:n=2,s=0", "diagonal", 1e-6, digits),
-        _entry("aXL:k=1", "diagonal", 1e-6, digits),
-        _entry("ln", "diagonal", 1e-6, digits),
-        _entry("on", "diagonal", 1e-6, digits),
-        _entry("halfint:c", "diagonal", 1e-6, digits),
+        _entry("A3:s=0", "diagonal", digits),
+        _entry("An:n=2,s=0", "diagonal", digits),
+        _entry("aXL:k=1", "diagonal", digits),
+        _entry("ln", "diagonal", digits),
+        _entry("on", "diagonal", digits),
+        _entry("halfint:c", "diagonal", digits),
     )
     return SuiteManifest(entries)
 
@@ -138,38 +130,38 @@ def paper_full_manifest(digits: int = NumericCfg.digits) -> SuiteManifest:
     """Every closed-form identity in the catalog, each against at least one oracle."""
     entries = (
         # quadrature on the integral representations
-        _entry("A3:s=0", "quadrature", 1e-8, digits),
-        _entry("An:n=2,s=0", "quadrature", 1e-10, digits),
-        _entry("An:n=4,s=0", "quadrature", 1e-10, digits),
-        _entry("An:n=5,s=3", "quadrature", 1e-10, digits),
+        _entry("A3:s=0", "quadrature", digits),
+        _entry("An:n=2,s=0", "quadrature", digits),
+        _entry("An:n=4,s=0", "quadrature", digits),
+        _entry("An:n=5,s=3", "quadrature", digits),
         # regrouped single-index summation; each stops at N* (``oracle.asymptotic_cutoff``),
         # which stays below the default n_max up to 13107 digits
-        _entry("A3:s=0", "diagonal", 1e-6, digits),
-        _entry("A3:s=1", "diagonal", 1e-6, digits),
-        _entry("A3:s=2", "diagonal", 1e-6, digits),
-        _entry("A3:s=20", "diagonal", 1e-6, digits),
-        _entry("An:n=2,s=2", "diagonal", 1e-6, digits),
-        _entry("An:n=6,s=1", "diagonal", 1e-6, digits),
-        _entry("aXL:k=0", "diagonal", 1e-6, digits),
-        _entry("aXL:k=1", "diagonal", 1e-6, digits),
-        _entry("aXL:k=3", "diagonal", 1e-6, digits),
-        _entry("aXL:k=10", "diagonal", 1e-6, digits),
-        _entry("S111", "diagonal", 1e-6, digits),
-        _entry("ln", "diagonal", 1e-8, digits),
-        _entry("on", "diagonal", 1e-8, digits),
-        _entry("evenodd", "diagonal", 1e-8, digits),
-        _entry("oddsq", "diagonal", 1e-8, digits),
-        _entry("binter", "diagonal", 1e-8, digits),
-        _entry("baseT:1", "diagonal", 1e-8, digits),
-        _entry("baseT:2", "diagonal", 1e-8, digits),
-        _entry("baseT:3", "diagonal", 1e-8, digits),
-        _entry("halfint:a", "diagonal", 1e-6, digits),
-        _entry("halfint:b", "diagonal", 1e-6, digits),
-        _entry("halfint:c", "diagonal", 1e-6, digits),
+        _entry("A3:s=0", "diagonal", digits),
+        _entry("A3:s=1", "diagonal", digits),
+        _entry("A3:s=2", "diagonal", digits),
+        _entry("A3:s=20", "diagonal", digits),
+        _entry("An:n=2,s=2", "diagonal", digits),
+        _entry("An:n=6,s=1", "diagonal", digits),
+        _entry("aXL:k=0", "diagonal", digits),
+        _entry("aXL:k=1", "diagonal", digits),
+        _entry("aXL:k=3", "diagonal", digits),
+        _entry("aXL:k=10", "diagonal", digits),
+        _entry("S111", "diagonal", digits),
+        _entry("ln", "diagonal", digits),
+        _entry("on", "diagonal", digits),
+        _entry("evenodd", "diagonal", digits),
+        _entry("oddsq", "diagonal", digits),
+        _entry("binter", "diagonal", digits),
+        _entry("baseT:1", "diagonal", digits),
+        _entry("baseT:2", "diagonal", digits),
+        _entry("baseT:3", "diagonal", digits),
+        _entry("halfint:a", "diagonal", digits),
+        _entry("halfint:b", "diagonal", digits),
+        _entry("halfint:c", "diagonal", digits),
         # quadrature on integrals derived from the defining double sums, a route that
         # shares no code with the diagonal entries' atoms and asymptotic tails
-        _entry("S111", "quadrature", 1e-10, digits),
-        _entry("aXL:k=3", "quadrature", 1e-10, digits),
+        _entry("S111", "quadrature", digits),
+        _entry("aXL:k=3", "quadrature", digits),
     )
     return SuiteManifest(entries)
 
@@ -181,14 +173,15 @@ PRESETS = {
 
 
 def iter_suite(manifest: SuiteManifest, parallel: bool = False) -> Iterator[EvalReport]:
-    """Yield each entry's report as it finishes, in manifest order.
+    """Yield each entry's report as it finishes, in manifest order, each
+    verified with tol 0: a pass means the closed form lies in its enclosure.
 
     ``parallel`` runs the entries in spawned worker processes, one per
     core at most, which give the same reports as the serial run.  Processes
     give CPU parallelism; threads give the same reports too (no routine
     touches mpmath's global precision), but they share the GIL.
     """
-    columns = zip(*((e.spec, e.cfg, e.tol) for e in manifest.entries))
+    columns = zip(*((e.spec, e.cfg, 0.0) for e in manifest.entries))
     if not parallel:
         yield from map(verify, *columns)
         return

@@ -22,7 +22,7 @@ that sum, so a run is bit-reproducible and errs by one downward ulp per term.
 With prec about 3.32*digits + 64 bits (230 at the default 50 digits), the
 diagonal route sums at most N* terms (2^11 at 50 digits), and the largest
 raw box, ``_RAW_TERM_CAP`` = 25*10^6 terms, stays within about 1.5e-62 of
-the true partial sum at 50 digits, far beneath every tolerance used here.
+the true partial sum at 50 digits, twelve digits past the working precision.
 Quadrature works on one fixed-point grid too, with a rounding bound
 (``_level_sum``), and so do the constants and ``zx_numeric``, each with its
 error budget, on the grid 2^-f of ``_closed_bits``: ln 2 and zeta(k), by
@@ -32,7 +32,7 @@ Every numeric routine takes its precision as an argument, or derives it
 from ``digits``, and never reads or sets mpmath's process-global precision.
 ``tail_estimate`` is exact integers from one floored logarithm, 2 ulps and ceil(c 2^q),
 rounded up once.  Each result holds its route's integers on one grid (``OracleResult``),
-and ``harness.verify`` decides |closed - mid| <= max(tol, rad + est) on them exactly.
+and ``harness.verify`` decides |closed - mid| <= rad + est on them exactly.
 """
 
 from __future__ import annotations
@@ -156,43 +156,43 @@ def const_pi(digits: int):
     return mp.make_mpf(mpf_pi(f + 2, round_nearest))
 
 
-@cache
-def const_ln2(digits: int):
-    """ln 2 = 2 sum_{i>=0} 3^-(2i+1)/(2i+1) on the grid 2^-f (``_closed_bits``), summed g =
-    bitlen(f) bits finer and floored once.  Each term is floored (nested floors of integer
-    divisions are one) until one floors to 0, and those left out are under 9/8 of it: n + 2 fine
-    ulps for n < (f+g+1)/3.17 + 1 < f/2 terms, so 2^g > f > 2n makes them under an ulp, and with
-    the last floor the value lies under 2 ulps below ln 2."""
-    f = _closed_bits(digits)
-    g = f.bit_length()
-    acc, power = 0, (2 << (f + g)) // 3
-    for i in count():
-        term = power // (2 * i + 1)
-        if not term:
-            return mp.make_mpf(from_man_exp(acc >> g, -f))
-        acc, power = acc + term, power // 9
-
-
-@cache
-def const_zeta(k: int, digits: int):
-    """zeta(k) on the grid 2^-f (``_closed_bits``) by Borwein's sum (P. Borwein, "An efficient
-    algorithm for the Riemann zeta function", 2000): with t_0 = 1, t_(i+1) = t_i 2(n+i)(n-i) /
-    ((i+1)(2i+1)), integers, and d_j = t_0 + ... + t_j, zeta(k) = 2^(k-1) / (d_n (2^(k-1) - 1))
-    sum_{j<n} (-1)^j (d_n - d_j) / (j+1)^k + R.  Error, in ulps: |R| <= 2 / ((3+sqrt 8)^n (k-1)!
-    (1 - 2^(1-k))) <= 1, as n = floor((f+2)/2.5431) + 1 makes (3+sqrt 8)^n > 2^(f+2); the n
-    floored terms add under 2n/d_n and the last floor 1: under 2 ulps in all.  mpmath's zeta
-    sums it too for most k, and the tails take zeta(k) from it, but this shares no code with them
-    or the heads (which sum the series directly), and a proved identity with a proved remainder
-    leaves no shared bug to move a closed form and an oracle together."""
-    if k < 2:
-        raise ValueError(f"zeta needs k >= 2, got {k}")
-    f = _closed_bits(digits)
+def _borwein_eta(k: int, f: int) -> tuple[int, int]:
+    """(a, d) with eta(k) = sum_{j>=0} (-1)^j / (j+1)^k = a 2^-f / d + R, k >= 1, by Borwein's sum
+    (P. Borwein, "An efficient algorithm for the Riemann zeta function", 2000): with t_0 = 1,
+    t_(i+1) = t_i 2(n+i)(n-i) / ((i+1)(2i+1)), integers, d_j = t_0 + ... + t_j and d = d_n,
+    a = sum_{j<n} (-1)^j floor(2^f (d - d_j) / (j+1)^k).  Error, in ulps of 2^-f: |R| <= 2 /
+    ((3+sqrt 8)^n (k-1)!) <= 1/2, as n = floor((f+2)/2.5431) + 1 makes (3+sqrt 8)^n > 2^(f+2),
+    and the n floors, either side, add under n/d."""
     n = int((f + 2) / 2.5431) + 1
     terms = accumulate(range(n), lambda t, i: t * 2 * (n + i) * (n - i) // ((i + 1) * (2 * i + 1)),
                        initial=1)
     d = list(accumulate(terms))
-    acc = sum((-1) ** j * (((d[n] - dj) << f) // (j + 1) ** k) for j, dj in enumerate(d[:n]))
-    return mp.make_mpf(from_man_exp((acc << (k - 1)) // (d[n] * ((1 << (k - 1)) - 1)), -f))
+    return sum((-1) ** j * (((d[n] - dj) << f) // (j + 1) ** k) for j, dj in enumerate(d[:n])), d[n]
+
+
+@cache
+def const_ln2(digits: int):
+    """ln 2 = eta(1) on the grid 2^-f (``_closed_bits``): Borwein's a / d (``_borwein_eta``),
+    floored once.  Error, in ulps: the remainder (at most 1/2), the n term floors (under n/d)
+    and the last floor: under 2 in all, either side."""
+    f = _closed_bits(digits)
+    a, d = _borwein_eta(1, f)
+    return mp.make_mpf(from_man_exp(a // d, -f))
+
+
+@cache
+def const_zeta(k: int, digits: int):
+    """zeta(k) = eta(k) / (1 - 2^(1-k)) on the grid 2^-f (``_closed_bits``): Borwein's a / d
+    (``_borwein_eta``) times 2^(k-1) / (2^(k-1) - 1), floored once.  Error, in ulps: the
+    remainder and the term floors at most doubled (under 1 + 2n/d) and the last floor: under 2
+    in all.  mpmath's zeta sums it too for most k, and the tails take zeta(k) from it, but this
+    shares no code with them or the heads (which sum the series directly), and a proved identity
+    with a proved remainder leaves no shared bug to move a closed form and an oracle together."""
+    if k < 2:
+        raise ValueError(f"zeta needs k >= 2, got {k}")
+    f = _closed_bits(digits)
+    a, d = _borwein_eta(k, f)
+    return mp.make_mpf(from_man_exp((a << (k - 1)) // (d * ((1 << (k - 1)) - 1)), -f))
 
 
 def zx_numeric(a: ZExpr, digits: int):

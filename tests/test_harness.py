@@ -50,9 +50,9 @@ class TestVerify:
             assert report.abs_err < mp.mpf("1e-8")
 
     def test_bad_usage_raises(self):
+        # tol 0 is the enclosure alone; a negative tol has no meaning
         cfg = NumericCfg(n_max=100)
-        with pytest.raises(ValueError):
-            verify(parse_spec("on"), cfg, 0.0)
+        assert verify(parse_spec("on"), cfg, 0.0).tolerance == 0.0
         with pytest.raises(ValueError):
             verify(parse_spec("on"), cfg, -1e-6)
         with pytest.raises(ValueError, match="no closed form"):
@@ -63,9 +63,6 @@ class TestVerify:
         # nan compares false with everything and inf passes any error
         with pytest.raises(ValueError, match="finite"):
             verify(parse_spec("on"), NumericCfg(n_max=100), tol)
-        good = smoke_manifest().entries[0]
-        with pytest.raises(ValueError, match="finite"):
-            SuiteManifest((SuiteEntry(good.spec, good.cfg, tol),))
 
     def test_mismatch_reports_instead_of_raising(self, monkeypatch):
         # with the truncation slack forced to zero a short sum cannot reach
@@ -91,10 +88,9 @@ class TestManifests:
         with pytest.raises(ValueError):
             SuiteManifest(())
         good = smoke_manifest().entries[0]
-        with pytest.raises(ValueError):
-            SuiteManifest((SuiteEntry(good.spec, good.cfg, -1e-6),))
+        assert SuiteManifest((good,)).entries == (good,)
         with pytest.raises(ValueError, match="oracle-only"):
-            SuiteManifest((SuiteEntry(SeriesSpec("tornheim", (2, 1, 1)), good.cfg, 1e-6),))
+            SuiteManifest((SuiteEntry(SeriesSpec("tornheim", (2, 1, 1)), good.cfg),))
 
     def test_presets_registered(self):
         assert set(PRESETS) == {"smoke", "paper-full"}
@@ -142,7 +138,7 @@ class TestRunSuite:
         # concurrent entries at different precisions must not share mpmath's
         # working precision: with threads, some 200-digit entries stalled
         entries = tuple(
-            SuiteEntry(parse_spec("A3:s=0"), NumericCfg(digits=d, method="quadrature"), 1e-25)
+            SuiteEntry(parse_spec("A3:s=0"), NumericCfg(digits=d, method="quadrature"))
             for d in (30, 200) * 3
         )
         man = SuiteManifest(entries)
@@ -157,9 +153,9 @@ class TestRunSuite:
 def _tiny_reports():
     man = SuiteManifest(
         (
-            SuiteEntry(parse_spec("A3:s=0"), NumericCfg(n_max=10**4, method="diagonal"), 1e-3),
-            SuiteEntry(parse_spec("An:n=2,s=2"), NumericCfg(n_max=10**4, method="diagonal"), 1e-6),
-            SuiteEntry(parse_spec("baseT:1"), NumericCfg(n_max=10**4, method="diagonal"), 1e-6),
+            SuiteEntry(parse_spec("A3:s=0"), NumericCfg(n_max=10**4, method="diagonal")),
+            SuiteEntry(parse_spec("An:n=2,s=2"), NumericCfg(n_max=10**4, method="diagonal")),
+            SuiteEntry(parse_spec("baseT:1"), NumericCfg(n_max=10**4, method="diagonal")),
         ),
     )
     return list(iter_suite(man))
@@ -402,18 +398,20 @@ def _smallest_float_at_least(q: Fraction) -> float:
     near=st.sampled_from([-1, 0]) | st.none(),
     wide=st.integers(0, 2**32),
     eighths=st.integers(0, 8),
-    tol_at=st.sampled_from(["at", "below", "tiny", "one"]),
+    tol_at=st.sampled_from(["at", "below", "tiny", "one", "zero"]),
 )
 @example(man=-(3 << 70), e=-100, dx=-20, off=5, near=0, wide=0, eighths=3, tol_at="tiny")
 @example(man=-(3 << 70), e=-100, dx=-20, off=5, near=-1, wide=0, eighths=3, tol_at="tiny")
 @example(man=12345, e=-100, dx=10, off=-7, near=0, wide=0, eighths=8, tol_at="below")
 @example(man=12345, e=-100, dx=10, off=-7, near=-1, wide=0, eighths=8, tol_at="below")
+@example(man=12345, e=-100, dx=10, off=-7, near=0, wide=0, eighths=3, tol_at="zero")
+@example(man=12345, e=-100, dx=10, off=-7, near=-1, wide=0, eighths=3, tol_at="zero")
 def test_enclosure_decision_is_fraction_arithmetic(man, e, dx, off, near, wide, eighths, tol_at):
     # a closed form man 2^e and an enclosure on 2^x, x = e + dx, its grid finer
     # or coarser: verify's pass, abs_err and note against Fraction arithmetic on
     # the same integers.  NEAR puts rad + est at the least S with S 2^x >= abs_err
     # (touching, where abs_err lies on 2^x) or one unit below it; TOL_AT puts tol
-    # at the least float >= abs_err, the float below it, or far off either way
+    # at the least float >= abs_err, the float below it, far off either way, or at 0
     x = e + dx
     closed = Fraction(man) * Fraction(2) ** e
     mid = math.floor(closed / Fraction(2) ** x) + off
@@ -424,7 +422,7 @@ def test_enclosure_decision_is_fraction_arithmetic(man, e, dx, off, near, wide, 
     result = OracleResult(mid=mid, rad=s - est, est=est, exp=x, method="diagonal", n_used=100,
                           levels_used=None, elapsed=0.0)
     at = _smallest_float_at_least(abs_err) if abs_err else 1e-300
-    tol = {"at": at, "below": math.nextafter(at, 0), "tiny": 1e-300, "one": 1.0}[tol_at]
+    tol = {"at": at, "below": math.nextafter(at, 0), "tiny": 1e-300, "one": 1.0, "zero": 0.0}[tol_at]
     spec, cfg = parse_spec("ln"), NumericCfg(n_max=100)
     with pytest.MonkeyPatch.context() as patch:
         form = closed_form_of(spec)
@@ -445,8 +443,8 @@ def test_enclosure_decision_is_fraction_arithmetic(man, e, dx, off, near, wide, 
 ])
 def test_tol_alone_decides_outside_the_enclosure(monkeypatch, text, digits, n_max, method):
     # the route's enclosure moved by 2 (rad + est) + 1 units, so abs_err > rad + est:
-    # the least float tol >= abs_err passes and the float below it fails; at 1000
-    # digits the grid is finer than 2^-3300, far past a float's exponent range
+    # tol 0 fails, the least float tol >= abs_err passes and the float below it fails;
+    # at 1000 digits the grid is finer than 2^-3300, far past a float's exponent range
     spec, cfg = parse_spec(text), NumericCfg(digits=digits, n_max=n_max, method=method)
     result = oracle_mod.oracle_for(spec, cfg)
     moved = replace(result, mid=result.mid + 2 * (result.rad + result.est) + 1)
@@ -455,6 +453,7 @@ def test_tol_alone_decides_outside_the_enclosure(monkeypatch, text, digits, n_ma
     abs_err = abs(closed - m2f(moved.value))
     assert abs_err > (moved.rad + moved.est) * Fraction(2) ** moved.exp
     assert -moved.exp > 3300 or digits < 1000
+    assert not verify(spec, cfg, 0.0).passed
     tol = _smallest_float_at_least(abs_err)
     assert verify(spec, cfg, tol).passed
     short = verify(spec, cfg, math.nextafter(tol, 0))
@@ -463,13 +462,15 @@ def test_tol_alone_decides_outside_the_enclosure(monkeypatch, text, digits, n_ma
 
 
 def test_paper_full_rests_on_its_enclosures():
-    # every paper-full entry at 50 and 200 digits passes with its closed form
-    # inside rad + est, so no pass needs its tol
-    entries = (*paper_full_manifest(50).entries, *paper_full_manifest(200).entries)
+    # every paper-full entry at 50, 60, 120 and 200 digits, verified with tol 0,
+    # passes with its closed form inside rad + est; 60 and 120 digits hold the
+    # thinnest margins below 200
+    entries = tuple(e for d in (50, 60, 120, 200) for e in paper_full_manifest(d).entries)
     for entry, report in zip(entries, iter_suite(SuiteManifest(entries))):
         o = report.oracle
         inside = m2f(report.abs_err) <= (o.rad + o.est) * Fraction(2) ** o.exp
-        assert report.passed and inside, (entry.cfg.digits, report.spec.label(), o.method)
+        assert report.passed and inside and report.tolerance == 0, (
+            entry.cfg.digits, report.spec.label(), o.method)
 
 
 def test_fmt_is_nstr():

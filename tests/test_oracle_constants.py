@@ -58,7 +58,7 @@ class TestZeta:
 
 class TestLn2AndPi:
     def test_ln2_value(self):
-        for digits in _DIGITS:
+        for digits in (*_DIGITS, 40, 47, 90):
             with workdps(digits + 40):
                 assert _ulps(const_ln2(digits), mp.log(2), digits) <= 2, digits
                 assert abs(mp.exp(const_ln2(digits)) - 2) < mp.mpf(10) ** -digits, digits
@@ -74,8 +74,8 @@ class TestLn2AndPi:
             const_pi(0)
 
     def test_bits_pinned(self):
-        # ln 2 and pi at 30 through 1000 digits, hashed; any change to the
-        # atanh series, its stopping test, its guard bits or the rounding changes the digest
+        # ln 2 and pi at 30 through 1000 digits, hashed; any change to
+        # Borwein's eta(1), its term count or the floors changes the digest
         digest = hashlib.sha256()
         for digits in (30, 50, 100, 200, 300, 1000):
             digest.update(f"ln2|{digits}|{const_ln2(digits)._mpf_}\n".encode())
