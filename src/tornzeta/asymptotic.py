@@ -22,7 +22,7 @@ The term is built from its row's ``Family.atoms`` description:
   aG to aG + b, each with a geometric remainder;
 * O_{G+b} = H_{2G+2b} - H_{G+b}/2;
 * the power sums H^(k)_{G-1} give e_j(1, 1/2, ..., 1/(G-1)) by Newton's
-  identities;
+  identities, and 1/G^p is the one coefficient w^p / N^p;
 * each linear factor aG + b of the denominator is a geometric series.
 
 Products drop the terms above order K into the remainder (``_dropped``
@@ -233,8 +233,9 @@ def _elementary(j: int, grid: _Grid) -> _Series:
 
 
 def _least_order(atom: tuple) -> int:
-    """The least order K for ``atom``: H^(k) keeps its x^-k term, so K > k; e_j takes H^(1..j)."""
-    return atom[1] + 1 if atom[0] == "E" else 2
+    """The least order K for ``atom``: H^(k) keeps its x^-k term, so K > k; e_j takes H^(1..j); 1/G^p, p."""
+    kind, k = atom[:2]
+    return k if kind == "G" else k + 1 if kind in ("E", "P") else 2
 
 
 def _atom(atom: tuple, grid: _Grid) -> _Series:
@@ -249,6 +250,12 @@ def _atom(atom: tuple, grid: _Grid) -> _Series:
             return _combine([(Fraction(1), h2), (Fraction(-1, 2), h1)], grid)
         case ("E", j):
             return _elementary(j, grid)
+        case ("P", k):
+            return _power_sum(k, 1, -1, grid)
+        case ("G", p):
+            c = _blank(grid)
+            c[p][0] = _rnd(1 << grid.prec, grid.n**p)
+            return _Series(c, p, 1, [0])
     raise ValueError(f"unknown atom {atom!r}")
 
 

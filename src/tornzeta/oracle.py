@@ -156,6 +156,14 @@ def const_pi(digits: int):
     return mp.make_mpf(mpf_pi(f + 2, round_nearest))
 
 
+@lru_cache(maxsize=4)
+def _borwein_d(f: int) -> tuple[int, ...]:
+    """d_0..d_n of ``_borwein_eta`` on the grid 2^-f, which depend on f alone: built once per grid."""
+    n = int((f + 2) / 2.5431) + 1
+    return tuple(accumulate(accumulate(
+        range(n), lambda t, i: t * 2 * (n + i) * (n - i) // ((i + 1) * (2 * i + 1)), initial=1)))
+
+
 def _borwein_eta(k: int, f: int) -> tuple[int, int]:
     """(a, d) with eta(k) = sum_{j>=0} (-1)^j / (j+1)^k = a 2^-f / d + R, k >= 1, by Borwein's sum
     (P. Borwein, "An efficient algorithm for the Riemann zeta function", 2000): with t_0 = 1,
@@ -163,11 +171,8 @@ def _borwein_eta(k: int, f: int) -> tuple[int, int]:
     a = sum_{j<n} (-1)^j floor(2^f (d - d_j) / (j+1)^k).  Error, in ulps of 2^-f: |R| <= 2 /
     ((3+sqrt 8)^n (k-1)!) <= 1/2, as n = floor((f+2)/2.5431) + 1 makes (3+sqrt 8)^n > 2^(f+2),
     and the n floors, either side, add under n/d."""
-    n = int((f + 2) / 2.5431) + 1
-    terms = accumulate(range(n), lambda t, i: t * 2 * (n + i) * (n - i) // ((i + 1) * (2 * i + 1)),
-                       initial=1)
-    d = list(accumulate(terms))
-    return sum((-1) ** j * (((d[n] - dj) << f) // (j + 1) ** k) for j, dj in enumerate(d[:n])), d[n]
+    *d, dn = _borwein_d(f)
+    return sum((-1) ** j * (((dn - dj) << f) // (j + 1) ** k) for j, dj in enumerate(d)), dn
 
 
 @cache
@@ -240,12 +245,16 @@ def _reciprocal_sums(one: int, step: int = 1):
 
 
 def _atom_values(atom: tuple, origin: int, one: int):
-    """The harmonic atom's values at G = origin, origin + 1, ..."""
+    """The atom's values at G = origin, origin + 1, ..."""
     match atom:
         case ("H", a, b):
             return islice(_reciprocal_sums(one), a * origin + b, None, a)
         case ("O", b):
             return islice(_reciprocal_sums(one, 2), origin + b, None)
+        case ("P", k):
+            return islice(accumulate((one // i**k for i in count(1)), initial=0), origin - 1, None)
+        case ("G", p):
+            return (one // g**p for g in count(origin))
         case ("E", j):
             # e_i(G) = e_i(G-1) + e_{i-1}(G-1)/(G-1) from e_i(1) = 0
             e = repeat(one)
@@ -255,17 +264,11 @@ def _atom_values(atom: tuple, origin: int, one: int):
     raise ValueError(f"unknown atom {atom!r}")
 
 
-def _atoms(spec: SeriesSpec) -> tuple:
-    if spec.family.atoms is None:
-        raise ValueError(f"{spec} has no regrouped single sum here")
-    return spec.family.atoms(*spec.args)
-
-
 def _regrouped_terms(spec: SeriesSpec, one: int):
     """The row's regrouped term at G = origin, origin + 1, ... from its ``atoms``:
     (sum coeff * prod atoms) / prod (aG + b) on the grid ONE, each product of two
     atoms floored by ONE.  Every stage is an iterator, so a walk holds O(1) values."""
-    terms, linear = _atoms(spec)
+    terms, linear = spec.family.atoms(*spec.args)
     origin = spec.family.origin
     # on a power of two the product floor is a shift: the same integers, but
     # CPython's // does not special-case it (0.3 against 27 us at 1000 digits)
@@ -305,7 +308,7 @@ def _prefix_sum(spec: SeriesSpec, n_max: int, one: int) -> int:
     entry, and appends the sums to n_max, re-encoding the blob only for a wider
     field: each term of a row and grid is walked once, in any call order.
     A prefix larger than ``_PREFIX_BUDGET`` is summed and not stored."""
-    key, i = (_atoms(spec), spec.family.origin, one.bit_length()), n_max - spec.family.origin
+    key, i = (spec.family.atoms(*spec.args), spec.family.origin, one.bit_length()), n_max - spec.family.origin
     if (i + 1) * (one.bit_length() // 8) > _PREFIX_BUDGET:
         return _regrouped_sum(spec, n_max, one)
     with _PREFIX_LOCK:
@@ -431,12 +434,12 @@ def _exact_grid(spec: SeriesSpec, hi: int, top: int) -> int:
 def _regrouped_grid(spec: SeriesSpec, cutoff: int) -> int:
     """lcm(1..top)^w lcm(prod (aG + b) over G = origin..cutoff): top is the
     last reciprocal an atom reaches (aN + b for H, 2(N + b) - 1 for O, N for
-    E) and w the most atoms in one product, e_j counting j, so each atom,
-    product and term of ``_regrouped_sum(spec, cutoff, L)`` is an integer."""
-    terms, linear = _atoms(spec)
+    E, P and G) and w the most atoms in one product, E, P and G counting their
+    order, so each atom, product and term of ``_regrouped_sum(spec, cutoff, L)`` is an integer."""
+    terms, linear = spec.family.atoms(*spec.args)
     reach = {"H": lambda a, b: a * cutoff + b, "O": lambda b: 2 * (cutoff + b) - 1}
     ends = [reach[k](*ps) if k in reach else cutoff for _, ats in terms for k, *ps in ats]
-    width = max(sum(ps[0] if k == "E" else 1 for k, *ps in ats) for _, ats in terms)
+    width = max(sum(ps[0] if k in ("E", "P", "G") else 1 for k, *ps in ats) for _, ats in terms)
     dens = (math.prod(a * g + b for a, b in linear) for g in range(spec.family.origin, cutoff + 1))
     return math.lcm(*range(1, max(ends, default=0) + 1)) ** width * math.lcm(*dens)
 

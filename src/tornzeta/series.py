@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, factorial, prod
 from typing import Callable
 
 from . import closedform
@@ -49,11 +49,11 @@ class Family:
     ``origin`` and g = m_1 + ... + m_d; num is a constant, or None for
     H_{g + shift}.  The raw route's box and the exact triangle and box
     partials all come from it; a one-index row without it is its own
-    regrouping.  ``atoms`` is the summand regrouped by the index total
-    G, from G = ``origin``, as (terms, linear): the sum of coeff * product
-    of harmonic atoms over the terms, divided by the product of (a G + b)
-    over the linear factors, with atoms ``("H", a, b)`` = H_{aG+b},
-    ``("O", b)`` = O_{G+b} and ``("E", j)`` = e_j(1, 1/2, ..., 1/(G-1)).
+    regrouping.  ``atoms``, which every row has, is the summand regrouped by the index
+    total G, from G = ``origin``, as (terms, linear): the sum of coeff * product of atoms
+    over the terms, divided by the product of (a G + b) over the linear factors, with atoms
+    ``("H", a, b)`` = H_{aG+b}, ``("O", b)`` = O_{G+b}, ``("E", j)`` = e_j(1, 1/2, ...,
+    1/(G-1)), ``("P", k)`` = H^(k)_{G-1} for k >= 2 and ``("G", p)`` = 1/G^p.
     The diagonal walk, the exact diagonal partial and the asymptotic tail
     (``asymptotic.py``) of the diagonal route come from it.  The
     two forms are written independently, so their exact partial sums
@@ -66,8 +66,8 @@ class Family:
     token: str  # the family's one name, in spec syntax and reports
     closed: Callable[..., ZExpr] | None  # None: oracle-only, no closed form
     tail: Callable[..., tuple[Fraction, float, int, int]]
+    atoms: Callable[..., tuple]  # (*args) -> (terms, linear)
     summand: Callable[..., tuple] | None = None  # (*args); None: a one-index sum
-    atoms: Callable[..., tuple] | None = None  # (*args) -> (terms, linear)
     dims: Callable[..., int] = _const(2)  # number of summation indices
     origin: int = 1
     params: tuple[str, ...] = ()  # names of SeriesSpec.values, in syntax order
@@ -108,6 +108,29 @@ def _halfint_atoms(v: str) -> tuple:
     return ((2 ** (2 + len(ks)), (("O", 1),)),), ((1, 1),) + tuple((2, k) for k in ks)
 
 
+def _tornheim_atoms(a: int, b: int, c: int) -> tuple:
+    # partial fractions in m (Tornheim, Amer. J. Math. 72 (1950)): sum_{m+n=G} m^-a n^-b =
+    # sum_{k <= max(a,b)} ([k <= a] C(a+b-k-1, b-1) + [k <= b] C(a+b-k-1, a-1)) H^(k)_{G-1}
+    # / G^(a+b-k), over the common G^(min(a,b)+c); S111's 2 H_{G-1} / G^2 is a = b = c = 1
+    top = max(a, b)
+    return tuple(((k <= a) * comb(a + b - k - 1, b - 1) + (k <= b) * comb(a + b - k - 1, a - 1),
+                  (("H", 1, -1) if k == 1 else ("P", k),) + (("G", top - k),) * (k < top))
+                 for k in range(1, top + 1)), ((1, 0),) * (min(a, b) + c)
+
+
+_TORNHEIM = Family(
+    token="tornheim",
+    params=("a", "b", "c"),
+    valid=lambda a, b, c: min(a, b, c) >= 1
+    and ((a + c >= 2 and b + c >= 2 and a + b + c >= 4) or (a, b, c) == (1, 1, 1)),
+    rule="a, b, c >= 1 and a convergent weight: a+c, b+c >= 2 and a+b+c >= 4, or 1,1,1",
+    closed=None,
+    summand=lambda a, b, c: (1, lambda m: m**a, lambda n: n**b, lambda g: g**c),
+    atoms=_tornheim_atoms,
+    # diagonal group sum <= 2 H_{G-1}/G^(1+c) for a, b >= 1
+    tail=lambda a, b, c: (Fraction(2), 2.0, 1, 1 + c),
+)
+
 _AN = Family(
     token="An",
     params=("n", "s"),
@@ -139,12 +162,9 @@ FAMILIES: dict[str, Family] = {
             rule="k >= 0",
             closed=lambda n, k: closedform.eval_aXL(k),
         ),
-        Family(
-            token="S111",
-            closed=lambda: ZExpr.zeta(3, 2),
-            summand=_const((1, _index, _index, _index)),
-            atoms=_const((((2, (("H", 1, -1),)),), ((1, 0), (1, 0)))),
-            tail=_const((Fraction(2), 2.0, 1, 2)),
+        replace(
+            _TORNHEIM, token="S111", params=(), fixed=(1, 1, 1),
+            closed=lambda a, b, c: ZExpr.zeta(3, 2),
             # 1/(m+n) = Int_0^1 x^(m+n-1) dx and sum x^m/m = -ln(1-x) give Int_0^1
             # ln(1-x)^2/x dx, and t = 1-x makes it Int_0^1 ln(t)^2/(1-t) dt = A_2(0)
             integral=_const((2, 0)),
@@ -212,17 +232,7 @@ FAMILIES: dict[str, Family] = {
             # O_G - 1 <= (ln G + 1.4)/2
             tail=_const((Fraction(1, 4), 2.0, 1, 2)),
         ),
-        Family(
-            token="tornheim",
-            params=("a", "b", "c"),
-            valid=lambda a, b, c: min(a, b, c) >= 1
-            and ((a + c >= 2 and b + c >= 2 and a + b + c >= 4) or (a, b, c) == (1, 1, 1)),
-            rule="a, b, c >= 1 and a convergent weight: a+c, b+c >= 2 and a+b+c >= 4, or 1,1,1",
-            closed=None,
-            summand=lambda a, b, c: (1, lambda m: m**a, lambda n: n**b, lambda g: g**c),
-            # diagonal group sum <= 2 H_{G-1}/G^(1+c) for a, b >= 1
-            tail=lambda a, b, c: (Fraction(2), 2.0, 1, 1 + c),
-        ),
+        _TORNHEIM,
     )
 }
 

@@ -47,6 +47,8 @@ DIAG_FAMILIES = [
     "halfint:b",
     "halfint:c",
 ]
+# oracle-only rows: no closed form, so not in the tail test
+TORNHEIM_SPECS = ["tornheim:a=2,b=1,c=1", "tornheim:a=3,b=2,c=1", "tornheim:a=1,b=1,c=4"]
 
 
 # _ELEMENTARY[j][g - 1] = e_j(1, 1/2, ..., 1/(g-1)), each column grown on
@@ -77,6 +79,17 @@ def _grown(col: list[F], i: int, step: int) -> F:
     return col[i]
 
 
+# _POWER[k][i] = H^(k)_i, grown on demand the same way
+_POWER: dict[int, list[F]] = {}
+
+
+def _power(k: int, i: int) -> F:
+    col = _POWER.setdefault(k, [F(0)])
+    while len(col) <= i:
+        col.append(col[-1] + F(1, len(col) ** k))
+    return col[i]
+
+
 def _atom_exact(atom, g: int) -> F:
     match atom:
         case ("H", alpha, beta):
@@ -85,6 +98,10 @@ def _atom_exact(atom, g: int) -> F:
             return _grown(_ODD, g + beta, 2)
         case ("E", j):
             return _elementary(j, g)
+        case ("P", k):
+            return _power(k, g - 1)
+        case ("G", p):
+            return F(1, g**p)
 
 
 def _atoms_exact(spec, g: int) -> F:
@@ -102,7 +119,7 @@ def _reference(closed):
     return sum(mp.mpf(c.numerator) / c.denominator * constants[sym.kind](sym.k) for sym, c in terms)
 
 
-@pytest.mark.parametrize("text", DIAG_FAMILIES)
+@pytest.mark.parametrize("text", DIAG_FAMILIES + TORNHEIM_SPECS)
 def test_atoms_transcribe_the_regrouped_term(text):
     # the atom description and the defining summand are written
     # independently, so the atom term at total g is the triangle partial's
@@ -140,7 +157,7 @@ def _worst_ratio(t, exact, n: int, order: int, prec: int) -> float:
     return worst
 
 
-@pytest.mark.parametrize("text", DIAG_FAMILIES)
+@pytest.mark.parametrize("text", DIAG_FAMILIES + TORNHEIM_SPECS)
 def test_expansion_remainder_is_honest(text):
     # at order 8 the truncation dominates the difference; at the route's
     # own order for 50 digits the rounding does
@@ -155,7 +172,8 @@ def test_expansion_remainder_is_honest(text):
 
 @pytest.mark.parametrize(
     "atom",
-    [("H", 1, 0), ("H", 1, -1), ("H", 1, 7), ("H", 2, 1), ("O", 1), ("E", 2), ("E", 4), ("E", 6)],
+    [("H", 1, 0), ("H", 1, -1), ("H", 1, 7), ("H", 2, 1), ("O", 1), ("E", 2), ("E", 4), ("E", 6),
+     ("P", 2), ("P", 5), ("G", 1), ("G", 3)],
 )
 def test_atom_remainder_is_honest(atom):
     # inside a term an atom's own remainder is two orders below what the
@@ -409,8 +427,8 @@ def test_raw_route_fails_on_a_wrong_summand(monkeypatch):
     # the raw box comes from ``summand`` and the diagonal route from ``atoms``,
     # so a wrong total factor fails the raw route while the diagonal one passes
     fam = series.FAMILIES["S111"]
-    num, lead, last, _ = fam.summand()
-    wrong = replace(fam, summand=lambda: (num, lead, last, lambda g: g + 1))
+    num, lead, last, _ = fam.summand(*parse_spec("S111").args)
+    wrong = replace(fam, summand=lambda *args: (num, lead, last, lambda g: g + 1))
     monkeypatch.setitem(series.FAMILIES, "S111", wrong)
     spec = parse_spec("S111")
     raw = verify(spec, NumericCfg(digits=50, n_max=1500, method="raw"), 1e-6)
@@ -418,3 +436,22 @@ def test_raw_route_fails_on_a_wrong_summand(monkeypatch):
     assert not raw.passed
     diagonal = verify(spec, NumericCfg(digits=50), 1e-6)
     assert diagonal.passed, diagonal.reason
+
+
+@pytest.mark.parametrize("digits", [50, 200])
+def test_tornheim_meets_its_weight_four_values(digits):
+    # T(r,s,t) = T(r-1,s,t+1) + T(r,s-1,t+1) and T(r,0,t) = zeta(t,r), with zeta(3,1) = zeta(4)/4
+    # and zeta(2,2) = 3 zeta(4)/4, give T(1,1,2) = 2 zeta(3,1) = zeta(4)/2 and
+    # T(2,1,1) = T(1,2,1) = T(1,1,2) + zeta(2,2) = 5 zeta(4)/4
+    with workdps(digits + 30):
+        z4 = mp.zeta(4)
+        for abc, want in (((1, 1, 2), z4 / 2), ((2, 1, 1), 5 * z4 / 4), ((1, 2, 1), 5 * z4 / 4)):
+            res = oracle_diagonal(series.SeriesSpec("tornheim", abc), NumericCfg(digits=digits))
+            assert abs(res.value - want) <= res.tail_bound, abc
+            assert res.tail_bound <= mp.mpf(10) ** -digits * abs(res.value), abc
+    # S111 is the tornheim row at a = b = c = 1: the same integers on both series routes
+    for cfg in (NumericCfg(digits=digits), NumericCfg(digits=digits, n_max=400, method="raw")):
+        got, want = (oracle_for(parse_spec(t), cfg) for t in ("tornheim:a=1,b=1,c=1", "S111"))
+        assert (got.mid, got.rad, got.exp) == (want.mid, want.rad, want.exp)
+        if cfg.method == "diagonal":
+            assert got.rad * 10**digits <= abs(got.mid)

@@ -54,10 +54,6 @@ class TestExactPartialSpots:
         assert diagonal_partial_exact(parse_spec("S111"), 2) == F(1, 2)
         assert diagonal_partial_exact(parse_spec("baseT:1"), 0) == F(1)
 
-    def test_tornheim_has_no_diagonal_partial(self):
-        with pytest.raises(ValueError, match="no regrouped"):
-            diagonal_partial_exact(parse_spec("tornheim:a=1,b=1,c=2"), 5)
-
 
 REGROUPINGS = [
     ("A3:s=0", 40),
@@ -76,6 +72,13 @@ REGROUPINGS = [
     ("halfint:b", 40),
     ("halfint:c", 40),
     ("binter", 40),
+]
+# every valid tornheim:a,b,c with a, b, c <= 3, whose atoms are its partial fractions
+REGROUPINGS += [
+    (SeriesSpec("tornheim", abc).label(), depth)
+    for abc in product(range(1, 4), repeat=3)
+    if FAMILIES["tornheim"].valid(*abc)
+    for depth in (20, 60)
 ]
 
 
@@ -951,8 +954,8 @@ class TestConfigAndGuards:
 
     def test_diagonal_guards(self):
         cfg = NumericCfg(n_max=100)
-        with pytest.raises(ValueError):
-            oracle_diagonal(SeriesSpec("tornheim", (2, 1, 1)), cfg)
+        with pytest.raises(ValueError, match="cutoff >= shift"):
+            oracle_diagonal(parse_spec("An:n=2,s=200"), cfg)
 
     def test_raw_caps(self):
         # the cap refuses a box the route would sum, at any digits

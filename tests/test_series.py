@@ -150,7 +150,8 @@ def test_kinds_catalog():
 def test_a_family_is_one_row(monkeypatch):
     # a parameter name no other family uses needs nothing outside the row
     probe = Family(
-        token="probe", closed=None, tail=lambda p: (Fraction(1), 0.0, 0, 2), params=("p",)
+        token="probe", closed=None, tail=lambda p: (Fraction(1), 0.0, 0, 2), params=("p",),
+        atoms=lambda p: (((1, ()),), ((1, 0), (1, 0))),
     )
     monkeypatch.setitem(FAMILIES, "probe", probe)
     spec = parse_spec("probe:p=3")
