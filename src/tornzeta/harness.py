@@ -8,8 +8,8 @@ only a discrepancy exceeding the bound is evidence against an identity.
 A tol >= 0 widens the rule to max(tol, rad + est), taken as its exact
 ratio, only when the caller asks; presets and the CLI ask for none.
 
-Each process evaluates a closed form once per (spec, row, digits) in a
-bounded memo, and formats a report's numbers once for every format.
+Each process evaluates a closed form once per (spec, engine arguments, row,
+digits) in a bounded memo, and formats a report's numbers once for every format.
 """
 
 from __future__ import annotations
@@ -51,9 +51,9 @@ class EvalReport:
 
 
 @lru_cache(maxsize=1024)
-def _closed(spec: SeriesSpec, closed, digits: int) -> tuple[ZExpr, object]:
-    """The spec's closed form and its value at ``digits``.  The row's ``closed``
-    callable is in the key, so a swapped row is never served an old form."""
+def _closed(spec: SeriesSpec, args: tuple, closed, digits: int) -> tuple[ZExpr, object]:
+    """The spec's closed form and its value at ``digits``.  The engine arguments and the
+    row's ``closed`` callable are in the key, so a swapped row is never served an old form."""
     form = closed_form_of(spec)
     return form, zx_numeric(form, digits)
 
@@ -67,7 +67,7 @@ def verify(spec: SeriesSpec, cfg: NumericCfg, tol: float) -> EvalReport:
     """
     if not 0 <= tol < float("inf"):
         raise ValueError(f"tolerance must be >= 0 and finite, got {tol}")
-    closed, closed_num = _closed(spec, spec.family.closed, cfg.digits)
+    closed, closed_num = _closed(spec, spec.args, spec.family.closed, cfg.digits)
     # a note here means the oracle broke down; it fails the report
     note = ""
     try:

@@ -87,25 +87,9 @@ def _single_sum(token, closed, atoms, tail) -> Family:
 # T_j = sum_{m,n>=0} 1/((2m+1)(2n+1)(2m+2n+j)), the base T-sums
 _BASE_T = {1: ZExpr.zeta(2), 2: ZExpr.zeta(3, Fraction(7, 8)), 3: ZExpr.zeta(2, Fraction(1, 2))}
 
-# half-integer variant -> k of its outer factors (m+n+k/2); with the inner
-# (m+1/2)(n+1/2) each factor contributes a 2 once the halves are cleared
-_HALF_FACTORS = {"a": (1, 2), "b": (2, 3), "c": (1, 2, 3)}
-
-# closed forms from the T-sums: a = 16(T1 - T2) and b = 16(T2 - T3) by partial
-# fractions in the outer factors; c telescopes across the unit gap between them,
-# c = a - b.  Tests hold all three to the published combinations of zeta(2), zeta(3).
-_HALF_CLOSED = {"a": 16 * (_BASE_T[1] - _BASE_T[2]), "b": 16 * (_BASE_T[2] - _BASE_T[3])}
-_HALF_CLOSED["c"] = _HALF_CLOSED["a"] - _HALF_CLOSED["b"]
-
-
-def _halfint_summand(v: str) -> tuple:
-    ks = _HALF_FACTORS[v]
-    return 2 ** (2 + len(ks)), _odd, _odd, lambda g: prod(2 * g + k for k in ks)
-
-
-def _halfint_atoms(v: str) -> tuple:
-    ks = _HALF_FACTORS[v]
-    return ((2 ** (2 + len(ks)), (("O", 1),)),), ((1, 1),) + tuple((2, k) for k in ks)
+# half-integer variant -> (scale, *ks): the outer factors (m+n+k/2) and the inner
+# (m+1/2)(n+1/2) each contribute a 2 once the halves are cleared
+_HALF = {"a": (16, 1, 2), "b": (16, 2, 3), "c": (32, 1, 2, 3)}
 
 
 def _tornheim_atoms(a: int, b: int, c: int) -> tuple:
@@ -130,6 +114,23 @@ _TORNHEIM = Family(
     # diagonal group sum <= 2 H_{G-1}/G^(1+c) for a, b >= 1
     tail=lambda a, b, c: (Fraction(2), 2.0, 1, 1 + c),
 )
+
+# scale * sum_{m,n>=0} 1/((2m+1)(2n+1) prod_{k in ks} (2m+2n+k)), engine arguments
+# (scale, *ks); baseT:j is (1, j).  For every G = m + n, (2m+1) + (2n+1) = 2G+2 splits
+# 1/((2m+1)(2n+1)) = (1/(2m+1) + 1/(2n+1))/(2G+2), so the group sum is O_{G+1}/(G+1) over
+# the outer factors.  O_{G+1} <= 1 + ln(2G+1)/2 <= (ln G + 3.5)/2 and (G+1) prod (2G+k) >=
+# 2^len(ks) G^(1+len(ks)) bound it for G >= 1.  Partial fractions in the distinct outer
+# factors, 1/prod_q (x+q) = sum_k 1/((x+k) prod_{q!=k} (q-k)), give the closed form in T_k.
+_HALF_TORNHEIM = Family(
+    token="baseT", params=("j",), bare=True, fixed=(1,), origin=0, rule="j in 1..3",
+    valid=lambda scale, *ks: all(k in _BASE_T for k in ks),
+    closed=lambda scale, *ks: sum(
+        (_BASE_T[k] * Fraction(scale, prod(q - k for q in ks if q != k)) for k in ks), ZExpr()),
+    summand=lambda scale, *ks: (scale, _odd, _odd, lambda g: prod(2 * g + k for k in ks)),
+    atoms=lambda scale, *ks: (((scale, (("O", 1),)),), ((1, 1),) + tuple((2, k) for k in ks)),
+    tail=lambda scale, *ks: (Fraction(scale, 2 ** (1 + len(ks))), 3.5, 1, 1 + len(ks)),
+)
+
 
 _AN = Family(
     token="An",
@@ -183,29 +184,14 @@ FAMILIES: dict[str, Family] = {
             # O_m <= (ln m + 3.4)/2
             (Fraction(1, 8), 3.4, 1, 2),
         ),
-        Family(
-            token="baseT",
-            params=("j",),
-            bare=True,
-            valid=lambda j: j in _BASE_T,
-            rule="j in 1..3",
-            closed=lambda j: _BASE_T[j],
-            origin=0,
-            summand=lambda j: (1, _odd, _odd, lambda g: 2 * g + j),
-            atoms=lambda j: (((1, (("O", 1),)),), ((1, 1), (2, j))),
-            tail=_const((Fraction(1, 4), 3.5, 1, 2)),
-        ),
-        Family(
-            token="halfint",
-            params=("variant",),
-            bare=True,
-            valid=lambda v: v in _HALF_FACTORS,
-            rule="variant a, b or c",
-            closed=lambda v: _HALF_CLOSED[v],
-            origin=0,
-            summand=_halfint_summand,
-            atoms=_halfint_atoms,
-            tail=lambda v: (Fraction(2), 3.5, 1, 1 + len(_HALF_FACTORS[v])),
+        _HALF_TORNHEIM,
+        replace(
+            _HALF_TORNHEIM, token="halfint", params=("variant",), fixed=(),
+            valid=lambda v: v in _HALF, rule="variant a, b or c",
+            closed=lambda v: _HALF_TORNHEIM.closed(*_HALF[v]),
+            summand=lambda v: _HALF_TORNHEIM.summand(*_HALF[v]),
+            atoms=lambda v: _HALF_TORNHEIM.atoms(*_HALF[v]),
+            tail=lambda v: _HALF_TORNHEIM.tail(*_HALF[v]),
         ),
         _single_sum(
             "evenodd",

@@ -7,8 +7,10 @@ tail-honesty suite, so this never hides a wrong closed form.
 """
 
 import time
+from dataclasses import replace
 from fractions import Fraction as F
 
+import pytest
 from mpmath import mp, workdps
 
 from tornzeta.closedform import closed_form_of, eval_An, eval_aXL
@@ -26,7 +28,7 @@ from tornzeta.oracle import (
     triangle_partial_exact,
     zx_numeric,
 )
-from tornzeta.series import parse_spec
+from tornzeta.series import FAMILIES, parse_spec
 from tornzeta.zexpr import ZExpr, zeta_even_to_pi
 
 
@@ -125,6 +127,28 @@ def test_criterion_07_half_odd_denominator_sums_and_difference_identity():
             assert abs(report.closed_numeric - mp.mpf(literal)) < 1e-6
     halfint = {v: closed_form_of(parse_spec(f"halfint:{v}")) for v in "abc"}
     assert halfint["c"] == halfint["a"] - halfint["b"]
+
+
+@pytest.mark.parametrize(
+    "args, want",
+    [
+        ((16, 1, 3), ZExpr.zeta(2, 4)),
+        ((4, 2), ZExpr.zeta(3, F(7, 2))),
+        ((64, 1, 2, 3), ZExpr.zeta(2, 48) - ZExpr.zeta(3, 56)),
+        ((8, 3), ZExpr.zeta(2, 4)),
+    ],
+)
+def test_half_integer_row_derives_forms_beyond_the_catalog(monkeypatch, args, want):
+    # the baseT row with other (scale, *ks): its closed form by partial fractions, its
+    # atoms, summand and majorant from (scale, ks) alone, at tol 0 on the diagonal route
+    monkeypatch.setitem(FAMILIES, "baseT", replace(FAMILIES["baseT"], fixed=args[:-1]))
+    spec = parse_spec(f"baseT:{args[-1]}")
+    assert spec.args == args and closed_form_of(spec) == want
+    for digits in (50, 200):
+        report = verify(spec, NumericCfg(digits=digits, method="diagonal"), 0)
+        assert report.passed and report.closed_form == want, f"{digits}: {report.reason}"
+    for cutoff in (20, 60):
+        assert diagonal_partial_exact(spec, cutoff) == triangle_partial_exact(spec, cutoff), cutoff
 
 
 def test_criterion_08_base_t_sums_and_intermediate_b():

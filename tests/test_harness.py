@@ -289,6 +289,18 @@ def test_swapped_row_is_never_served_the_old_closed_form(monkeypatch):
     assert not after.passed
 
 
+def test_row_pinning_other_fixed_values_is_never_served_the_old_closed_form(monkeypatch):
+    # replace keeps the row's closed callable, so the memo must tell the rows apart by the
+    # engine arguments: A3:s=0 pinned to n = 4 is A_4(0) = 24 zeta(5), not 6 zeta(4)
+    spec, cfg = parse_spec("A3:s=0"), NumericCfg(digits=50, method="diagonal")
+    before = verify(spec, cfg, 0)
+    assert before.passed and before.closed_form == ZExpr.zeta(4, 6)
+    monkeypatch.setitem(FAMILIES, "A3", replace(FAMILIES["A3"], fixed=(4,)))
+    after = verify(spec, cfg, 0)
+    assert after.closed_form == ZExpr.zeta(5, 24)
+    assert after.passed, after.reason
+
+
 @pytest.mark.parametrize("text", ["halfint:c", "A3:s=0", "aXL:k=3"])
 def test_memoized_closed_value_is_zx_numeric(text):
     # warm and cold, at each precision, bit for bit
