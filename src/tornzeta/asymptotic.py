@@ -8,8 +8,8 @@ which lies in (0, 1] for G >= N, with coefficients polynomial in L = ln G:
 
 The tail past N is then sum t_ij Y_ij, within sum r_j Y_{K+1,j}, where
 Y_ij = sum_{G > N} w^i L^j = (-1)^j N^i zeta^(j)(i, N+1) comes from one
-Euler-Maclaurin pass per row i (``_log_power_row``), shared by every
-series of a precision.
+Euler-Maclaurin pass per row i (``_log_power_row``), built once per (i, N, P)
+for every series and degree, from Bernoulli factors shared by every row.
 
 The term is built from its row's ``Family.atoms`` description:
 
@@ -277,78 +277,88 @@ def _times_linear(p: list[int], c: int) -> list[int]:
     return [c * v + (p[j - 1] if j else 0) for j, v in enumerate(p)]
 
 
-@lru_cache(maxsize=1024)
-def _log_power_row(i: int, deg: int, n: int, prec: int) -> tuple[tuple[int, ...], int]:
-    """Y_ij = sum_{G > n} (n/G)^i ln^j G for j <= deg, in ulps, and a bound
-    on the error of each.
+@lru_cache(maxsize=4096)
+def _bernoulli_factor(r: int, x0: int, prec: int) -> tuple[int, int]:
+    """(m, sh): B_2r / ((2r)! x0^(2r-1)) is (m + d) / 2^(prec+sh), |d| <= 1/2, and m has
+    prec + 64 or 65 bits.  One division per (r, x0, prec), shared by every row."""
+    bn, bd = _bernfrac(2 * r)
+    den = bd * math.factorial(2 * r) * x0 ** (2 * r - 1)
+    sh = 64 + den.bit_length() - bn.bit_length()
+    return _rnd(bn << (prec + sh), den), sh
 
-    Euler-Maclaurin from x0 = n + 1 on x^-(i+eps), with eps a truncated
-    power series variable (Johansson 2015): sum_{G >= x0} G^-(i+eps) =
-    x0^-(i+eps) [x0/(i-1+eps) + 1/2 + sum_r B_2r/(2r)! (i+eps)_{2r-1}
-    x0^(1-2r)] + R, and (-1)^j j! times the coefficient of eps^j is
-    sum ln^j G / G^i.  R is bounded for each j through DLMF 2.10.1 on
-    f(x) = ln^j x / x^i: at most 2|B_2m|/(2m)! times the integral of
-    |f^(2m)| past x0, with m one past the last term used.
+
+# -ln x0 in units of 2^-wp, from ln x0 floored once per (x0, wp)
+_neg_log = lru_cache(maxsize=64)(lambda x0, wp: -to_fixed(mpf_log(from_int(x0), wp, round_floor), wp))
+# [(q, ys, errs)]: row i at (n, prec) for j < len(ys), as ``_log_power_row`` last stored it; a
+# thread may store a shorter row over a longer one, with the same integers, so it costs an extension
+_row_cell = lru_cache(maxsize=1024)(lambda i, n, prec: [((), (), ())])
+
+
+def _log_power_row(i: int, deg: int, n: int, prec: int) -> tuple[tuple[int, ...], int]:
+    """Y_ij = sum_{G > n} (n/G)^i ln^j G for j <= deg, in ulps, and the largest of their errors.
+
+    Euler-Maclaurin from x0 = n + 1 on x^-(i+eps), with eps a truncated power series variable
+    (Johansson 2015): sum_{G >= x0} G^-(i+eps) = x0^-(i+eps) [x0/(i-1+eps) + 1/2 + sum_r
+    B_2r/(2r)! (i+eps)_{2r-1} x0^(1-2r)] + R, and (-1)^j j! times the coefficient of eps^j is
+    sum ln^j G / G^i.  The sum stops once the next term's eps^0 part is below 2^-(prec+8),
+    whatever deg is.  Each Y_ij keeps its own error: R, bounded through DLMF 2.10.1 on f(x) =
+    ln^j x / x^i (2|B_2m|/(2m)! times the integral of |f^(2m)| past x0, m one past the last
+    term), plus its roundings.  Term (r, j) is ``_bernoulli_factor``'s m less its last t =
+    max(sh-b-1, 0) bits, times the eps^j coefficient c of (i+eps)_{2r-1}, shifted and
+    rounded.  As c is at most the coefficients' sum (i)_{2r-1} (i+2r-1)/i < 2^b, it errs by
+    under 1/2 + |c| 2^(t-sh) <= 1 ulp for t > 0, or 1/2 + |c|/2^(sh+1) <= 2^max(b-sh, 0)
+    for t = 0.  A row is kept per (i, n, prec) (``_row_cell``), and a higher deg extends it over
+    the same r, so its lower Y_ij and errors are the same in any call order.
     """
-    x0 = n + 1
-    q = [_rnd((-1) ** j * x0 << prec, (i - 1) ** (j + 1)) for j in range(deg + 1)]
-    q[0] += 1 << (prec - 1)
-    poch = ([i, 1] + [0] * deg)[: deg + 1]  # (i+eps)_{2r-1}
-    log_x0 = math.log(x0)
-    last = math.inf
-    r = 1
-    while True:
-        bn, bd = _bernfrac(2 * r)
-        den = bd * math.factorial(2 * r) * x0 ** (2 * r - 1)
-        for j in range(deg + 1):
-            q[j] += _rnd(bn * poch[j] << prec, den)
-        poch = _times_linear(_times_linear(poch, i + 2 * r - 1), i + 2 * r)
-        r += 1
-        # natural log of the next term: |B_2r|/(2r)! < 4/(2 pi)^2r, and the
-        # coefficients of (i+eps)_{2r-1} at most (i)_{2r-1} (1 + ln(i+2r))^deg
-        size = (
-            math.log(4)
-            - 2 * r * math.log(2 * math.pi)
-            + math.lgamma(i + 2 * r - 1)
-            - math.lgamma(i)
-            + (1 - 2 * r) * log_x0
-            + deg * math.log(1 + math.log(i + 2 * r))
-        )
-        if size < -(prec + 8) * math.log(2):
-            break
-        if size >= last:
-            # the series turns before it is small enough: i ~ 2 pi x0
-            raise ValueError(f"cutoff {n} is too low for order {i} at {prec} bits")
-        last = size
-    # terms r' < r were added; the remainder needs f^(2r)
-    m2 = 2 * r
-    p1 = i + m2 - 1
-    poch = _times_linear(poch, p1)  # (i+eps)_{2r}
-    bn, bd = _bernfrac(m2)
-    lam = math.ceil(log_x0) + 1  # > ln x0
-    # em[j] bounds 2|B_2r|/(2r)! n^i sum_l poch[l] j!/(j-l)! I_{j-l}, with I_m the integral
-    # of x^-(p1+1) ln^m x past x0: x0^-p1 sum_{u<=m} m!/u! ln^u x0 / p1^(m-u+1), at most
-    # x0^-p1 s[m] / p1^(m+1) for s[m] = sum_{u<=m} (lam p1)^u m!/u! = m s[m-1] + (lam p1)^m
-    s = list(accumulate(range(1, deg + 1), lambda v, m: m * v + (lam * p1) ** m, initial=1))
-    top, bottom = 2 * abs(bn) * n**i, bd * math.factorial(m2) * x0**p1
-    em = []
-    for j in range(deg + 1):
-        inner = sum(poch[l] * s[j - l] * math.perm(j, l) * p1**l for l in range(j + 1))
-        em.append(_up(top * inner << prec, bottom * p1 ** (j + 1)))
-    err_q = r + 1  # half an ulp per rounded term
-    # x0^-eps = sum_j (-ln x0)^j / j! eps^j: ln x0 floored once, then one rounded division per jet
-    wp = prec + 64
-    lg = -to_fixed(mpf_log(from_int(x0), wp, round_floor), wp)
-    ell = [_rnd(lg**j << prec, math.factorial(j) << wp * j) for j in range(deg + 1)]
-    num, den = n**i, x0**i << prec
-    ys, err = [], 0
-    for j in range(deg + 1):
-        v = sum(ell[j - l] * q[l] for l in range(j + 1))
-        e = sum(abs(ell[j - l]) * err_q + abs(q[l]) + err_q for l in range(j + 1))
-        f = math.factorial(j)
-        ys.append(_rnd((-1) ** j * f * v * num, den))
-        err = max(err, _up(f * e * num, den) + 1 + em[j])
-    return tuple(ys), err
+    cell = _row_cell(i, n, prec)
+    q, ys, errs = cell[0]
+    if len(ys) <= deg:
+        x0, lo = n + 1, len(ys)
+        q = [*q] + [_rnd((-1) ** j * x0 << prec, (i - 1) ** (j + 1)) for j in range(lo, deg + 1)]
+        q[0] += 0 if lo else 1 << (prec - 1)
+        poch = ([i, 1] + [0] * deg)[: deg + 1]  # (i+eps)_{2r-1}
+        log_x0, last, r, err_q = math.log(x0), math.inf, 1, 1  # half an ulp for x0 / (i-1)^(j+1)
+        while True:
+            m, sh = _bernoulli_factor(r, x0, prec)
+            b = poch[0].bit_length() + (i + 2 * r - 1).bit_length()
+            u = min(b + 1, sh)  # m is cut by sh - u bits
+            mt, half = m >> (sh - u), 1 << (u - 1)
+            for j in range(lo, deg + 1):
+                q[j] += (mt * poch[j] + half) >> u
+            err_q += 1 << max(b - sh, 0)
+            poch = _times_linear(_times_linear(poch, i + 2 * r - 1), i + 2 * r)
+            r += 1
+            # natural log of the next term's eps^0 part: |B_2r|/(2r)! < 4/(2 pi)^2r
+            size = math.log(4) - 2 * r * math.log(2 * math.pi) + (1 - 2 * r) * log_x0
+            size += math.lgamma(i + 2 * r - 1) - math.lgamma(i)
+            if size < -(prec + 8) * math.log(2):
+                break
+            if size >= last:
+                # the series turns before it is small enough: i ~ 2 pi x0
+                raise ValueError(f"cutoff {n} is too low for order {i} at {prec} bits")
+            last = size
+        # terms r' < r were added; the remainder needs f^(2r)
+        m2, p1 = 2 * r, i + 2 * r - 1
+        poch = _times_linear(poch, p1)  # (i+eps)_{2r}
+        (bn, bd), lam = _bernfrac(m2), math.ceil(log_x0) + 1  # lam > ln x0
+        # em[j] bounds 2|B_2r|/(2r)! n^i sum_l poch[l] j!/(j-l)! I_{j-l}, with I_m the integral
+        # of x^-(p1+1) ln^m x past x0: x0^-p1 sum_{u<=m} m!/u! ln^u x0 / p1^(m-u+1), at most
+        # x0^-p1 s[m] / p1^(m+1) for s[m] = sum_{u<=m} (lam p1)^u m!/u! = m s[m-1] + (lam p1)^m
+        s = list(accumulate(range(1, deg + 1), lambda v, m: m * v + (lam * p1) ** m, initial=1))
+        top, bottom = 2 * abs(bn) * n**i, bd * math.factorial(m2) * x0**p1
+        # x0^-eps = sum_j (-ln x0)^j / j! eps^j: ln x0 floored once, then one rounded division per jet
+        lg, wp = _neg_log(x0, prec + 64), prec + 64
+        ell = [_rnd(lg**j << prec, math.factorial(j) << wp * j) for j in range(deg + 1)]
+        num, den, ys, errs = n**i, x0**i << prec, [*ys], [*errs]
+        for j in range(lo, deg + 1):
+            inner = sum(poch[l] * s[j - l] * math.perm(j, l) * p1**l for l in range(j + 1))
+            v = sum(ell[j - l] * q[l] for l in range(j + 1))
+            e = sum(abs(ell[j - l]) * err_q + abs(q[l]) + err_q for l in range(j + 1))
+            f = math.factorial(j)
+            ys.append(_rnd((-1) ** j * f * v * num, den))
+            errs.append(_up(f * e * num, den) + 1 + _up(top * inner << prec, bottom * p1 ** (j + 1)))
+        cell[0] = q, ys, errs = tuple(q), tuple(ys), tuple(errs)
+    return ys[: deg + 1], max(errs[: deg + 1])
 
 
 def order(spec: SeriesSpec, n: int, digits: int) -> int:

@@ -115,6 +115,22 @@ _TORNHEIM = Family(
     tail=lambda a, b, c: (Fraction(2), 2.0, 1, 1 + c),
 )
 
+
+def _outer_total(ks: tuple[int, ...]) -> Callable[[int], int]:
+    """g -> prod_{k in ks} (2g + k), expanded once into integer coefficients, by Horner."""
+    coeffs = (1,)  # highest power first
+    for k in ks:
+        coeffs = tuple(2 * a + k * b for a, b in zip(coeffs + (0,), (0,) + coeffs))
+
+    def total(g: int) -> int:
+        v = 0
+        for a in coeffs:
+            v = v * g + a
+        return v
+
+    return total
+
+
 # scale * sum_{m,n>=0} 1/((2m+1)(2n+1) prod_{k in ks} (2m+2n+k)), engine arguments
 # (scale, *ks); baseT:j is (1, j).  For every G = m + n, (2m+1) + (2n+1) = 2G+2 splits
 # 1/((2m+1)(2n+1)) = (1/(2m+1) + 1/(2n+1))/(2G+2), so the group sum is O_{G+1}/(G+1) over
@@ -122,11 +138,12 @@ _TORNHEIM = Family(
 # 2^len(ks) G^(1+len(ks)) bound it for G >= 1.  Partial fractions in the distinct outer
 # factors, 1/prod_q (x+q) = sum_k 1/((x+k) prod_{q!=k} (q-k)), give the closed form in T_k.
 _HALF_TORNHEIM = Family(
-    token="baseT", params=("j",), bare=True, fixed=(1,), origin=0, rule="j in 1..3",
-    valid=lambda scale, *ks: all(k in _BASE_T for k in ks),
+    token="baseT", params=("j",), bare=True, fixed=(1,), origin=0,
+    rule="j in 1..3, each outer factor once",
+    valid=lambda scale, *ks: all(k in _BASE_T for k in ks) and len(set(ks)) == len(ks),
     closed=lambda scale, *ks: sum(
         (_BASE_T[k] * Fraction(scale, prod(q - k for q in ks if q != k)) for k in ks), ZExpr()),
-    summand=lambda scale, *ks: (scale, _odd, _odd, lambda g: prod(2 * g + k for k in ks)),
+    summand=lambda scale, *ks: (scale, _odd, _odd, _outer_total(ks)),
     atoms=lambda scale, *ks: (((scale, (("O", 1),)),), ((1, 1),) + tuple((2, k) for k in ks)),
     tail=lambda scale, *ks: (Fraction(scale, 2 ** (1 + len(ks))), 3.5, 1, 1 + len(ks)),
 )

@@ -254,7 +254,7 @@ def test_asymptotic_tails_pinned():
             digest.update(f"{spec.label()}|{method}|{digits}|{n}|{value}|{bound}\n".encode())
             count += 1
     assert count == 48
-    assert digest.hexdigest() == "7a2c5521e7339371be3a1a90a75033c742c24f743f0f908701441e8cdac88a06"
+    assert digest.hexdigest() == "04a317e66cde25198a1d13f1adf56778c5fb2c750a6a88b29a9d5bf004fcb399"
 
 
 def test_fixed_constants_pinned():
@@ -273,7 +273,7 @@ def test_fixed_constants_pinned():
         for i, deg, n in ((9, 3, 2048), (40, 8, 16384), (120, 2, 65536), (30, 6, 65536)):
             row = asymptotic._log_power_row(i, deg, n, prec)
             digest.update(f"{digits}|{i}|{deg}|{n}|{row}\n".encode())
-    assert digest.hexdigest() == "17c40fee1067405ae5a821c3d5cf305efd9789c3f66160dc888bcd1288c6db21"
+    assert digest.hexdigest() == "1b7b555f334bab8de6bc563a336cdc651fd1bf21bc039acabf1701418f4c6b0a"
 
 
 def test_cutoff_routes_by_n_max():
@@ -455,3 +455,47 @@ def test_tornheim_meets_its_weight_four_values(digits):
         assert (got.mid, got.rad, got.exp) == (want.mid, want.rad, want.exp)
         if cfg.method == "diagonal":
             assert got.rad * 10**digits <= abs(got.mid)
+
+
+@pytest.mark.parametrize("digits", [50, 300])
+@pytest.mark.parametrize("n", [2048, 16384])
+def test_log_power_rows_lie_within_their_own_errors(digits, n):
+    # each Y_ij against mpmath's (-1)^j n^i zeta^(j)(i, n+1) at twice the precision,
+    # within the error that row keeps for that j alone
+    prec = oracle._prec_bits(digits) + oracle._TAIL_GUARD_BITS
+    for i in (2, 9, 20):
+        ys, err = asymptotic._log_power_row(i, 5, n, prec)
+        errs = asymptotic._row_cell(i, n, prec)[0][-1]
+        assert err == max(errs[:6])
+        with mp.workprec(2 * prec):
+            for j, y in enumerate(ys):
+                want = (-1) ** j * mp.mpf(n) ** i * mp.zeta(i, n + 1, j) * mp.mpf(2) ** prec
+                assert abs(y - want) <= errs[j], (i, j, abs(y - want) / errs[j])
+
+
+def test_tails_do_not_depend_on_the_order_rows_are_asked_in():
+    # the paper-full diagonal entries at 50 digits share their cutoff and precision but
+    # ask rows of L-degree 0 to 5; on a cleared row cache, ascending and descending
+    # degree orders give the same tails, and each row (i, n, prec) is built once
+    digits = 50
+    prec = oracle._prec_bits(digits) + oracle._TAIL_GUARD_BITS
+    specs = [entry.spec for entry in paper_full_manifest(digits).entries if entry.cfg.method == "diagonal"]
+    n = oracle.asymptotic_cutoff(specs[0], digits)
+    assert all(oracle.asymptotic_cutoff(spec, digits) == n for spec in specs)
+
+    def shape(spec):
+        # the L-degree of the spec's expansion, and the rows its tail reads (as ``tail`` does)
+        top = asymptotic.order(spec, n, digits)
+        t = asymptotic.term_expansion(spec, n, top, prec)
+        return max(len(t.c[0]), len(t.rem)) - 1, range(t.val, top + 2)
+
+    shapes = {spec: shape(spec) for spec in specs}
+    by_degree = sorted(specs, key=lambda spec: shapes[spec][0])
+    assert shapes[by_degree[0]][0] < shapes[by_degree[-1]][0]
+    rows = set().union(*(r for _, r in shapes.values()))
+    tails = []
+    for order in (by_degree, by_degree[::-1]):
+        asymptotic._row_cell.cache_clear()
+        tails.append({s: asymptotic.tail(s, n, digits, prec) for s in order})
+        assert asymptotic._row_cell.cache_info().misses == len(rows)
+    assert tails[0] == tails[1]

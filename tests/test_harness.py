@@ -225,8 +225,8 @@ class TestEmission:
         # digests change only when a route or a rendering is meant to move
         reports = list(iter_suite(paper_full_manifest(50)))
         want = {
-            "json": "56c29145364fa2b537cfacd143fdd0ccb453f01aa3b0d7f70d5218876dd1adab",
-            "csv": "33a1da45f42f38e437e08db03838ea7d09ac5a44456c8de58ee1b53740cbbdfb",
+            "json": "9ce0531e63c60c9f6c38d782e56a5cce40a1fd7e547f9430eb22e22fae91afb3",
+            "csv": "7a843656c0f2f40c8744e6c647642d28ca06d447a6d3c4c3ce0ce9aadeaf1d61",
             "text": "97910d41b0c61421ea0785aefa6c8ed9c26a5a7da35b15368f4bdd48deaf61b4",
         }
         got = {f: hashlib.sha256(render_reports(reports, f).encode()).hexdigest() for f in want}

@@ -1,5 +1,7 @@
 import ast
+from dataclasses import replace
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -159,6 +161,32 @@ def test_a_family_is_one_row(monkeypatch):
     assert parse_spec(spec.label()) == spec
     assert spec.args == (3,)
 
+
+
+@pytest.mark.parametrize("fixed", [(4, 1), (16, 1, 2), (16, 2, 3)])
+def test_half_integer_row_refuses_a_repeated_outer_factor(monkeypatch, fixed):
+    # the closed form's partial fractions hold for distinct outer factors only: with
+    # fixed (4, 1), baseT:1 would be 4 sum 1/((2m+1)(2n+1)(2m+2n+1)^2), not 8 zeta(2)
+    row = replace(FAMILIES["baseT"], fixed=fixed)
+    monkeypatch.setitem(FAMILIES, "baseT", row)
+    repeated = next(k for k in (1, 2, 3) if k in fixed[1:])
+    with pytest.raises(ValueError, match=f"baseT needs {row.rule}, got {repeated}"):
+        parse_spec(f"baseT:{repeated}")
+    assert "each outer factor once" in row.rule
+    fresh = next(k for k in (1, 2, 3) if k not in fixed[1:])
+    assert parse_spec(f"baseT:{fresh}").args == fixed + (fresh,)
+
+
+@pytest.mark.parametrize(
+    "text, ks",
+    [("baseT:1", (1,)), ("baseT:2", (2,)), ("baseT:3", (3,)),
+     ("halfint:a", (1, 2)), ("halfint:b", (2, 3)), ("halfint:c", (1, 2, 3))],
+)
+def test_half_integer_total_is_the_product_of_the_outer_factors(text, ks):
+    # the index total's factor, expanded once per row, is prod (2g + k) as the same integers
+    spec = parse_spec(text)
+    total = spec.family.summand(*spec.args)[3]
+    assert all(total(g) == prod(2 * g + k for k in ks) for g in range(0, 5000, 7))
 
 _FAMILY_NAMES = set(FAMILIES)
 

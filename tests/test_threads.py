@@ -103,6 +103,28 @@ def test_threads_extend_one_row_at_once():
         sys.setswitchinterval(interval)
 
 
+
+def test_threads_extend_one_log_power_row_at_once():
+    # eight threads ask rows of one cutoff and precision at L-degrees in different
+    # orders, so most calls extend a row another thread just stored, or store a
+    # shorter one over it; every answer is the serial one
+    prec, rows = oracle._prec_bits(60), range(2, 12)
+    orders = [(0, 3, 1, 5, 2), (5, 4, 3, 2, 1, 0), (2, 2, 4), (1, 5)] * 2
+    asymptotic._row_cell.cache_clear()
+    want = {(i, d): asymptotic._log_power_row(i, d, 2048, prec) for i in rows for d in range(6)}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(2):
+            asymptotic._row_cell.cache_clear()
+            with ThreadPoolExecutor(8) as pool:
+                futures = [pool.submit(lambda o=o: [((i, d), asymptotic._log_power_row(i, d, 2048, prec))
+                                                    for d in o for i in rows]) for o in orders]
+                for f in futures:
+                    assert all(want[key] == got for key, got in f.result(timeout=300))
+    finally:
+        sys.setswitchinterval(interval)
+
 @pytest.mark.parametrize(
     "module", sorted(p.name for p in Path(tornzeta.__file__).parent.glob("*.py"))
 )
